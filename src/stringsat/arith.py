@@ -84,12 +84,14 @@ class _Fresh:
     def __init__(self, taken: set):
         self.n = 0
         self.taken = taken
+        self.issued: set = set()
 
     def __call__(self, prefix: str) -> str:
         while True:
             name = f"${prefix}{self.n}"
             self.n += 1
             if name not in self.taken:
+                self.issued.add(name)
                 return name
 
 
@@ -101,6 +103,14 @@ def _collect_vars(e: ArithExpr, out: set) -> None:
     elif isinstance(e, (AAdd, AMod, AMax, AMin)):
         _collect_vars(e.left, out)
         _collect_vars(e.right, out)
+
+
+def _atom_vars(atoms) -> set:
+    out: set = set()
+    for a in atoms:
+        _collect_vars(a.lhs, out)
+        _collect_vars(a.rhs, out)
+    return out
 
 
 def _const_value(e: ArithExpr) -> Optional[int]:
@@ -177,15 +187,19 @@ def _lower_expr_raw(e: ArithExpr, fresh: _Fresh,
     raise TypeError(f"not an arithmetic expression: {e!r}")
 
 
-def lower(atoms) -> List[LinearSystem]:
+def lower(atoms, fresh: Optional[_Fresh] = None,
+          memo: Optional[dict] = None) -> List[LinearSystem]:
     """Case-split max/min and encode mod, yielding pure linear systems whose
-    disjunction is equivalent to the input conjunction."""
-    taken: set = set()
-    for a in atoms:
-        _collect_vars(a.lhs, taken)
-        _collect_vars(a.rhs, taken)
-    fresh = _Fresh(taken)
-    memo: dict = {}
+    disjunction is equivalent to the input conjunction.
+
+    Calls that pass the same ``fresh`` and ``memo`` encode a subterm they
+    share with the same auxiliary variables, so their systems may be
+    conjoined; the caller's ``fresh`` must then avoid every input variable.
+    """
+    if fresh is None:
+        fresh = _Fresh(_atom_vars(atoms))
+    if memo is None:
+        memo = {}
     systems: List[tuple] = [()]
     for a in atoms:
         branches = []
@@ -601,24 +615,50 @@ def _bb_solve(ineqs: List[Tuple[dict, int]],
 # Public interface
 # ---------------------------------------------------------------------------
 
-def solve_system(system: LinearSystem) -> Optional[Dict[str, int]]:
-    """Exact integer satisfiability for a conjunction of linear atoms."""
+@dataclass(frozen=True)
+class _Reduced:
+    """A conjunction of linear atoms with its equalities solved over the
+    integers: the residual inequalities plus the substitutions, in
+    elimination order, that express each eliminated variable in the rest.
+    Never mutated, so one reduction can serve as the base of many."""
+    atoms: tuple    # of LinAtom: what the reduction is equivalent to
+    ineqs: tuple    # (coeffs, const) for sum(coeffs) <= const
+    subs: tuple     # (var, (coeffs, const)) as from _eliminate_equalities
+
+
+_NOTHING = _Reduced((), (), ())
+
+
+def _reduce(atoms, fresh: _Fresh,
+            base: _Reduced = _NOTHING) -> Optional[_Reduced]:
+    """Reduce ``atoms`` conjoined with an already reduced ``base``, or None
+    when the gcd tests refute them.  Only the new atoms are substituted
+    and eliminated; ``base`` is left as it was."""
+    atoms = tuple(dict.fromkeys(atoms))  # dedupe, order preserved
     eqs: List[Tuple[dict, int]] = []
-    ineqs: List[Tuple[dict, int]] = []
-    all_vars: set = set()
-    for a in dict.fromkeys(system.atoms):  # dedupe, order preserved
-        cm = a.coeff_map()
-        all_vars.update(cm)
-        if a.kind == "eq":
-            eqs.append((cm, a.const))
-        else:
-            ineqs.append((cm, a.const))
-    taken = set(all_vars)
-    fresh = _Fresh(taken)
+    ineqs = list(base.ineqs)
+    for a in atoms:
+        cm, k = a.coeff_map(), a.const
+        for var, expr in base.subs:
+            cm, k = _subst_into(cm, k, var, expr)
+        (eqs if a.kind == "eq" else ineqs).append((cm, k))
     try:
         ineqs, subs = _eliminate_equalities(eqs, ineqs, fresh)
     except _Unsat:
         return None
+    return _Reduced(base.atoms + atoms, tuple(ineqs), base.subs + tuple(subs))
+
+
+def solve_system(system: LinearSystem, base: _Reduced = _NOTHING,
+                 fresh: Optional[_Fresh] = None) -> Optional[Dict[str, int]]:
+    """Exact integer satisfiability for a conjunction of linear atoms,
+    conjoined with ``base`` when one is given; ``fresh`` must then avoid
+    every variable of both."""
+    all_vars = {v for a in system.atoms + base.atoms for v, _ in a.coeffs}
+    reduced = _reduce(system.atoms, fresh or _Fresh(set(all_vars)), base)
+    if reduced is None:
+        return None
+    ineqs, subs = reduced.ineqs, reduced.subs
     live = sorted({v for cs, _ in ineqs for v in cs}
                   | {v for _, (cs, _) in subs for v in cs})
     model = {v: 0 for v in live}
@@ -632,7 +672,7 @@ def solve_system(system: LinearSystem) -> Optional[Dict[str, int]]:
     for v in all_vars:
         model.setdefault(v, 0)
     # soundness re-check under exact evaluation
-    for a in system.atoms:
+    for a in reduced.atoms:
         lhs = sum(c * model[v] for v, c in a.coeffs)
         ok = lhs == a.const if a.kind == "eq" else lhs <= a.const
         if not ok:
@@ -650,13 +690,11 @@ def quick_unsat(atoms) -> bool:
     except ArithInternalError:
         return False
     for system in systems:
-        eqs: List[Tuple[dict, int]] = []
-        ineqs: List[Tuple[dict, int]] = []
-        for a in system.atoms:
-            (eqs if a.kind == "eq" else ineqs).append((a.coeff_map(), a.const))
         try:
-            ineqs, _ = _eliminate_equalities(eqs, ineqs, _Fresh(set()))
-            ineqs = _tighten(ineqs)
+            reduced = _reduce(system.atoms, _Fresh(set()))
+            if reduced is None:
+                continue
+            ineqs = _tighten(reduced.ineqs)
         except _Unsat:
             continue
         except ArithInternalError:
@@ -671,10 +709,7 @@ def arith_sat(atoms) -> Optional[Dict[str, int]]:
     """SAT with an integer witness, or None for UNSAT.  The witness covers
     every variable of the input atoms (auxiliary lowering variables are
     stripped)."""
-    wanted: set = set()
-    for a in atoms:
-        _collect_vars(a.lhs, wanted)
-        _collect_vars(a.rhs, wanted)
+    wanted = _atom_vars(atoms)
     for system in lower(atoms):
         model = solve_system(system)
         if model is not None:
@@ -693,11 +728,66 @@ def _negate(atom: ArithAtom) -> List[ArithAtom]:
             atom_le(AAdd(atom.rhs, AInt(1)), atom.lhs)]
 
 
+class Hypothesis:
+    """A conjunction prepared for repeated ``arith_implies`` queries.
+
+    ``prepare`` lowers the atoms once and eliminates the equalities of each
+    resulting linear system once.  The lowering memo and fresh-name source
+    are kept, so a later atom that mentions a ``mod``/``max``/``min``
+    subterm of the hypothesis reuses its auxiliary variables (the same
+    sharing ``lower`` does within one call) and its fresh names avoid
+    both the hypothesis and that atom.
+    """
+
+    def __init__(self, atoms) -> None:
+        self.atoms = list(atoms)
+        self.stated = set(self.atoms)
+        self._fresh: Optional[_Fresh] = None
+        self._memo: dict = {}
+        self._lowered = 0
+        self._systems: List[_Reduced] = []
+
+    def prepare(self, extra_vars: set) -> None:
+        """Make fresh names avoid ``extra_vars``, the variables of atoms
+        about to be conjoined; the first call (or one naming an auxiliary
+        variable already issued) lowers and reduces the hypothesis."""
+        if self._fresh is not None and not extra_vars & self._fresh.issued:
+            self._fresh.taken |= extra_vars
+            return
+        taken = _atom_vars(self.atoms) | extra_vars
+        if self._fresh is not None:
+            taken |= self._fresh.taken
+        fresh, memo = _Fresh(taken), {}
+        systems = lower(self.atoms, fresh, memo)
+        reduced = [_reduce(s.atoms, fresh) for s in systems]
+        self._fresh, self._memo, self._lowered = fresh, memo, len(systems)
+        self._systems = [r for r in reduced if r is not None]
+
+    def consistent_with(self, atom: ArithAtom) -> bool:
+        """Whether the hypothesis and ``atom`` have a common integer
+        solution: only ``atom`` is lowered, substituted through each
+        reduced hypothesis system and handed to branch and bound."""
+        branches = lower([atom], self._fresh, self._memo)
+        if self._lowered * len(branches) > _LOWER_CAP:
+            raise ArithInternalError("case split explosion in lowering")
+        return any(solve_system(branch, base, self._fresh) is not None
+                   for base in self._systems for branch in branches)
+
+
 def arith_implies(hyp, concl) -> bool:
-    """hyp entails every atom of concl (checked by refuting each negation)."""
-    hyp = list(hyp)
-    for atom in concl:
-        for neg in _negate(atom):
-            if arith_sat(hyp + [neg]) is not None:
-                return False
-    return True
+    """hyp entails every atom of concl (checked by refuting each negation).
+
+    ``hyp`` is a list of atoms or a ``Hypothesis``; passing one
+    ``Hypothesis`` to several calls lowers and reduces it once for all of
+    them.  A conclusion atom the hypothesis states literally is entailed
+    without solving; each other atom costs one branch-and-bound run per
+    negation disjunct and hypothesis system.
+    """
+    if not isinstance(hyp, Hypothesis):
+        hyp = Hypothesis(hyp)
+    open_atoms = [a for a in concl if a not in hyp.stated]
+    if not open_atoms:
+        return True
+    hyp.prepare(_atom_vars(open_atoms))
+    return not any(hyp.consistent_with(neg)
+                   for atom in open_atoms for neg in _negate(atom))

@@ -33,7 +33,6 @@ class RunConfig:
     oa_mode: str = engine.OA_FULL
     reduce_to_single: bool = False
     oracle_check: Optional[int] = None
-    seed: Optional[int] = None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -58,8 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle-check", type=int, metavar="BOUND",
                    help="double-check the verdict with the brute-force "
                         "oracle up to the given word length")
-    p.add_argument("--seed", type=int, default=None,
-                   help="seed recorded for reproducibility of test harnesses")
     return p
 
 
@@ -70,7 +67,7 @@ def config_from_args(argv: List[str]) -> RunConfig:
     return RunConfig(path=ns.input, budget=ns.budget, want_model=ns.model,
                      show_fragment=ns.fragment, dot_path=ns.dot,
                      oa_mode=ns.oa, reduce_to_single=ns.reduce_to_single,
-                     oracle_check=ns.oracle_check, seed=ns.seed)
+                     oracle_check=ns.oracle_check)
 
 
 def _apply_reduction(disjunct: tuple, alphabet: tuple) -> tuple:

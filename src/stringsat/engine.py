@@ -840,11 +840,19 @@ def link_back(leaf: NormalizedFormula, ancestors: List[NormalizedFormula]):
     variables survive in the leaf through the arithmetic chain, so both
     measures are expressible there).  Without the strict decrease the
     cyclic argument would admit loops that consume nothing.
+
+    The leaf's constraints are prepared once (lowered, equalities
+    eliminated) and shared by the shrink check of every candidate; a
+    candidate that passes it prepares its renamed constraints once for all
+    of the ancestor's atoms.  Each entailment query then solves one small
+    system per conclusion atom that the hypothesis does not state
+    literally.
     """
     leaf_steps = progress_steps(leaf)
     if not leaf.equations or len(leaf.arith) > _EXACT_ATOM_CAP:
         return None
     leaf_measure = _measure(leaf)
+    leaf_hyp = _arith.Hypothesis(leaf.arith)
     for a_index, anc in enumerate(ancestors):
         if leaf_steps <= progress_steps(anc):
             continue
@@ -856,7 +864,7 @@ def link_back(leaf: NormalizedFormula, ancestors: List[NormalizedFormula]):
         if smap2 is None:
             continue
         shrink = atom_le(AAdd(leaf_measure, AInt(1)), _measure(anc))
-        if not _arith.arith_implies(list(leaf.arith), [shrink]):
+        if not _arith.arith_implies(leaf_hyp, [shrink]):
             continue
         # extend the integer renaming: leaf variables that collide with a
         # target of the positional match must move out of the way

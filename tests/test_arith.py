@@ -1,10 +1,11 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
-from stringsat.arith import (LinAtom, LinearSystem, arith_implies,
-                             arith_sat, lower, solve_system)
+from stringsat.arith import (Hypothesis, LinAtom, LinearSystem,
+                             arith_implies, arith_sat, lower, solve_system)
 from stringsat.terms import (AAdd, AInt, AMax, AMin, AMod, ANeg, AScale,
                              AVar, ArithAtom, NonConstantDivisorError,
                              a_sub, atom_eq, atom_le, atom_lt, eval_atom)
@@ -87,6 +88,66 @@ def test_implies_monotone_in_hypothesis():
         if arith_implies(hyp, concl):
             assert arith_implies(hyp + concl, concl)
             assert arith_implies(hyp + [atom_eq(AVar("y"), AInt(0))], concl)
+
+
+def _naive_implies(hyp, concl) -> bool:
+    # reference: refute each disjunct of each negation from scratch
+    for a in concl:
+        if a.kind == "le":
+            negs = [atom_le(AAdd(a.rhs, AInt(1)), a.lhs)]
+        else:
+            negs = [atom_le(AAdd(a.lhs, AInt(1)), a.rhs),
+                    atom_le(AAdd(a.rhs, AInt(1)), a.lhs)]
+        if any(arith_sat(list(hyp) + [n]) is not None for n in negs):
+            return False
+    return True
+
+
+def test_implies_matches_naive_reference():
+    # one prepared Hypothesis answers several conclusions, as in link_back;
+    # conclusions may restate hypothesis atoms, share its mod subterm, or
+    # name variables like the lowering's own ($q0, $r0)
+    rng = random.Random(41)
+    seen = Counter()
+    for _ in range(40):
+        shared = AMod(AAdd(AVar("x"), AVar(rng.choice(["x", "y"]))),
+                      AInt(rng.randint(2, 4)))
+        hyp = _random_atoms(rng, ["x", "y", "$r0"])
+        hyp.append(rng.choice([atom_eq(shared, AVar("y")),
+                               atom_le(AInt(1), shared),
+                               atom_le(shared, AVar("x"))]))
+        if arith_sat(hyp) is None:
+            seen["vacuous"] += 1
+        prepared = Hypothesis(hyp)
+        for _ in range(3):
+            concl = _random_atoms(rng, ["x", "y", "$q0", "$r0"])
+            if rng.random() < 0.5:
+                concl.append(rng.choice([atom_le(shared, AInt(3)),
+                                         atom_eq(shared, AVar("y")),
+                                         atom_le(AVar("y"), shared)]))
+            if rng.random() < 0.4:
+                concl.append(rng.choice(hyp))
+            want = _naive_implies(hyp, concl)
+            assert arith_implies(prepared, concl) == want, (hyp, concl)
+            assert arith_implies(hyp, concl) == want, (hyp, concl)
+            seen["implied" if want else "refuted"] += 1
+    assert seen["vacuous"] > 5
+    assert seen["implied"] > seen["vacuous"]
+    assert seen["refuted"] > 25
+
+
+def test_implies_keeps_conclusion_and_lowering_names_apart():
+    m = AMod(AVar("x"), AInt(3))
+    hyp = [atom_eq(AVar("y"), m)]  # lowered as x = 3*$q0 + $r1, y = $r1
+    stray = atom_le(AVar("x"), AAdd(AScale(3, AVar("$q0")), AInt(2)))
+    # a conclusion naming $q0 before the hypothesis is prepared
+    assert not arith_implies(hyp, [stray])
+    # ... and after: the prepared hypothesis has to be lowered again
+    prepared = Hypothesis(hyp)
+    assert arith_implies(prepared, [atom_le(AVar("y"), AInt(2))])
+    assert not arith_implies(prepared, [stray])
+    assert arith_implies(prepared, [atom_le(m, AVar("y"))])
+    assert not arith_implies(prepared, [atom_eq(m, AInt(0))])
 
 
 def test_sat_models_satisfy_inputs():

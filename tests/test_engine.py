@@ -271,6 +271,43 @@ def test_solve_worked_example_tree_shape():
     assert tree.nodes[4].status.target == 0
 
 
+def test_hard_instance_tree_is_pinned():
+    # x.z.y = b.z.x with x in a*.a is unsat (x starts with a), but the
+    # membership stays invisible until a base leaf, so no back-link closes
+    # the tree within the budget.  Pins the tree, not the time it takes.
+    x, y, z = SVar("x"), SVar("y"), SVar("z")
+    conjs = [FEq((x, z, y), word("b") + (z, x)),
+             FIn((x,), RCat(RStar(RWord("a")), RWord("a")))]
+    ans = solve_conjunction(conjs, "ab", budget=100)
+    assert ans.verdict == "unknown"
+    assert len(ans.tree.nodes) == 171
+    assert ans.unfoldings == 100
+
+
+@pytest.mark.xfail(strict=True, reason="unsound back-link: memberships are "
+                   "matched by alias name, not by what the alias denotes")
+def test_back_link_respects_membership_of_resolved_alias():
+    """s.b = b.s with s in bb is satisfied by s = bb, yet the solver
+    answers unsat.  After the first unfolding the leaf's s denotes b.$u0,
+    but _match_memberships pairs the leaf's membership on s with the
+    root's by alias name, so the leaf links back as if s were unchanged.
+
+    Two quick fixes were tried and rejected.  Refusing links whose
+    membership variable is not a plain alias fixes this instance but
+    breaks acceptance 1, the paper's worked example.  Comparing residual
+    DFA states under the character map keeps acceptance 1 and 2 passing,
+    but acceptance 3/4 then hit RecursionError in oa_unsat on the deeper
+    trees.  The real fix is to carry memberships as automaton states
+    advanced by unfolding.
+    """
+    s = SVar("s")
+    conjs = [FEq((s,) + word("b"), word("b") + (s,)),
+             FIn((s,), RWord("bb"))]
+    ans = solve_conjunction(conjs, "ab")
+    assert ans.verdict == "sat"
+    assert all(oracle.eval_formula(c, ans.model, "ab") for c in conjs)
+
+
 def test_solve_sat_with_model_checked_against_oracle():
     conjs = [FEq(word("ab") + (SVar("s"),), (SVar("s"),) + word("ba"))]
     ans = solve_conjunction(conjs, "ab")
