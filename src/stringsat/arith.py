@@ -2,10 +2,13 @@
 with mod-by-constant, max and min.
 
 max/min/mod are lowered to pure linear systems first (case splits and fresh
-variables).  Each system is decided by integer-exact preprocessing
-(Euclidean elimination of equalities, gcd tightening of inequalities)
-followed by branch and bound over an exact rational simplex relaxation.
-All arithmetic uses Python's unbounded ints and Fractions; no floats.
+variables; atoms without them are converted directly).  Each system is
+decided by integer-exact preprocessing (Euclidean elimination of
+equalities, gcd tightening of inequalities) followed by branch and bound
+over the rational simplex relaxation.  The simplex runs on a
+fraction-free integer tableau, so all arithmetic is on Python's unbounded
+ints; the only Fractions are the coordinates of the relaxation's point
+that branch and bound rounds and splits on.  No floats.
 """
 
 from __future__ import annotations
@@ -40,37 +43,36 @@ class LinearSystem:
     atoms: tuple  # of LinAtom
 
 
-def _lin(e: ArithExpr) -> Tuple[Dict[str, int], int]:
-    if isinstance(e, AInt):
-        return {}, e.value
+def _lin_into(e: ArithExpr, f: int, coeffs: Dict[str, int]) -> int:
+    """Add ``f`` times the variable part of ``e`` into ``coeffs`` and return
+    ``f`` times its constant; ValueError when ``e`` is not linear."""
     if isinstance(e, AVar):
-        return {e.name: 1}, 0
+        coeffs[e.name] = coeffs.get(e.name, 0) + f
+        return 0
+    if isinstance(e, AInt):
+        return f * e.value
+    if isinstance(e, AAdd):
+        return _lin_into(e.left, f, coeffs) + _lin_into(e.right, f, coeffs)
+    if isinstance(e, AScale):
+        return _lin_into(e.inner, f * e.factor, coeffs)
+    if isinstance(e, ANeg):
+        return _lin_into(e.inner, -f, coeffs)
     if isinstance(e, ALen):
         raise ValueError("length expression reached the arithmetic backend")
-    if isinstance(e, AScale):
-        cs, k = _lin(e.inner)
-        return {v: e.factor * c for v, c in cs.items()}, e.factor * k
-    if isinstance(e, ANeg):
-        cs, k = _lin(e.inner)
-        return {v: -c for v, c in cs.items()}, -k
-    if isinstance(e, AAdd):
-        c1, k1 = _lin(e.left)
-        c2, k2 = _lin(e.right)
-        out = dict(c1)
-        for v, c in c2.items():
-            out[v] = out.get(v, 0) + c
-        return out, k1 + k2
     raise ValueError(f"non-linear construct not lowered: {e!r}")
 
 
+def _lin(e: ArithExpr) -> Tuple[Dict[str, int], int]:
+    coeffs: Dict[str, int] = {}
+    const = _lin_into(e, 1, coeffs)
+    return coeffs, const
+
+
 def _mk_linatom(kind: str, lhs: ArithExpr, rhs: ArithExpr) -> LinAtom:
-    cl, kl = _lin(lhs)
-    cr, kr = _lin(rhs)
-    coeffs = dict(cl)
-    for v, c in cr.items():
-        coeffs[v] = coeffs.get(v, 0) - c
-    coeffs = {v: c for v, c in coeffs.items() if c != 0}
-    return LinAtom(kind, tuple(sorted(coeffs.items())), kr - kl)
+    coeffs: Dict[str, int] = {}
+    const = -_lin_into(lhs, 1, coeffs) - _lin_into(rhs, -1, coeffs)
+    return LinAtom(kind, tuple(sorted((v, c) for v, c in coeffs.items()
+                                      if c != 0)), const)
 
 
 # ---------------------------------------------------------------------------
@@ -195,25 +197,30 @@ def lower(atoms, fresh: Optional[_Fresh] = None,
     Calls that pass the same ``fresh`` and ``memo`` encode a subterm they
     share with the same auxiliary variables, so their systems may be
     conjoined; the caller's ``fresh`` must then avoid every input variable.
+
+    An atom without mod/max/min is linear as it stands and is converted
+    directly: it has one branch, issues no fresh name, and its subterms
+    would only enter the memo with themselves as their encoding.
     """
-    if fresh is None:
-        fresh = _Fresh(_atom_vars(atoms))
     if memo is None:
         memo = {}
     systems: List[tuple] = [()]
     for a in atoms:
-        branches = []
-        for xl, sl in _lower_expr(a.lhs, fresh, memo):
-            for xr, sr in _lower_expr(a.rhs, fresh, memo):
-                branches.append((ArithAtom(a.kind, xl, xr),) + sl + sr)
+        try:
+            branches = [(_mk_linatom(a.kind, a.lhs, a.rhs),)]
+        except ValueError:  # a mod/max/min (or a stray length) inside
+            if fresh is None:
+                fresh = _Fresh(_atom_vars(atoms))
+            branches = []
+            for xl, sl in _lower_expr(a.lhs, fresh, memo):
+                for xr, sr in _lower_expr(a.rhs, fresh, memo):
+                    branches.append(tuple(
+                        _mk_linatom(b.kind, b.lhs, b.rhs)
+                        for b in (ArithAtom(a.kind, xl, xr),) + sl + sr))
         systems = [s + b for s in systems for b in branches]
         if len(systems) > _LOWER_CAP:
             raise ArithInternalError("case split explosion in lowering")
-    out = []
-    for sys_atoms in systems:
-        lin = tuple(_mk_linatom(a.kind, a.lhs, a.rhs) for a in sys_atoms)
-        out.append(LinearSystem(lin))
-    return out
+    return [LinearSystem(s) for s in systems]
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +319,7 @@ def _tighten(ineqs: List[Tuple[dict, int]]) -> List[Tuple[dict, int]]:
 
 
 # ---------------------------------------------------------------------------
-# Exact rational simplex (phase 1 feasibility only)
+# Fraction-free integer simplex (phase 1 feasibility, then an L1 phase 2)
 # ---------------------------------------------------------------------------
 
 def _lp_feasible(ineqs: List[Tuple[dict, int]],
@@ -320,9 +327,23 @@ def _lp_feasible(ineqs: List[Tuple[dict, int]],
     """L1-minimal rational solution of sum(c x) <= k atoms, or None.
 
     Free variables are split into non-negative pairs and slacks added; a
-    phase-1 simplex with Bland's rule drives the artificial sum to zero,
-    then phase 2 minimizes the sum of the split pairs so the returned
-    point stays near the origin (which keeps later branching shallow).
+    phase-1 simplex drives the artificial sum to zero, then phase 2
+    minimizes the sum of the split pairs so the returned point stays near
+    the origin (which keeps later branching shallow).  Pivoting is
+    Dantzig's rule with lowest-index ties, switching to Bland's rule after
+    60 degenerate steps; the ratio test takes the least (b_r / a_r,
+    basis[r]).
+
+    The tableau holds only ints (fraction-free elimination, after Bareiss):
+    each row is a primitive integer multiple of the rational row, with a
+    positive entry in its basic column, so the rational row is the stored
+    one divided by that entry.  The objective row is likewise kept as a
+    positive integer multiple of the rational one; its denominator is
+    never needed, because only the signs and the order of its entries are
+    read.  Every choice the simplex makes is invariant under positive row
+    scaling (ratios are compared by cross-multiplication), so it pivots
+    exactly as a rational tableau would.  Fractions appear only in the
+    returned point.
     """
     n = len(variables)
     m = len(ineqs)
@@ -330,43 +351,50 @@ def _lp_feasible(ineqs: List[Tuple[dict, int]],
         return {v: Fraction(0) for v in variables}
     ncols = 2 * n + m  # split pairs then slacks
     vidx = {v: i for i, v in enumerate(variables)}
-    total = ncols + m
-    tab: List[List[Fraction]] = []
+    total = ncols + m  # artificials sit in ncols..total-1, b in total
+    tab: List[List[int]] = []
     basis: List[int] = []
     for j, (coeffs, const) in enumerate(ineqs):
-        row = [Fraction(0)] * ncols
+        # negate a row with a negative constant so the artificial starts
+        # feasible at b >= 0
+        sign = -1 if const < 0 else 1
+        row = [0] * (total + 1)
         for v, c in coeffs.items():
-            row[2 * vidx[v]] = Fraction(c)
-            row[2 * vidx[v] + 1] = Fraction(-c)
-        row[2 * n + j] = Fraction(1)  # slack
-        b = Fraction(const)
-        if b < 0:
-            row = [-x for x in row]
-            b = -b
-        row += [Fraction(0)] * m
-        row[ncols + j] = Fraction(1)  # artificial
-        tab.append(row + [b])
+            row[2 * vidx[v]] = sign * c
+            row[2 * vidx[v] + 1] = -sign * c
+        row[2 * n + j] = sign  # slack
+        row[ncols + j] = 1  # artificial
+        row[total] = sign * const
+        tab.append(row)
         basis.append(ncols + j)
 
     # w-row over nonbasics: zero on the artificial columns (they start
     # basic), summed constraint rows elsewhere
-    obj = [Fraction(0)] * (total + 1)
-    for j in range(m):
-        for k in range(ncols):
-            obj[k] += tab[j][k]
-        obj[total] += tab[j][total]
+    obj = [sum(col) for col in zip(*tab)]
+    obj[ncols:total] = [0] * m
+
+    def eliminate(row: List[int], c: int, piv: List[int], p: int,
+                  nz: List[int]) -> List[int]:
+        # p * row - row[c] * piv, divided by its gcd: zero at column c
+        f = row[c]
+        out = [p * x for x in row] if p != 1 else list(row)
+        for k in nz:
+            out[k] -= f * piv[k]
+        g = math.gcd(*out)
+        return [x // g for x in out] if g > 1 else out
 
     def pivot(r: int, c: int) -> None:
-        piv = tab[r][c]
-        tab[r] = [x / piv for x in tab[r]]
+        nonlocal obj
+        piv = tab[r]
+        if piv[c] < 0:
+            piv = tab[r] = [-x for x in piv]
+        p = piv[c]
+        nz = [k for k, x in enumerate(piv) if x]
         for i in range(m):
             if i != r and tab[i][c] != 0:
-                f = tab[i][c]
-                tab[i] = [a - f * b for a, b in zip(tab[i], tab[r])]
+                tab[i] = eliminate(tab[i], c, piv, p, nz)
         if obj[c] != 0:
-            f = obj[c]
-            for k in range(total + 1):
-                obj[k] -= f * tab[r][k]
+            obj = eliminate(obj, c, piv, p, nz)
         basis[r] = c
 
     def optimize(allowed: int) -> None:
@@ -387,24 +415,26 @@ def _lp_feasible(ineqs: List[Tuple[dict, int]],
                 enter = next((c for c in range(allowed) if obj[c] > 0), None)
             if enter is None:
                 return
-            best = None
+            best = -1
             for r in range(m):
-                if tab[r][enter] > 0:
-                    key = (tab[r][total] / tab[r][enter], basis[r])
-                    if best is None or key < best[0]:
-                        best = (key, r)
-            if best is None:
+                a = tab[r][enter]
+                if a > 0:
+                    if best < 0:
+                        best, best_a, best_b = r, a, tab[r][total]
+                        continue
+                    b = tab[r][total]
+                    lhs, rhs = b * best_a, best_b * a
+                    if lhs < rhs or (lhs == rhs and basis[r] < basis[best]):
+                        best, best_a, best_b = r, a, b
+            if best < 0:
                 raise ArithInternalError("simplex objective unbounded")
-            stall = stall + 1 if best[0][0] == 0 else 0
-            pivot(best[1], enter)
+            stall = stall + 1 if best_b == 0 else 0
+            pivot(best, enter)
 
     optimize(total)
     if obj[total] != 0:
         return None
-    values = [Fraction(0)] * total
-    for r, b in enumerate(basis):
-        values[b] = tab[r][total]
-    if any(values[ncols + j] != 0 for j in range(m)):
+    if any(b >= ncols and tab[r][total] != 0 for r, b in enumerate(basis)):
         return None
     # drive any zero-level artificial out of the basis before phase 2
     for r in range(m):
@@ -416,18 +446,17 @@ def _lp_feasible(ineqs: List[Tuple[dict, int]],
     # phase 2: minimize the sum of the split pairs (an L1 proxy); the
     # invariant form is z = obj[total] - sum(obj[c] * x_c), so the pair
     # columns start at -1 and basic columns are eliminated below
-    obj[:] = [Fraction(0)] * (total + 1)
-    for i in range(2 * n):
-        obj[i] = Fraction(-1)
+    obj = [-1] * (2 * n) + [0] * (total + 1 - 2 * n)
     for r, b in enumerate(basis):
         if obj[b] != 0:
-            f = obj[b]
-            for k in range(total + 1):
-                obj[k] -= f * tab[r][k]
+            row = tab[r]
+            obj = eliminate(obj, b, row, row[b],
+                            [k for k, x in enumerate(row) if x])
     optimize(ncols)
-    values = [Fraction(0)] * total
+    values = [Fraction(0)] * (2 * n)
     for r, b in enumerate(basis):
-        values[b] = tab[r][total]
+        if b < 2 * n:
+            values[b] = Fraction(tab[r][total], tab[r][b])
     return {v: values[2 * i] - values[2 * i + 1]
             for v, i in vidx.items()}
 

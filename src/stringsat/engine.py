@@ -958,9 +958,6 @@ class UnfoldingTree:
     def is_closed(self) -> bool:
         return not self.open_leaves()
 
-    def path_length(self, node_id: int) -> int:
-        return self.nodes[node_id].depth + 1
-
     def max_path_length(self) -> int:
         return max((n.depth + 1 for n in self.nodes if not n.children),
                    default=1)

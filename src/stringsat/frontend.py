@@ -19,8 +19,9 @@ from typing import List, Optional, Tuple, Union
 from .terms import (AAdd, AInt, ALen, AMax, AMin, AMod, ANeg, AScale, AVar,
                     ArithAtom, ArithExpr, CChar, FAnd, FAtom, FEq, FIn, FNot,
                     FOr, Formula, Model, RCat, RComp, RE, REps, RInter,
-                    RStar, RUnion, RWord, SVar, Term, atom_le, formula_chars,
-                    to_dnf, word)
+                    RStar, RUnion, RWord, SVar, Term, arith_len_vars,
+                    arith_vars, atom_le, eval_arith, formula_chars, to_dnf,
+                    word)
 
 
 class ParseError(Exception):
@@ -203,7 +204,13 @@ class _Ctx:
 def parse_problem(text: Union[str, bytes]) -> Problem:
     """Parse a problem file; raises positioned errors on bad input."""
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as e:
+            line_start = text.rfind(b"\n", 0, e.start) + 1
+            col = len(text[line_start:e.start].decode("utf-8")) + 1
+            raise ParseError(f"invalid UTF-8 byte {text[e.start]:#04x}",
+                             text.count(b"\n", 0, e.start) + 1, col) from None
     ctx = _Ctx()
     for form in _read_all(_lex(text)):
         _top_form(form, ctx)
@@ -404,6 +411,8 @@ def _arith(n: _Node, ctx: _Ctx) -> ArithExpr:
                 "str.len applies to a declared string variable", *n.pos)
         return ALen(args[0].tok.text)
     if head == "+":
+        if not args:
+            raise ParseError("+ expects at least one argument", *n.pos)
         out = _arith(args[0], ctx)
         for a in args[1:]:
             out = AAdd(out, _arith(a, ctx))
@@ -427,13 +436,27 @@ def _arith(n: _Node, ctx: _Ctx) -> ArithExpr:
     if head == "mod":
         if len(args) != 2:
             raise ParseError("mod expects two arguments", *n.pos)
-        return AMod(_arith(args[0], ctx), _arith(args[1], ctx))
-    if head == "max":
-        return AMax(_arith(args[0], ctx), _arith(args[1], ctx))
-    if head == "min":
-        return AMin(_arith(args[0], ctx), _arith(args[1], ctx))
+        return AMod(_arith(args[0], ctx), _divisor(args[1], ctx))
+    if head in ("max", "min"):
+        if len(args) != 2:
+            raise ParseError(f"{head} expects two arguments", *n.pos)
+        ctor = AMax if head == "max" else AMin
+        return ctor(_arith(args[0], ctx), _arith(args[1], ctx))
     raise UnsupportedConstructError(f"unsupported integer operator {head!r}",
                                     *n.pos)
+
+
+def _divisor(n: _Node, ctx: _Ctx) -> AInt:
+    """A mod divisor: a variable-free term with a positive value, kept as
+    that value, the only divisor form the arithmetic backend accepts."""
+    d = _arith(n, ctx)
+    if arith_vars(d) or arith_len_vars(d):
+        raise UnsupportedConstructError("mod divisor must be a constant",
+                                        *n.pos)
+    value = eval_arith(d, {})
+    if value <= 0:
+        raise ParseError(f"mod divisor must be positive, got {value}", *n.pos)
+    return AInt(value)
 
 
 # ---------------------------------------------------------------------------

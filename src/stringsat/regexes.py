@@ -260,13 +260,6 @@ def _compile(r: RE, sigma: tuple) -> Dfa:
     raise TypeError(f"not a regex: {r!r}")
 
 
-def intersect_all(dfas: list) -> Dfa:
-    out = dfas[0]
-    for d in dfas[1:]:
-        out = product(out, d, lambda a, b: a and b)
-    return out
-
-
 def sigma_star(alphabet: Iterable[str]) -> Dfa:
     sigma = tuple(sorted(set(alphabet)))
     return Dfa(sigma, ((0,) * len(sigma),), 0, frozenset((0,)))

@@ -57,17 +57,6 @@ def word(chars: str) -> Term:
     return tuple(CChar(c) for c in chars)
 
 
-def flatten(parts: Iterable) -> Term:
-    """Concatenate atoms and already-flat terms into one flat term."""
-    out: list = []
-    for p in parts:
-        if isinstance(p, tuple):
-            out.extend(p)
-        else:
-            out.append(p)
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class Equation:
     lhs: Term

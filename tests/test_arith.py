@@ -1,10 +1,12 @@
 import itertools
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
-from stringsat.arith import (Hypothesis, LinAtom, LinearSystem,
+from stringsat.arith import (Hypothesis, LinAtom, LinearSystem, _atom_vars,
+                             _Fresh, _lower_expr, _lp_feasible, _mk_linatom,
                              arith_implies, arith_sat, lower, solve_system)
 from stringsat.terms import (AAdd, AInt, AMax, AMin, AMod, ANeg, AScale,
                              AVar, ArithAtom, NonConstantDivisorError,
@@ -214,3 +216,252 @@ def _random_atoms(rng: random.Random, vars_: list) -> list:
     for _ in range(rng.randint(1, 3)):
         out.append(ArithAtom(rng.choice(["eq", "le"]), expr(2), expr(2)))
     return out
+
+
+# ---------------------------------------------------------------------------
+# The integer kernels against their rational / always-memoized references
+# ---------------------------------------------------------------------------
+
+def _fraction_lp_feasible(ineqs, variables, events):
+    """The dense Fraction tableau the integer simplex replaced, kept as its
+    reference: same pivot rules, so the same point.  ``events`` counts the
+    rarer paths taken (Bland's rule, artificial drive-out, ratio ties)."""
+    n = len(variables)
+    m = len(ineqs)
+    if m == 0:
+        return {v: Fraction(0) for v in variables}
+    ncols = 2 * n + m
+    vidx = {v: i for i, v in enumerate(variables)}
+    total = ncols + m
+    tab = []
+    basis = []
+    for j, (coeffs, const) in enumerate(ineqs):
+        row = [Fraction(0)] * ncols
+        for v, c in coeffs.items():
+            row[2 * vidx[v]] = Fraction(c)
+            row[2 * vidx[v] + 1] = Fraction(-c)
+        row[2 * n + j] = Fraction(1)
+        b = Fraction(const)
+        if b < 0:
+            row = [-x for x in row]
+            b = -b
+        row += [Fraction(0)] * m
+        row[ncols + j] = Fraction(1)
+        tab.append(row + [b])
+        basis.append(ncols + j)
+    obj = [Fraction(0)] * (total + 1)
+    for j in range(m):
+        for k in range(ncols):
+            obj[k] += tab[j][k]
+        obj[total] += tab[j][total]
+
+    def pivot(r, c):
+        piv = tab[r][c]
+        tab[r] = [x / piv for x in tab[r]]
+        for i in range(m):
+            if i != r and tab[i][c] != 0:
+                f = tab[i][c]
+                tab[i] = [a - f * b for a, b in zip(tab[i], tab[r])]
+        if obj[c] != 0:
+            f = obj[c]
+            for k in range(total + 1):
+                obj[k] -= f * tab[r][k]
+        basis[r] = c
+
+    def optimize(allowed):
+        stall = 0
+        while True:
+            if stall < 60:
+                enter, best_cost = None, 0
+                for c in range(allowed):
+                    if obj[c] > best_cost:
+                        enter, best_cost = c, obj[c]
+            else:
+                events["bland"] += 1
+                enter = next((c for c in range(allowed) if obj[c] > 0), None)
+            if enter is None:
+                return
+            best = None
+            for r in range(m):
+                if tab[r][enter] > 0:
+                    key = (tab[r][total] / tab[r][enter], basis[r])
+                    if best is not None and key[0] == best[0][0]:
+                        events["ratio tie"] += 1
+                    if best is None or key < best[0]:
+                        best = (key, r)
+            assert best is not None, "unbounded"
+            stall = stall + 1 if best[0][0] == 0 else 0
+            pivot(best[1], enter)
+
+    optimize(total)
+    if obj[total] != 0:
+        return None
+    values = [Fraction(0)] * total
+    for r, b in enumerate(basis):
+        values[b] = tab[r][total]
+    if any(values[ncols + j] != 0 for j in range(m)):
+        return None
+    for r in range(m):
+        if basis[r] >= ncols:
+            c = next((c for c in range(ncols) if tab[r][c] != 0), None)
+            if c is not None:
+                events["drive-out"] += 1
+                pivot(r, c)
+    obj[:] = [Fraction(0)] * (total + 1)
+    for i in range(2 * n):
+        obj[i] = Fraction(-1)
+    for r, b in enumerate(basis):
+        if obj[b] != 0:
+            f = obj[b]
+            for k in range(total + 1):
+                obj[k] -= f * tab[r][k]
+    optimize(ncols)
+    values = [Fraction(0)] * total
+    for r, b in enumerate(basis):
+        values[b] = tab[r][total]
+    return {v: values[2 * i] - values[2 * i + 1] for v, i in vidx.items()}
+
+
+def _random_lp(rng: random.Random):
+    variables = ["v%d" % i for i in range(rng.randint(1, 4))]
+    rows = []
+    for _ in range(rng.randint(0, 6)):
+        shape = rng.random()
+        if shape < 0.1:  # a zero row: only its slack
+            rows.append(({}, rng.randint(-2, 3)))
+            continue
+        if shape < 0.3:  # branch rows: one variable, possibly huge bounds
+            v = rng.choice(variables)
+            big = rng.choice([rng.randint(-3, 3), 10 ** rng.randint(6, 30)])
+            rows.append(({v: 1}, big) if rng.random() < 0.5
+                        else ({v: -1}, -big))
+            continue
+        vs = rng.sample(variables, rng.randint(1, len(variables)))
+        rows.append(({v: rng.choice([-3, -2, -1, 1, 1, 2, 3]) for v in vs},
+                     rng.randint(-6, 6)))
+    if rows and rng.random() < 0.3:
+        # restated and scaled rows: ratio ties, degenerate pivots and
+        # artificials left basic at level zero
+        for cs, k in rng.sample(rows, rng.randint(1, len(rows))):
+            f = rng.randint(1, 3)
+            rows.append(({v: f * c for v, c in cs.items()}, f * k))
+    return rows, variables
+
+
+def test_integer_simplex_matches_fraction_tableau():
+    rng = random.Random(53)
+    events = Counter()
+    for _ in range(1500):
+        rows, variables = _random_lp(rng)
+        want = _fraction_lp_feasible([(dict(c), k) for c, k in rows],
+                                     variables, events)
+        got = _lp_feasible(rows, variables)
+        assert got == want, (rows, variables)
+        if got is None:
+            events["infeasible"] += 1
+        else:
+            assert all(type(x) is Fraction for x in got.values())
+            events["fractional" if any(x.denominator != 1
+                                       for x in got.values())
+                   else "integral"] += 1
+        events["negative constant"] += any(k < 0 for _, k in rows)
+    for kind in ("infeasible", "integral", "fractional", "ratio tie",
+                 "negative constant"):
+        assert events[kind] > 20, events
+    assert events["drive-out"] >= 5, events  # the rarest path
+
+
+def test_integer_simplex_degenerate_stall_switches_to_bland():
+    # a degenerate vertex shared by many rows stalls Dantzig's rule: draw
+    # 184 stalls long enough for the switch to Bland's rule, and draw 179
+    # ends at another point if the switch comes after 30 stalled steps
+    events = Counter()
+    for seed in (179, 184):
+        rng = random.Random(seed)
+        variables = ["v%d" % i for i in range(6)]
+        rows = [({v: rng.choice([-2, -1, 1, 2]) for v in variables}, 0)
+                for _ in range(16)]
+        rows.append(({v: -1 for v in variables}, -1))
+        want = _fraction_lp_feasible([(dict(c), k) for c, k in rows],
+                                     variables, events)
+        assert want is not None
+        assert _lp_feasible(rows, variables) == want
+    assert events["bland"] > 0
+
+
+def _memo_path_lower(atoms, fresh=None, memo=None):
+    """``lower`` as it was before linear atoms skipped the memo: every atom
+    goes through ``_lower_expr``."""
+    if fresh is None:
+        fresh = _Fresh(_atom_vars(atoms))
+    if memo is None:
+        memo = {}
+    systems = [()]
+    for a in atoms:
+        branches = []
+        for xl, sl in _lower_expr(a.lhs, fresh, memo):
+            for xr, sr in _lower_expr(a.rhs, fresh, memo):
+                branches.append((ArithAtom(a.kind, xl, xr),) + sl + sr)
+        systems = [s + b for s in systems for b in branches]
+    return [LinearSystem(tuple(_mk_linatom(a.kind, a.lhs, a.rhs)
+                               for a in s)) for s in systems]
+
+
+def _linear_atoms(rng: random.Random, vars_: list) -> list:
+    def expr(depth):
+        if depth == 0 or rng.random() < 0.4:
+            return (AInt(rng.randint(-5, 5)) if rng.random() < 0.4
+                    else AVar(rng.choice(vars_)))
+        k = rng.random()
+        if k < 0.5:
+            return AAdd(expr(depth - 1), expr(depth - 1))
+        if k < 0.7:
+            return ANeg(expr(depth - 1))
+        return AScale(rng.randint(-3, 3), expr(depth - 1))
+    return [ArithAtom(rng.choice(["eq", "le"]), expr(3), expr(3))
+            for _ in range(rng.randint(1, 4))]
+
+
+def test_lower_fast_path_matches_memo_path():
+    rng = random.Random(61)
+    for _ in range(300):
+        vars_ = ["x", "y", "$q0", "$v1"][:rng.randint(1, 4)]
+        atoms = _linear_atoms(rng, vars_) + _random_atoms(rng, vars_)
+        rng.shuffle(atoms)
+        assert lower(atoms) == _memo_path_lower(atoms), atoms
+        linear = _linear_atoms(rng, vars_)
+        assert lower(linear) == _memo_path_lower(linear), linear
+
+
+def test_lower_shares_a_mod_subterm_across_atoms():
+    m = AMod(AAdd(AVar("x"), AInt(1)), AInt(3))
+    atoms = [atom_le(AVar("y"), AVar("x")), atom_eq(m, AVar("y")),
+             atom_le(AInt(0), AVar("x")), atom_le(AScale(2, m), AInt(3))]
+    systems = lower(atoms)
+    assert systems == _memo_path_lower(atoms)
+    (system,) = systems
+    aux = {v for a in system.atoms for v, _ in a.coeffs if v.startswith("$")}
+    assert aux == {"$q0", "$r1"}
+
+
+def test_lower_with_caller_fresh_and_memo_matches_memo_path():
+    # Hypothesis-style use: one fresh source and memo across a hypothesis
+    # and then one conclusion atom at a time
+    rng = random.Random(67)
+    for _ in range(100):
+        vars_ = ["x", "y", "z"]
+        shared = AMod(AVar(rng.choice(vars_)), AInt(rng.randint(2, 4)))
+        hyp = _linear_atoms(rng, vars_) + _random_atoms(rng, vars_)
+        hyp.append(atom_le(shared, AVar("y")))
+        rng.shuffle(hyp)
+        concl = (_linear_atoms(rng, vars_) + _random_atoms(rng, vars_)
+                 + [atom_eq(shared, AInt(1))])
+        taken = _atom_vars(hyp + concl)
+        got_fresh, want_fresh = _Fresh(set(taken)), _Fresh(set(taken))
+        got_memo, want_memo = {}, {}
+        for batch in [hyp] + [[a] for a in concl]:
+            got = lower(batch, got_fresh, got_memo)
+            want = _memo_path_lower(batch, want_fresh, want_memo)
+            assert got == want, batch
+            assert got_fresh.issued == want_fresh.issued
+            assert got_fresh.n == want_fresh.n

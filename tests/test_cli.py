@@ -1,5 +1,7 @@
 import io
 
+import pytest
+
 from stringsat.cli import (EXIT_ERROR, EXIT_SAT, EXIT_UNKNOWN, EXIT_UNSAT,
                            RunConfig, config_from_args, run)
 
@@ -58,6 +60,24 @@ def test_parse_error_reports_position(tmp_path):
     code, out, err = _run(tmp_path, "(assert (= s t))")
     assert code == EXIT_ERROR
     assert "error" in err and ":1:" in err
+
+
+@pytest.mark.parametrize("term", ["(+)", "(max k)", "(max k j k)",
+                                  "(mod k j)", "(mod k 0)"])
+def test_bad_arith_term_exits_with_error(tmp_path, term):
+    text = f"(declare-int k)(declare-int j)\n(assert (= {term} 1))"
+    code, out, err = _run(tmp_path, text)
+    assert code == EXIT_ERROR
+    assert out == "" and ":2:" in err and "Traceback" not in err
+
+
+def test_non_utf8_input_exits_with_error(tmp_path):
+    path = tmp_path / "problem.smt2"
+    path.write_bytes(b"(declare-str s)\n(assert (= s \"a\xff\"))\n")
+    out, err = io.StringIO(), io.StringIO()
+    code = run(config_from_args([str(path)]), out, err)
+    assert code == EXIT_ERROR
+    assert out.getvalue() == "" and ":2:16:" in err.getvalue()
 
 
 def test_budget_zero_unknown(tmp_path):

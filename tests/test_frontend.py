@@ -6,8 +6,8 @@ from corpus import rand_tame_regex
 from stringsat.frontend import (ParseError, UnknownIdentifierError,
                                 UnsupportedConstructError, parse_problem,
                                 render_answer, render_problem)
-from stringsat.terms import (AMod, FAtom, FEq, FIn, FNot, Model, RCat,
-                             RStar, RWord, SVar, word)
+from stringsat.terms import (AInt, AMod, AVar, FAtom, FEq, FIn, FNot, Model,
+                             RCat, RStar, RWord, SVar, word)
 
 WORKED = """
 (declare-str s)
@@ -76,6 +76,34 @@ def test_parse_undeclared_identifier():
 def test_parse_sorts_are_checked():
     with pytest.raises(ParseError):
         parse_problem('(declare-str s)(declare-int n)(assert (= s n))')
+
+
+@pytest.mark.parametrize("term, col", [
+    ("(+)", 13),
+    ("(max k)", 13),
+    ("(max k j k)", 13),  # a third argument must not be dropped silently
+    ("(min k j k)", 13),
+    ("(mod k j)", 19),
+    ("(mod k 0)", 19),
+    ("(mod k (- 3 5))", 20),
+    ("(mod k (str.len s))", 20),
+])
+def test_arith_arity_and_divisor_errors(term, col):
+    with pytest.raises(ParseError) as e:
+        parse_problem("(declare-str s)(declare-int k)(declare-int j)\n"
+                      f"(assert (= {term} 1))")
+    assert (e.value.line, e.value.col) == (2, col)
+
+
+def test_constant_divisor_is_folded():
+    p = parse_problem("(declare-int k)(assert (= (mod k (+ 1 (max 2 1))) 1))")
+    assert p.assertions[0].atom.lhs == AMod(AVar("k"), AInt(3))
+
+
+def test_non_utf8_byte_is_a_positioned_error():
+    with pytest.raises(ParseError) as e:
+        parse_problem(b'(declare-str s)\n(assert (= s "\xc3\xa9\xff"))')
+    assert (e.value.line, e.value.col) == (2, 16)
 
 
 def test_arith_sugar():
