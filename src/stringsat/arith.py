@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .terms import (AAdd, AInt, ALen, AMax, AMin, AMod, ANeg, AScale, AVar,
                     ArithAtom, ArithExpr, NonConstantDivisorError, atom_le,
-                    atom_eq, eval_atom)
+                    atom_eq, eval_atom, vars_of_atoms)
 
 
 class ArithInternalError(Exception):
@@ -82,6 +82,14 @@ def _mk_linatom(kind: str, lhs: ArithExpr, rhs: ArithExpr) -> LinAtom:
 _LOWER_CAP = 4096
 
 
+def _check_cap(n: int) -> None:
+    """Refuse a case split before building more than _LOWER_CAP systems.
+    Every alternative of a subexpression ends up in its own system, so a
+    count over the cap here means the whole lowering would exceed it."""
+    if n > _LOWER_CAP:
+        raise ArithInternalError("case split explosion in lowering")
+
+
 class _Fresh:
     def __init__(self, taken: set):
         self.n = 0
@@ -95,24 +103,6 @@ class _Fresh:
             if name not in self.taken:
                 self.issued.add(name)
                 return name
-
-
-def _collect_vars(e: ArithExpr, out: set) -> None:
-    if isinstance(e, AVar):
-        out.add(e.name)
-    elif isinstance(e, (AScale, ANeg)):
-        _collect_vars(e.inner, out)
-    elif isinstance(e, (AAdd, AMod, AMax, AMin)):
-        _collect_vars(e.left, out)
-        _collect_vars(e.right, out)
-
-
-def _atom_vars(atoms) -> set:
-    out: set = set()
-    for a in atoms:
-        _collect_vars(a.lhs, out)
-        _collect_vars(a.rhs, out)
-    return out
 
 
 def _const_value(e: ArithExpr) -> Optional[int]:
@@ -152,11 +142,10 @@ def _lower_expr_raw(e: ArithExpr, fresh: _Fresh,
         return [(ANeg(x), side)
                 for x, side in _lower_expr(e.inner, fresh, memo)]
     if isinstance(e, AAdd):
-        out = []
-        for xl, sl in _lower_expr(e.left, fresh, memo):
-            for xr, sr in _lower_expr(e.right, fresh, memo):
-                out.append((AAdd(xl, xr), sl + sr))
-        return out
+        left = _lower_expr(e.left, fresh, memo)
+        right = _lower_expr(e.right, fresh, memo)
+        _check_cap(len(left) * len(right))
+        return [(AAdd(xl, xr), sl + sr) for xl, sl in left for xr, sr in right]
     if isinstance(e, AMod):
         p = _const_value(e.right)
         if p is None or p <= 0:
@@ -173,9 +162,12 @@ def _lower_expr_raw(e: ArithExpr, fresh: _Fresh,
             out.append((AVar(r), side))
         return out
     if isinstance(e, (AMax, AMin)):
+        left = _lower_expr(e.left, fresh, memo)
+        right = _lower_expr(e.right, fresh, memo)
+        _check_cap(2 * len(left) * len(right))
         out = []
-        for xl, sl in _lower_expr(e.left, fresh, memo):
-            for xr, sr in _lower_expr(e.right, fresh, memo):
+        for xl, sl in left:
+            for xr, sr in right:
                 m = fresh("v")
                 if isinstance(e, AMax):
                     cases = [(atom_eq(AVar(m), xl), atom_le(xr, xl)),
@@ -210,16 +202,14 @@ def lower(atoms, fresh: Optional[_Fresh] = None,
             branches = [(_mk_linatom(a.kind, a.lhs, a.rhs),)]
         except ValueError:  # a mod/max/min (or a stray length) inside
             if fresh is None:
-                fresh = _Fresh(_atom_vars(atoms))
-            branches = []
-            for xl, sl in _lower_expr(a.lhs, fresh, memo):
-                for xr, sr in _lower_expr(a.rhs, fresh, memo):
-                    branches.append(tuple(
-                        _mk_linatom(b.kind, b.lhs, b.rhs)
-                        for b in (ArithAtom(a.kind, xl, xr),) + sl + sr))
+                fresh = _Fresh(vars_of_atoms(atoms))
+            left = _lower_expr(a.lhs, fresh, memo)
+            right = _lower_expr(a.rhs, fresh, memo)
+            _check_cap(len(systems) * len(left) * len(right))
+            branches = [tuple(_mk_linatom(b.kind, b.lhs, b.rhs)
+                              for b in (ArithAtom(a.kind, xl, xr),) + sl + sr)
+                        for xl, sl in left for xr, sr in right]
         systems = [s + b for s in systems for b in branches]
-        if len(systems) > _LOWER_CAP:
-            raise ArithInternalError("case split explosion in lowering")
     return [LinearSystem(s) for s in systems]
 
 
@@ -738,7 +728,7 @@ def arith_sat(atoms) -> Optional[Dict[str, int]]:
     """SAT with an integer witness, or None for UNSAT.  The witness covers
     every variable of the input atoms (auxiliary lowering variables are
     stripped)."""
-    wanted = _atom_vars(atoms)
+    wanted = vars_of_atoms(atoms)
     for system in lower(atoms):
         model = solve_system(system)
         if model is not None:
@@ -783,7 +773,7 @@ class Hypothesis:
         if self._fresh is not None and not extra_vars & self._fresh.issued:
             self._fresh.taken |= extra_vars
             return
-        taken = _atom_vars(self.atoms) | extra_vars
+        taken = vars_of_atoms(self.atoms) | extra_vars
         if self._fresh is not None:
             taken |= self._fresh.taken
         fresh, memo = _Fresh(taken), {}
@@ -797,8 +787,7 @@ class Hypothesis:
         solution: only ``atom`` is lowered, substituted through each
         reduced hypothesis system and handed to branch and bound."""
         branches = lower([atom], self._fresh, self._memo)
-        if self._lowered * len(branches) > _LOWER_CAP:
-            raise ArithInternalError("case split explosion in lowering")
+        _check_cap(self._lowered * len(branches))
         return any(solve_system(branch, base, self._fresh) is not None
                    for base in self._systems for branch in branches)
 
@@ -817,6 +806,6 @@ def arith_implies(hyp, concl) -> bool:
     open_atoms = [a for a in concl if a not in hyp.stated]
     if not open_atoms:
         return True
-    hyp.prepare(_atom_vars(open_atoms))
+    hyp.prepare(vars_of_atoms(open_atoms))
     return not any(hyp.consistent_with(neg)
                    for atom in open_atoms for neg in _negate(atom))

@@ -60,19 +60,21 @@ class DepGraph:
         return sum(1 for s, _ in self.edges if s == v)
 
 
+def _var_counts(eq: Equation) -> Counter:
+    seen: Counter = Counter()
+    for term in (eq.lhs, eq.rhs):
+        for a in term:
+            name = getattr(a, "name", None) or getattr(a, "var", None)
+            if name is not None:
+                seen[name] += 1
+    return seen
+
+
 def is_linear(f: NormalizedFormula) -> bool:
     """No equation mentions the same string variable twice (both sides
     counted together)."""
-    for eq in f.equations:
-        seen = Counter()
-        for term in (eq.lhs, eq.rhs):
-            for a in term:
-                name = getattr(a, "name", None) or getattr(a, "var", None)
-                if name is not None:
-                    seen[name] += 1
-        if seen and seen.most_common(1)[0][1] > 1:
-            return False
-    return True
+    return all(max(_var_counts(eq).values(), default=0) <= 1
+               for eq in f.equations)
 
 
 def _choose_intersect(var: str, worklist_eqs: List[Equation]):
@@ -188,7 +190,7 @@ def is_periodic_arith(atoms: Iterable[ArithAtom]) -> bool:
     (+-x +-y <= k and the equalities it spans, hence also x = k and
     x' = +-x + k), or mod-by-constant on a variable.  max/min and mod by a
     non-constant divisor fall outside."""
-    return all(_mod_template(a) or _octagonal_shape(a) for a in atoms)
+    return _first_nonperiodic(atoms) is None
 
 
 def _first_nonperiodic(atoms: Iterable[ArithAtom]) -> Optional[ArithAtom]:
@@ -218,19 +220,10 @@ def classify_fragment(f: NormalizedFormula) -> Fragment:
     if worst > 0:
         v = next(v for v in vars_in_eqs if cycles[v] == worst)
         reasons.append(f"dependency graph of {v} has {worst} cycle(s)")
-    if worst <= 1 and is_periodic_arith(f.arith):
-        return Fragment(FragmentTag.ONE_CYCLE, "; ".join(reasons))
     bad_atom = _first_nonperiodic(f.arith)
+    if worst <= 1 and bad_atom is None:
+        return Fragment(FragmentTag.ONE_CYCLE, "; ".join(reasons))
     if bad_atom is not None:
         reasons.append(f"non-periodic arithmetic: {atom_repr(bad_atom)}")
     return Fragment(FragmentTag.GENERAL, "; ".join(reasons))
 
-
-def _var_counts(eq: Equation) -> Counter:
-    seen: Counter = Counter()
-    for term in (eq.lhs, eq.rhs):
-        for a in term:
-            name = getattr(a, "name", None) or getattr(a, "var", None)
-            if name is not None:
-                seen[name] += 1
-    return seen

@@ -112,13 +112,6 @@ def _fill_declared(model: Model, problem: frontend.Problem) -> Model:
     return Model.make(strings, ints)
 
 
-def _export_trees(trees: List[engine.UnfoldingTree]) -> str:
-    if len(trees) == 1:
-        return engine.export_tree(trees[0])
-    # one digraph per disjunct, concatenated
-    return "".join(engine.export_tree(t) for t in trees)
-
-
 def run(cfg: RunConfig, out: TextIO = sys.stdout,
         err: TextIO = sys.stderr) -> int:
     try:
@@ -151,12 +144,20 @@ def run(cfg: RunConfig, out: TextIO = sys.stdout,
     except (engine.EngineInternalError, ArithInternalError) as e:
         print(f"error: internal: {e}", file=err)
         return EXIT_ERROR
+    except reduce_mod.AlphabetTooSmallError as e:
+        print(f"error: --reduce-to-single: {e}", file=err)
+        return EXIT_ERROR
 
     out.write(frontend.render_answer(verdict, model, problem,
                                      cfg.want_model))
     if cfg.dot_path:
-        with open(cfg.dot_path, "w") as fh:
-            fh.write(_export_trees(trees))
+        try:
+            with open(cfg.dot_path, "w") as fh:
+                # one digraph per disjunct, concatenated
+                fh.write("".join(engine.export_tree(t) for t in trees))
+        except OSError as e:
+            print(f"error: {e}", file=err)
+            return EXIT_ERROR
 
     if cfg.oracle_check is not None:
         ok, note = _oracle_agreement(problem, verdict, model,

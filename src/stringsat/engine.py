@@ -13,20 +13,21 @@ from __future__ import annotations
 import itertools
 import re as _rx
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
+                    Tuple)
 
 from . import arith as _arith
 from . import oracle as _oracle
 from . import regexes as _regexes
 from .classify import Fragment, FragmentTag, classify_fragment
-from .terms import (AAdd, AInt, AScale, AVar, Alias, ArithAtom, Atom,
-                    CChar, CharPrefix, EpsBind, Equation, FAtom, FEq, FIn,
-                    FNot, Formula, Membership, Model, NormalizedFormula,
-                    SPred, SVar, Split, Subterm, arith_len_vars,
-                    atom_eq, atom_le, atom_lt, atom_vars, equation_size,
-                    formula_summary, length_expr,
-                    normalized_to_formula, rename_atom_vars, rename_subterm,
-                    subst_len, subterm_defined, term_subst)
+from .terms import (AAdd, AInt, AScale, AVar, Alias, ArithAtom, ArithExpr,
+                    Atom, CChar, CharPrefix, EpsBind, Equation, FAtom, FEq,
+                    FIn, FNot, Formula, Membership, Model, NormalizedFormula,
+                    SPred, SVar, Split, Subterm, arith_len_vars, atom_eq,
+                    atom_le, atom_lt, equation_size, formula_summary,
+                    length_expr, normalized_to_formula, rename_atom_vars,
+                    rename_subterm, subst_len, subterm_defined, term_subst,
+                    vars_of_atoms)
 
 DEFAULT_BUDGET = 10000
 
@@ -57,8 +58,7 @@ def _formula_var_names(f: NormalizedFormula) -> set:
                 names.add(a.length)
     for m in f.memberships:
         names.add(m.var)
-    for a in f.arith:
-        names.update(atom_vars(a))
+    names |= vars_of_atoms(f.arith)
     for c in f.subterms:
         names.add(subterm_defined(c))
         if isinstance(c, CharPrefix):
@@ -323,7 +323,7 @@ def _big(f: NormalizedFormula, p1: SPred, p2: SPred) -> List[UnfoldChild]:
 
 
 # ---------------------------------------------------------------------------
-# Length resolution through the subterm constraints
+# The subterm walker: every word the unfolding recorded, flattened
 # ---------------------------------------------------------------------------
 
 def _definitions(f: NormalizedFormula) -> Dict[str, Subterm]:
@@ -336,32 +336,57 @@ def _definitions(f: NormalizedFormula) -> Dict[str, Subterm]:
     return defs
 
 
-def resolve_length(f: NormalizedFormula, var: str, fresh_hint: List[int]):
-    """Arithmetic expression for |var| over the current length variables.
+def _walker(f: NormalizedFormula) -> Callable[[str], tuple]:
+    """Flatten variables through the subterm constraints.
 
-    A variable with no definition anywhere receives a fresh length
-    variable; fresh_hint keeps the names distinct across one caller."""
+    The returned function maps a variable to its pieces: literal strings
+    (adjacent ones merged) and ("var", v) for each variable with no
+    definition.  Results are memoized for the lifetime of the walker."""
     defs = _definitions(f)
-    lens = f.length_map()
+    memo: Dict[str, Optional[tuple]] = {}
 
-    def go(v: str, seen: frozenset):
-        if v in lens:
-            return AVar(lens[v])
-        if v in seen:
-            raise EngineInternalError("cyclic subterm constraints")
+    def pieces(v: str) -> tuple:
+        if v in memo:
+            got = memo[v]
+            if got is None:
+                raise EngineInternalError("cyclic subterm constraints")
+            return got
+        memo[v] = None  # on the current path
         d = defs.get(v)
         if d is None:
-            fresh_hint.append(1)
-            return AVar(f"$L{len(fresh_hint)}_{v}")
-        if isinstance(d, EpsBind):
-            return AInt(0)
-        if isinstance(d, CharPrefix):
-            return AAdd(AInt(1), go(d.tail, seen | {v}))
-        if isinstance(d, Split):
-            return AAdd(go(d.prefix, seen | {v}), go(d.suffix, seen | {v}))
-        return go(d.other, seen | {v})
+            out: tuple = (("var", v),)
+        elif isinstance(d, EpsBind):
+            out = ()
+        elif isinstance(d, CharPrefix):
+            out = _concat((d.char,), pieces(d.tail))
+        elif isinstance(d, Split):
+            out = _concat(pieces(d.prefix), pieces(d.suffix))
+        else:
+            out = pieces(d.other)
+        memo[v] = out
+        return out
 
-    return go(var, frozenset())
+    return pieces
+
+
+def _concat(left: tuple, right: tuple) -> tuple:
+    if left and right and isinstance(left[-1], str) \
+            and isinstance(right[0], str):
+        return left[:-1] + (left[-1] + right[0],) + right[1:]
+    return left + right
+
+
+def _length_of(segs: tuple, lens: Dict[str, str],
+               fresh: Iterator[int]) -> ArithExpr:
+    """|segs| over the length variables: the count of its literal
+    characters plus the length variable of each open piece.  An open
+    variable without one gets a fresh $L variable numbered from fresh."""
+    expr = AInt(sum(len(s) for s in segs if isinstance(s, str)))
+    for s in segs:
+        if not isinstance(s, str):
+            name = lens[s[1]] if s[1] in lens else f"$L{next(fresh)}_{s[1]}"
+            expr = AAdd(expr, AVar(name))
+    return expr
 
 
 # ---------------------------------------------------------------------------
@@ -394,11 +419,13 @@ def over_approx(f: NormalizedFormula,
     if mode == OA_LENGTHS_ONLY or not f.memberships:
         return [base]
     disjuncts: List[tuple] = [base]
-    fresh_hint: List[int] = []
+    pieces = _walker(f)
+    lens = f.length_map()
+    fresh = itertools.count(1)
     for i, m in enumerate(f.memberships):
         dfa = _regexes.compiled(m.regex, f.alphabet)
         lset = _regexes.length_set(dfa)
-        expr = resolve_length(f, m.var, fresh_hint)
+        expr = _length_of(pieces(m.var), lens, fresh)
         comps: List[tuple] = []
         if lset.is_empty():
             comps = [(_FALSE_ATOM,)]
@@ -441,37 +468,11 @@ class UAResult:
 
 
 def is_base(f: NormalizedFormula) -> bool:
-    no_preds = all(not any(isinstance(a, SPred) for a in eq.lhs + eq.rhs)
-                   for eq in f.equations)
-    return no_preds and classify_fragment(f).tag is FragmentTag.ACYCLIC
-
-
-def _segments(f: NormalizedFormula, var: str) -> List:
-    """Flatten a variable through the subterm constraints into a list of
-    literal strings and open (undefined, non-empty-bound) variables."""
-    defs = _definitions(f)
-
-    def go(v: str, seen: frozenset) -> List:
-        if v in seen:
-            raise EngineInternalError("cyclic subterm constraints")
-        d = defs.get(v)
-        if d is None:
-            return [("var", v)]
-        if isinstance(d, EpsBind):
-            return []
-        if isinstance(d, CharPrefix):
-            return [d.char] + go(d.tail, seen | {v})
-        if isinstance(d, Split):
-            return go(d.prefix, seen | {v}) + go(d.suffix, seen | {v})
-        return go(d.other, seen | {v})
-
-    out: List = []
-    for piece in go(var, frozenset()):
-        if isinstance(piece, str) and out and isinstance(out[-1], str):
-            out[-1] += piece
-        else:
-            out.append(piece)
-    return out
+    """Every equation is ground.  With no string variables in them there
+    is no dependency graph and no repeated variable, so such a leaf is
+    always in the acyclic fragment."""
+    return all(isinstance(a, CChar) for eq in f.equations
+               for a in eq.lhs + eq.rhs)
 
 
 _UA_COMBO_CAP = 50000
@@ -505,10 +506,11 @@ def under_approx_check(f: NormalizedFormula) -> UAResult:
         base_atoms += [atom_eq(AVar(lens[v]), AInt(0)) for v in open_vars]
 
     # memberships: fully determined members are checked outright; the rest
-    # produce (dfa, segment list) obligations
-    obligations: List[Tuple[_regexes.Dfa, List]] = []
+    # produce (dfa, pieces) obligations
+    pieces = _walker(f)
+    obligations: List[Tuple[_regexes.Dfa, tuple]] = []
     for m in f.memberships:
-        segs = _segments(f, m.var)
+        segs = pieces(m.var)
         dfa = _regexes.compiled(m.regex, sigma)
         if all(isinstance(s, str) for s in segs):
             w = "".join(segs)
@@ -598,14 +600,18 @@ def under_approx_check(f: NormalizedFormula) -> UAResult:
             beta = _arith.arith_sat(system)
             if beta is None:
                 continue
-            model = _finish_model(f, beta, joints, open_vars)
+            model = _finish_model(f, pieces, beta, joints, open_vars)
             return UAResult("sat", model=model)
     return UAResult("unsat", reason="no base model")
 
 
-def _finish_model(f: NormalizedFormula, beta: Dict[str, int],
-                  joints: Dict[str, _regexes.Dfa],
+def _finish_model(f: NormalizedFormula, pieces: Callable[[str], tuple],
+                  beta: Dict[str, int], joints: Dict[str, _regexes.Dfa],
                   open_vars: List[str]) -> Model:
+    """Words for every open variable at its length in beta (a witness of
+    its joint membership automaton where it has one), then for every
+    defined and every member variable by concatenating its pieces.  An
+    undefined variable without a length variable is the empty word."""
     sigma = f.alphabet
     lens = f.length_map()
     values: Dict[str, str] = {}
@@ -622,32 +628,11 @@ def _finish_model(f: NormalizedFormula, beta: Dict[str, int],
                 raise EngineInternalError("unsatisfiable open length")
         values[v] = w
 
-    defs = _definitions(f)
-
-    def resolve(v: str, seen: frozenset) -> str:
-        if v in values:
-            return values[v]
-        if v in seen:
-            raise EngineInternalError("cyclic subterm constraints")
-        d = defs.get(v)
-        if d is None:
-            values[v] = ""
-            return ""
-        if isinstance(d, EpsBind):
-            w = ""
-        elif isinstance(d, CharPrefix):
-            w = d.char + resolve(d.tail, seen | {v})
-        elif isinstance(d, Split):
-            w = resolve(d.prefix, seen | {v}) + resolve(d.suffix, seen | {v})
-        else:
-            w = resolve(d.other, seen | {v})
-        values[v] = w
-        return w
-
-    for c in f.subterms:
-        resolve(subterm_defined(c), frozenset())
-    for m in f.memberships:
-        resolve(m.var, frozenset())
+    for v in [subterm_defined(c) for c in f.subterms] + \
+            [m.var for m in f.memberships]:
+        values[v] = "".join(s if isinstance(s, str)
+                            else values.setdefault(s[1], "")
+                            for s in pieces(v))
 
     ints = dict(beta)
     for v, n in f.lengths:
@@ -656,67 +641,6 @@ def _finish_model(f: NormalizedFormula, beta: Dict[str, int],
     if not _oracle.eval_formula(normalized_to_formula(f), model, sigma):
         raise EngineInternalError("constructed model fails the leaf formula")
     return model
-
-
-def extract_model(f: NormalizedFormula, int_model: Dict[str, int]) -> Model:
-    """Resolve the subterm constraints into concrete words, filling any
-    variable left open from its own membership automaton at the assigned
-    length."""
-    joints: Dict[str, _regexes.Dfa] = {}
-    open_vars = sorted({v for v, _ in f.lengths}
-                       - {subterm_defined(c) for c in f.subterms})
-    for m in f.memberships:
-        if m.var in open_vars:
-            d = _regexes.compiled(m.regex, f.alphabet)
-            if m.var in joints:
-                d = _regexes.product(joints[m.var], d, lambda a, b: a and b)
-            joints[m.var] = d
-    lens = f.length_map()
-    beta = dict(int_model)
-    for v in open_vars:
-        beta.setdefault(lens[v], 0)
-    # reuse the witness/resolution path but skip the final full check when
-    # the caller supplies only a partial integer model
-    sigma = f.alphabet
-    values: Dict[str, str] = {}
-    for v in open_vars:
-        want = beta.get(lens[v], 0)
-        if v in joints:
-            w = _regexes.witness_with_length(joints[v], lambda n: n == want,
-                                             want)
-            if w is None:
-                raise EngineInternalError("no witness at the assigned length")
-        else:
-            w = (sigma[0] * want) if sigma else ""
-        values[v] = w
-
-    defs = _definitions(f)
-
-    def resolve(v: str, seen: frozenset) -> str:
-        if v in values:
-            return values[v]
-        if v in seen:
-            raise EngineInternalError("cyclic subterm constraints")
-        d = defs.get(v)
-        if d is None:
-            values[v] = ""
-            return ""
-        if isinstance(d, EpsBind):
-            w = ""
-        elif isinstance(d, CharPrefix):
-            w = d.char + resolve(d.tail, seen | {v})
-        elif isinstance(d, Split):
-            w = resolve(d.prefix, seen | {v}) + resolve(d.suffix, seen | {v})
-        else:
-            w = resolve(d.other, seen | {v})
-        values[v] = w
-        return w
-
-    for c in f.subterms:
-        resolve(subterm_defined(c), frozenset())
-    for v, n in f.lengths:
-        beta.setdefault(n, len(values.get(v, "")))
-    return Model.make(values, beta)
 
 
 # ---------------------------------------------------------------------------
@@ -869,8 +793,7 @@ def link_back(leaf: NormalizedFormula, ancestors: List[NormalizedFormula]):
         # extend the integer renaming: leaf variables that collide with a
         # target of the positional match must move out of the way
         targets = set(imap.values())
-        leaf_ivars = sorted(set().union(*(atom_vars(a) for a in leaf.arith))
-                            if leaf.arith else set())
+        leaf_ivars = sorted(vars_of_atoms(leaf.arith))
         full_imap = dict(imap)
         fresh_i = 0
         for v in leaf_ivars:

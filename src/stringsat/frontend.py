@@ -20,7 +20,7 @@ from .terms import (AAdd, AInt, ALen, AMax, AMin, AMod, ANeg, AScale, AVar,
                     ArithAtom, ArithExpr, CChar, FAnd, FAtom, FEq, FIn, FNot,
                     FOr, Formula, Model, RCat, RComp, RE, REps, RInter,
                     RStar, RUnion, RWord, SVar, Term, arith_len_vars,
-                    arith_vars, atom_le, eval_arith, formula_chars, to_dnf,
+                    atom_le, collect_vars, eval_arith, formula_chars, to_dnf,
                     word)
 
 
@@ -450,7 +450,7 @@ def _divisor(n: _Node, ctx: _Ctx) -> AInt:
     """A mod divisor: a variable-free term with a positive value, kept as
     that value, the only divisor form the arithmetic backend accepts."""
     d = _arith(n, ctx)
-    if arith_vars(d) or arith_len_vars(d):
+    if collect_vars(d, set()) or arith_len_vars(d):
         raise UnsupportedConstructError("mod divisor must be a constant",
                                         *n.pos)
     value = eval_arith(d, {})

@@ -260,11 +260,6 @@ def _compile(r: RE, sigma: tuple) -> Dfa:
     raise TypeError(f"not a regex: {r!r}")
 
 
-def sigma_star(alphabet: Iterable[str]) -> Dfa:
-    sigma = tuple(sorted(set(alphabet)))
-    return Dfa(sigma, ((0,) * len(sigma),), 0, frozenset((0,)))
-
-
 def joint_product(specs: list) -> Dfa:
     """Words driving several (dfa, source, target) runs at once.
 

@@ -8,7 +8,7 @@ threads and used as dict keys.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Iterable, Union
 
 
 # ---------------------------------------------------------------------------
@@ -61,9 +61,6 @@ def word(chars: str) -> Term:
 class Equation:
     lhs: Term
     rhs: Term
-
-    def mirrored(self) -> "Equation":
-        return Equation(self.rhs, self.lhs)
 
 
 # ---------------------------------------------------------------------------
@@ -226,22 +223,24 @@ def atom_lt(a: ArithExpr, b: ArithExpr) -> ArithAtom:
     return ArithAtom("le", AAdd(a, AInt(1)), b)
 
 
-def atom_ge(a: ArithExpr, b: ArithExpr) -> ArithAtom:
-    return ArithAtom("le", b, a)
-
-
-def arith_vars(e: ArithExpr) -> frozenset:
+def collect_vars(e: ArithExpr, out: set) -> set:
+    """Add the names of the integer variables in e to out; returns out."""
     if isinstance(e, AVar):
-        return frozenset((e.name,))
-    if isinstance(e, (AInt, ALen)):
-        return frozenset()
-    if isinstance(e, (AScale, ANeg)):
-        return arith_vars(e.inner)
-    return arith_vars(e.left) | arith_vars(e.right)
+        out.add(e.name)
+    elif isinstance(e, (AScale, ANeg)):
+        collect_vars(e.inner, out)
+    elif isinstance(e, (AAdd, AMod, AMax, AMin)):
+        collect_vars(e.left, out)
+        collect_vars(e.right, out)
+    return out
 
 
-def atom_vars(a: ArithAtom) -> frozenset:
-    return arith_vars(a.lhs) | arith_vars(a.rhs)
+def vars_of_atoms(atoms: Iterable[ArithAtom]) -> set:
+    out: set = set()
+    for a in atoms:
+        collect_vars(a.lhs, out)
+        collect_vars(a.rhs, out)
+    return out
 
 
 def arith_len_vars(e: ArithExpr) -> frozenset:
@@ -366,16 +365,6 @@ def subterm_defined(c: Subterm) -> str:
     return c.var
 
 
-def subterm_deps(c: Subterm) -> tuple:
-    if isinstance(c, EpsBind):
-        return ()
-    if isinstance(c, CharPrefix):
-        return (c.tail,)
-    if isinstance(c, Split):
-        return (c.prefix, c.suffix)
-    return (c.other,)
-
-
 def rename_subterm(c: Subterm, mapping: dict) -> Subterm:
     g = lambda v: mapping.get(v, v)
     if isinstance(c, EpsBind):
@@ -444,12 +433,13 @@ def atom_length(a: Atom) -> ArithExpr:
 
 
 def length_expr(term: Term) -> ArithExpr:
-    """Structural length of a term: sum over atoms, 0 for the empty word."""
-    if not term:
-        return AInt(0)
-    if len(term) == 1:
-        return atom_length(term[0])
-    return AAdd(atom_length(term[0]), length_expr(term[1:]))
+    """Structural length of a term: its character count plus the length
+    of each variable occurrence, AInt(0) for the empty word."""
+    total: ArithExpr = AInt(sum(1 for a in term if isinstance(a, CChar)))
+    for a in term:
+        if not isinstance(a, CChar):
+            total = AAdd(total, atom_length(a))
+    return total
 
 
 def term_subst(term: Term, pattern: Atom, replacement: Term) -> Term:
@@ -460,24 +450,6 @@ def term_subst(term: Term, pattern: Atom, replacement: Term) -> Term:
         else:
             out.append(a)
     return tuple(out)
-
-
-def substitute(f: NormalizedFormula, pattern: Atom, replacement,
-               rename_in_subterms: Optional[dict] = None) -> NormalizedFormula:
-    """Replace every occurrence of a single atom in the equations.
-
-    The replacement may be an atom or an already-flat term; the result is
-    re-flattened.  Memberships, arithmetic and subterm constraints are left
-    untouched unless a variable renaming for the subterm part is supplied.
-    """
-    rep = replacement if isinstance(replacement, tuple) else (replacement,)
-    eqs = tuple(Equation(term_subst(e.lhs, pattern, rep),
-                         term_subst(e.rhs, pattern, rep))
-                for e in f.equations)
-    subs = f.subterms
-    if rename_in_subterms:
-        subs = tuple(rename_subterm(c, rename_in_subterms) for c in subs)
-    return f.with_(equations=eqs, subterms=subs)
 
 
 def term_string_vars(term: Term) -> frozenset:
@@ -492,18 +464,6 @@ def term_string_vars(term: Term) -> frozenset:
 
 def equation_string_vars(eq: Equation) -> frozenset:
     return term_string_vars(eq.lhs) | term_string_vars(eq.rhs)
-
-
-def free_string_vars(f: NormalizedFormula) -> frozenset:
-    out = set()
-    for eq in f.equations:
-        out |= equation_string_vars(eq)
-    for m in f.memberships:
-        out.add(m.var)
-    for c in f.subterms:
-        out.add(subterm_defined(c))
-        out.update(subterm_deps(c))
-    return frozenset(out)
 
 
 # ---------------------------------------------------------------------------
@@ -590,7 +550,7 @@ def formula_string_vars(f: Formula) -> frozenset:
 
 def formula_int_vars(f: Formula) -> frozenset:
     if isinstance(f, FAtom):
-        return atom_vars(f.atom)
+        return frozenset(vars_of_atoms((f.atom,)))
     if isinstance(f, FNot):
         return formula_int_vars(f.inner)
     if isinstance(f, (FAnd, FOr)):

@@ -5,12 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from stringsat.arith import (Hypothesis, LinAtom, LinearSystem, _atom_vars,
-                             _Fresh, _lower_expr, _lp_feasible, _mk_linatom,
-                             arith_implies, arith_sat, lower, solve_system)
+from stringsat.arith import (ArithInternalError, Hypothesis, LinAtom,
+                             LinearSystem, _Fresh, _lower_expr, _lp_feasible,
+                             _mk_linatom, arith_implies, arith_sat, lower,
+                             solve_system)
 from stringsat.terms import (AAdd, AInt, AMax, AMin, AMod, ANeg, AScale,
                              AVar, ArithAtom, NonConstantDivisorError,
-                             a_sub, atom_eq, atom_le, atom_lt, eval_atom)
+                             a_sub, atom_eq, atom_le, atom_lt, eval_atom,
+                             vars_of_atoms)
 
 N, N1, NP = AVar("n"), AVar("n1"), AVar("n'")
 
@@ -30,6 +32,21 @@ def test_lower_empty():
 def test_lower_max_two_cases():
     systems = lower([atom_le(AMax(AVar("x"), AVar("y")), AInt(3))])
     assert len(systems) == 2
+
+
+def test_lower_caps_nested_max_as_it_builds():
+    def nested(depth):
+        e = AVar("k")
+        for _ in range(depth):
+            e = AMax(AInt(1), e)
+        return atom_le(e, AInt(5))
+
+    # 2**12 systems sit at the cap; one level more is refused before the
+    # alternatives are built, however deep the nesting goes
+    assert len(lower([nested(12)])) == 4096
+    for depth in (13, 19, 40):
+        with pytest.raises(ArithInternalError):
+            lower([nested(depth)])
 
 
 def test_lower_rejects_non_constant_divisor():
@@ -393,7 +410,7 @@ def _memo_path_lower(atoms, fresh=None, memo=None):
     """``lower`` as it was before linear atoms skipped the memo: every atom
     goes through ``_lower_expr``."""
     if fresh is None:
-        fresh = _Fresh(_atom_vars(atoms))
+        fresh = _Fresh(vars_of_atoms(atoms))
     if memo is None:
         memo = {}
     systems = [()]
@@ -456,7 +473,7 @@ def test_lower_with_caller_fresh_and_memo_matches_memo_path():
         rng.shuffle(hyp)
         concl = (_linear_atoms(rng, vars_) + _random_atoms(rng, vars_)
                  + [atom_eq(shared, AInt(1))])
-        taken = _atom_vars(hyp + concl)
+        taken = vars_of_atoms(hyp + concl)
         got_fresh, want_fresh = _Fresh(set(taken)), _Fresh(set(taken))
         got_memo, want_memo = {}, {}
         for batch in [hyp] + [[a] for a in concl]:

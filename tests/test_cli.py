@@ -126,3 +126,44 @@ def test_disjunction_splitting(tmp_path):
 
 def test_exit_codes_are_distinct():
     assert len({EXIT_SAT, EXIT_UNSAT, EXIT_UNKNOWN, EXIT_ERROR}) == 4
+
+
+def test_reduce_to_single_on_one_letter_alphabet_is_an_error(tmp_path):
+    text = """
+(declare-str x)
+(declare-str y)
+(declare-chars "a")
+(assert (= x y))
+(assert (= (str.++ x "a") y))
+"""
+    code, out, err = _run(tmp_path, text, ["--reduce-to-single"])
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert err.startswith("error:") and "two characters" in err
+
+
+def test_unwritable_dot_path_is_an_error(tmp_path):
+    path = tmp_path / "missing" / "tree.dot"
+    code, out, err = _run(tmp_path, WORKED, ["--dot", str(path)])
+    assert code == EXIT_ERROR
+    assert out == "unsat\n"  # the verdict was already printed
+    assert err.startswith("error:")
+
+
+def test_long_equation_sides_are_solved(tmp_path):
+    # 1201 atoms a side; the length abstraction must not recurse per atom
+    text = (f'(declare-str s)(assert (= (str.++ "{"ab" * 600}" s) '
+            f'(str.++ s "{"ba" * 600}")))')
+    code, out, err = _run(tmp_path, text, ["--model"])
+    assert code == EXIT_SAT
+    assert '(define s "a")' in out
+
+
+def test_nested_max_stops_at_the_case_split_cap(tmp_path):
+    term = "k"
+    for _ in range(19):
+        term = f"(max 1 {term})"
+    text = f"(declare-int k)(assert (<= {term} 5))"
+    code, out, err = _run(tmp_path, text)
+    assert code == EXIT_ERROR
+    assert "case split explosion" in err

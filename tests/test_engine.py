@@ -1,20 +1,22 @@
+import itertools
 import random
 
 import pytest
 
-from corpus import draw_acyclic, draw_one_cycle, gen_small_normalized
+from corpus import (draw_acyclic, draw_one_cycle, gen_small_normalized,
+                    rand_regex)
 from stringsat import oracle
 from stringsat.classify import is_linear
 from stringsat.engine import (BackLinkedTo, ClosedUnsat, EngineInternalError,
-                              OA_FULL, OA_LENGTHS_ONLY,
-                              export_tree, extract_model, init_normalize,
+                              OA_FULL, OA_LENGTHS_ONLY, _length_of, _walker,
+                              export_tree, init_normalize,
                               link_back, oa_unsat, over_approx,
                               solve_conjunction, under_approx_check, unfold)
 from stringsat.terms import (AInt, ALen, AMod, AVar, Alias, CChar, CharPrefix,
                              EpsBind, Equation, FAtom, FEq, FIn, Membership,
                              NormalizedFormula, RCat, RStar, RWord,
                              SPred, SVar, Split, atom_eq, atom_le, atom_lt,
-                             normalized_to_formula, word)
+                             eval_arith, normalized_to_formula, word)
 
 ROTATE_RE = RCat(RStar(RWord("ab")), RWord("a"))
 
@@ -371,34 +373,91 @@ def test_unfolding_preserves_linearity_on_acyclic_formulas():
             assert is_linear(kid.formula), kid.rule
 
 
+def _ua_model(f):
+    """The model under_approx_check extracts from a sat base leaf."""
+    ua = under_approx_check(f)
+    assert ua.status == "sat", ua.reason
+    return ua.model
+
+
 def test_extract_model_resolves_chains():
     f = NormalizedFormula(
         subterms=(Alias("s", "u1"), CharPrefix("u1", "a", "u"),
                   EpsBind("u")),
         alphabet=("a", "b"))
-    got = extract_model(f, {})
-    assert got.string_map()["s"] == "a"
+    assert _ua_model(f).string_map()["s"] == "a"
 
 
 def test_extract_model_epsilon():
     f = NormalizedFormula(subterms=(EpsBind("s"),), alphabet=("a",))
-    assert extract_model(f, {}).string_map()["s"] == ""
+    assert _ua_model(f).string_map()["s"] == ""
 
 
 def test_extract_model_witness_from_membership():
     f = NormalizedFormula(
         memberships=(Membership("t", ROTATE_RE),),
+        arith=(atom_eq(AVar("nt"), AInt(3)),),
         lengths=(("t", "nt"),),
         alphabet=("a", "b"))
-    got = extract_model(f, {"nt": 3})
+    got = _ua_model(f)
     assert got.string_map()["t"] == "aba"
+    assert got.int_map()["nt"] == 3
 
 
 def test_extract_model_rejects_cycles():
     f = NormalizedFormula(subterms=(Alias("s", "t"), Alias("t", "s")),
                           alphabet=("a",))
-    with pytest.raises(EngineInternalError):
-        extract_model(f, {})
+    with pytest.raises(EngineInternalError, match="cyclic"):
+        under_approx_check(f)
+
+
+def _random_subterm_dag(rng):
+    """Subterm constraints over x0..xk where each definition only uses
+    variables of higher index; undefined variables get length variables
+    bounded by small constants, and up to two variables a membership."""
+    names = [f"x{i}" for i in range(rng.randint(1, 7))]
+    subterms, lengths, arith = [], [], []
+    for i in reversed(range(len(names))):
+        v, later = names[i], names[i + 1:]
+        kind = rng.choice(("open", "eps", "char", "split", "alias")
+                          if later else ("open", "eps"))
+        if kind == "open":
+            n = f"n{i}"
+            lengths.append((v, n))
+            arith += [atom_le(AInt(0), AVar(n)),
+                      atom_le(AVar(n), AInt(rng.randint(0, 3)))]
+        elif kind == "eps":
+            subterms.append(EpsBind(v))
+        elif kind == "char":
+            subterms.append(CharPrefix(v, rng.choice("ab"), rng.choice(later)))
+        elif kind == "split":
+            subterms.append(Split(v, rng.choice(later), rng.choice(later)))
+        else:
+            subterms.append(Alias(v, rng.choice(later)))
+    memberships = tuple(Membership(rng.choice(names), rand_regex(rng, "ab", 2))
+                        for _ in range(rng.randint(0, 2)))
+    return names, NormalizedFormula(
+        memberships=memberships, arith=tuple(arith),
+        subterms=tuple(subterms), lengths=tuple(lengths), alphabet=("a", "b"))
+
+
+def test_ua_models_of_random_subterm_dags():
+    rng = random.Random(41)
+    sat = 0
+    for _ in range(300):
+        names, f = _random_subterm_dag(rng)
+        ua = under_approx_check(f)
+        if ua.status != "sat":
+            continue
+        sat += 1
+        words, ints = ua.model.string_map(), ua.model.int_map()
+        pieces = _walker(f)
+        for v in names:
+            expr = _length_of(pieces(v), f.length_map(), itertools.count(1))
+            assert eval_arith(expr, ints) == len(words[v]), (f, v)
+        assert oracle.eval_formula(normalized_to_formula(f), ua.model,
+                                   f.alphabet)
+    assert sat >= 100
 
 
 def test_export_tree_single_node():

@@ -2,10 +2,8 @@ import random
 
 from hypothesis import given, strategies as st
 
-from stringsat.terms import (AAdd, AInt, Alias, CChar, Equation,
-                             Membership, NormalizedFormula, RStar, RWord,
-                             SPred, SVar, equation_size, free_string_vars,
-                             length_expr, substitute, term_subst, word)
+from stringsat.terms import (AAdd, AInt, CChar, Equation, SPred, SVar,
+                             equation_size, length_expr, term_subst, word)
 from stringsat.arith import _lin
 
 
@@ -31,7 +29,7 @@ def test_equation_size_mirror_symmetry():
                  else SVar(rng.choice("st")) for _ in range(rng.randint(0, 6))]
         cut = rng.randint(0, len(atoms))
         eq = Equation(tuple(atoms[:cut]), tuple(atoms[cut:]))
-        assert equation_size(eq) == equation_size(eq.mirrored())
+        assert equation_size(eq) == equation_size(Equation(eq.rhs, eq.lhs))
 
 
 def test_length_expr_cases():
@@ -52,49 +50,28 @@ def test_length_expr_respects_concatenation():
         assert _lin(whole) == _lin(split)
 
 
-def _formula_with(eq: Equation) -> NormalizedFormula:
-    return NormalizedFormula(equations=(eq,))
+def test_length_expr_long_side_is_flat():
+    # one constant for the characters, so a long side does not nest deeply
+    side = word("ab" * 600) + (SPred("u", "n"),)
+    assert _lin(length_expr(side)) == ({"n": 1}, 1200)
 
 
 def test_substitute_to_epsilon():
     p = SPred("u", "n")
-    f = _formula_with(Equation((p,), (p,)))
-    got = substitute(f, p, ())
-    assert got.equations == (Equation((), ()),)
+    assert term_subst((p, CChar("a"), p), p, ()) == (CChar("a"),)
 
 
 def test_substitute_small_step_matches_worked_example():
     # a.b.STR(u,n) = STR(u,n).b.a  with STR(u,n) := a.STR(u,n1)
     p, p1 = SPred("u", "n"), SPred("u", "n1")
-    f = _formula_with(Equation(word("ab") + (p,), (p,) + word("ba")))
-    got = substitute(f, p, (CChar("a"), p1))
-    assert got.equations[0] == Equation(
-        word("ab") + (CChar("a"), p1), (CChar("a"), p1) + word("ba"))
+    rep = (CChar("a"), p1)
+    assert term_subst(word("ab") + (p,), p, rep) == word("ab") + rep
+    assert term_subst((p,) + word("ba"), p, rep) == rep + word("ba")
 
 
 def test_substitute_bare_variable_by_word():
-    f = _formula_with(Equation((SVar("s"),), (SVar("t"),)))
-    got = substitute(f, SVar("t"), word("w"))
-    assert got.equations[0] == Equation((SVar("s"),), word("w"))
-
-
-def test_substitute_leaves_other_parts_alone():
-    p = SPred("u", "n")
-    f = NormalizedFormula(
-        equations=(Equation((p,), ()),),
-        memberships=(Membership("s", RStar(RWord("ab"))),),
-        subterms=(Alias("s", "u"),))
-    got = substitute(f, p, word("a"))
-    assert got.memberships == f.memberships
-    assert got.subterms == f.subterms
-
-
-def test_substitute_rename_in_subterms_flag():
-    p = SPred("u", "n")
-    f = NormalizedFormula(equations=(Equation((p,), ()),),
-                          subterms=(Alias("s", "u"),))
-    got = substitute(f, p, word("a"), rename_in_subterms={"u": "u1"})
-    assert got.subterms == (Alias("s", "u1"),)
+    t = (SVar("s"), SVar("t"))
+    assert term_subst(t, SVar("t"), word("w")) == (SVar("s"),) + word("w")
 
 
 @given(st.lists(st.sampled_from([CChar("a"), CChar("b"), SVar("s")]),
@@ -111,15 +88,3 @@ def test_substitute_idempotent_without_reintroduction(atoms):
 def test_flatten_is_stable(atoms):
     t = tuple(atoms)
     assert term_subst(t, SVar("zzz"), ()) == t
-
-
-def test_free_string_vars():
-    f = _formula_with(Equation(word("ab"), word("ba")))
-    assert free_string_vars(f) == frozenset()
-    f = _formula_with(Equation(word("ab") + (SVar("s"),),
-                               (SVar("s"),) + word("ba")))
-    assert free_string_vars(f) == {"s"}
-    f = NormalizedFormula(
-        equations=(Equation((SVar("s"),), (SVar("t"), SVar("u"))),),
-        memberships=(Membership("t", RWord("a")),))
-    assert free_string_vars(f) == {"s", "t", "u"}
