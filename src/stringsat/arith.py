@@ -9,12 +9,20 @@ over the rational simplex relaxation.  The simplex runs on a
 fraction-free integer tableau, so all arithmetic is on Python's unbounded
 ints; the only Fractions are the coordinates of the relaxation's point
 that branch and bound rounds and splits on.  No floats.
+
+A ``Hypothesis`` keeps one conjunction lowered and reduced for many
+queries, and ``extend`` derives the state of a larger conjunction from it
+by lowering and reducing only the added atoms.  The search keeps one per
+node of its unfolding tree, extended from the parent's, because a node's
+arithmetic is always its parent's plus the few atoms its unfolding added.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
@@ -232,14 +240,17 @@ def _symmetric_mod(a: int, m: int) -> int:
 
 def _subst_into(coeffs: dict, const: int, var: str,
                 expr: Tuple[dict, int]) -> Tuple[dict, int]:
-    # replace var by the linear expr (coeffs, const form)
+    """Replace var by the linear expr (coeffs, const form).  The row is
+    never changed in place: one without var comes back as it is, so rows
+    may be shared between reductions."""
     if var not in coeffs:
         return coeffs, const
-    f = coeffs.pop(var)
+    out = dict(coeffs)
+    f = out.pop(var)
     ecs, ek = expr
     for v, c in ecs.items():
-        coeffs[v] = coeffs.get(v, 0) + f * c
-    return {v: c for v, c in coeffs.items() if c != 0}, const - f * ek
+        out[v] = out.get(v, 0) + f * c
+    return {v: c for v, c in out.items() if c != 0}, const - f * ek
 
 
 class _Unsat(Exception):
@@ -277,9 +288,8 @@ def _eliminate_equalities(eqs: List[Tuple[dict, int]],
             # unit*c + rest = const  =>  unit = (const - rest)/c
             expr = ({v: -cc * c for v, cc in coeffs.items()}, const * c)
             subs.append((unit, expr))
-            eqs = [_subst_into(dict(cs), k, unit, expr) for cs, k in eqs]
-            ineqs[:] = [_subst_into(dict(cs), k, unit, expr)
-                        for cs, k in ineqs]
+            eqs = [_subst_into(cs, k, unit, expr) for cs, k in eqs]
+            ineqs[:] = [_subst_into(cs, k, unit, expr) for cs, k in ineqs]
             continue
         # no unit coefficient: Omega-style mod reduction on the smallest one
         var_k = min(coeffs, key=lambda v: (abs(coeffs[v]), v))
@@ -748,31 +758,86 @@ def _negate(atom: ArithAtom) -> List[ArithAtom]:
 
 
 class Hypothesis:
-    """A conjunction prepared for repeated ``arith_implies`` queries.
+    """A conjunction prepared for repeated satisfiability queries.
 
-    ``prepare`` lowers the atoms once and eliminates the equalities of each
-    resulting linear system once.  The lowering memo and fresh-name source
-    are kept, so a later atom that mentions a ``mod``/``max``/``min``
-    subterm of the hypothesis reuses its auxiliary variables (the same
-    sharing ``lower`` does within one call) and its fresh names avoid
-    both the hypothesis and that atom.
+    Preparation is lazy and happens once: the first query lowers the atoms
+    and eliminates the equalities of each resulting linear system.  A
+    hypothesis made by ``extend`` instead prepares its parent and then
+    lowers and reduces only its own new atoms on top of each of the
+    parent's reduced systems, so a chain of extensions costs each link its
+    delta.  The lowering memo and fresh-name source are kept (an extension
+    works on copies of its parent's), so a later atom that mentions a
+    ``mod``/``max``/``min`` subterm already lowered reuses its auxiliary
+    variables (the same sharing ``lower`` does within one call), fresh
+    names avoid every atom seen so far, and two extensions of one parent
+    never see each other's names.
     """
 
     def __init__(self, atoms) -> None:
         self.atoms = list(atoms)
-        self.stated = set(self.atoms)
+        self._parent: Optional[Hypothesis] = None
+        self._delta: List[ArithAtom] = []
         self._fresh: Optional[_Fresh] = None
         self._memo: dict = {}
         self._lowered = 0
         self._systems: List[_Reduced] = []
 
-    def prepare(self, extra_vars: set) -> None:
+    @cached_property
+    def stated(self) -> set:
+        return set(self.atoms)
+
+    def extend(self, atoms) -> "Hypothesis":
+        """The hypothesis for this conjunction and ``atoms``; nothing is
+        lowered until it is queried."""
+        delta = list(atoms)
+        child = Hypothesis(self.atoms + delta)
+        child._parent, child._delta = self, delta
+        return child
+
+    def _prepare(self, extra_vars: set) -> None:
         """Make fresh names avoid ``extra_vars``, the variables of atoms
-        about to be conjoined; the first call (or one naming an auxiliary
-        variable already issued) lowers and reduces the hypothesis."""
-        if self._fresh is not None and not extra_vars & self._fresh.issued:
-            self._fresh.taken |= extra_vars
+        about to be conjoined.  The first call lowers and reduces the
+        hypothesis, on top of its parent's systems where it has a parent;
+        it, or a later call, starts from scratch when the new variables
+        include an auxiliary name already issued, since that name would
+        then mean two things."""
+        if self._fresh is not None:
+            if extra_vars & self._fresh.issued:
+                self._rebuild(extra_vars)
+            else:
+                self._fresh.taken |= extra_vars
             return
+        chain = [self]  # with its unprepared ancestors, prepared top-down
+        while chain[-1]._parent is not None \
+                and chain[-1]._parent._fresh is None:
+            chain.append(chain[-1]._parent)
+        for hyp in reversed(chain):
+            new_vars = vars_of_atoms(hyp._delta)
+            if hyp is self:
+                new_vars |= extra_vars
+            parent = hyp._parent
+            if parent is not None and not new_vars & parent._fresh.issued:
+                hyp._grow(new_vars)
+            else:
+                hyp._rebuild(new_vars)
+
+    def _grow(self, new_vars: set) -> None:
+        # lower and reduce only the delta on top of the prepared parent
+        parent = self._parent
+        fresh = _Fresh(parent._fresh.taken | new_vars)
+        fresh.n, fresh.issued = parent._fresh.n, set(parent._fresh.issued)
+        memo = dict(parent._memo)
+        branches = lower(self._delta, fresh, memo)
+        _check_cap(parent._lowered * len(branches))
+        reduced = [_reduce(b.atoms, fresh, base)
+                   for base in parent._systems for b in branches]
+        self._fresh, self._memo = fresh, memo
+        self._lowered = parent._lowered * len(branches)
+        self._systems = [r for r in reduced if r is not None]
+        self._parent = None
+
+    def _rebuild(self, extra_vars: set) -> None:
+        # lower and reduce every atom from scratch
         taken = vars_of_atoms(self.atoms) | extra_vars
         if self._fresh is not None:
             taken |= self._fresh.taken
@@ -781,15 +846,28 @@ class Hypothesis:
         reduced = [_reduce(s.atoms, fresh) for s in systems]
         self._fresh, self._memo, self._lowered = fresh, memo, len(systems)
         self._systems = [r for r in reduced if r is not None]
+        self._parent = None
 
-    def consistent_with(self, atom: ArithAtom) -> bool:
-        """Whether the hypothesis and ``atom`` have a common integer
-        solution: only ``atom`` is lowered, substituted through each
-        reduced hypothesis system and handed to branch and bound."""
-        branches = lower([atom], self._fresh, self._memo)
+    def consistent_with(self, atoms) -> bool:
+        """Whether the hypothesis and ``atoms`` have a common integer
+        solution: only ``atoms`` are lowered, substituted through each
+        reduced hypothesis system and handed to branch and bound.  A
+        solution found is checked against every atom of both."""
+        atoms = list(atoms)
+        self._prepare(vars_of_atoms(atoms))
+        branches = lower(atoms, self._fresh, self._memo)
         _check_cap(self._lowered * len(branches))
-        return any(solve_system(branch, base, self._fresh) is not None
-                   for base in self._systems for branch in branches)
+        for base in self._systems:
+            for branch in branches:
+                model = solve_system(branch, base, self._fresh)
+                if model is not None:
+                    env = defaultdict(int, model)
+                    for a in self.atoms + atoms:
+                        if not eval_atom(a, env):
+                            raise ArithInternalError(
+                                f"witness fails input atom {a}")
+                    return True
+        return False
 
 
 def arith_implies(hyp, concl) -> bool:
@@ -804,8 +882,5 @@ def arith_implies(hyp, concl) -> bool:
     if not isinstance(hyp, Hypothesis):
         hyp = Hypothesis(hyp)
     open_atoms = [a for a in concl if a not in hyp.stated]
-    if not open_atoms:
-        return True
-    hyp.prepare(vars_of_atoms(open_atoms))
-    return not any(hyp.consistent_with(neg)
+    return not any(hyp.consistent_with([neg])
                    for atom in open_atoms for neg in _negate(atom))

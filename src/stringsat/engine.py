@@ -413,6 +413,10 @@ def over_approx(f: NormalizedFormula,
     membership additionally pins the member's length inside the semilinear
     length set of its regex; that strengthening stays sound because any
     string model's lengths satisfy it.
+
+    Every disjunct has the same layout: one length equality per equation,
+    in order, then ``f.arith`` as it is, then the disjunct's own
+    membership atoms.  Only the last part differs between disjuncts.
     """
     base = tuple(atom_eq(length_expr(eq.lhs), length_expr(eq.rhs))
                  for eq in f.equations) + f.arith
@@ -446,12 +450,24 @@ def over_approx(f: NormalizedFormula,
 _EXACT_ATOM_CAP = 80
 
 
-def oa_unsat(f: NormalizedFormula, mode: str = OA_FULL) -> bool:
-    for d in over_approx(f, mode):
+def oa_unsat(f: NormalizedFormula, mode: str = OA_FULL,
+             hyp: Optional[_arith.Hypothesis] = None) -> bool:
+    """Whether every disjunct of the length abstraction is unsatisfiable.
+
+    ``hyp`` is the prepared arithmetic of ``f`` (``f.arith``), as the
+    search keeps it per tree node.  The equation-length atoms are
+    conjoined to it once; each disjunct then solves only its membership
+    atoms on top."""
+    disjuncts = over_approx(f, mode)
+    n_eqs, n_shared = len(f.equations), len(f.equations) + len(f.arith)
+    if hyp is None:
+        hyp = _arith.Hypothesis(f.arith)
+    lengths = hyp.extend(disjuncts[0][:n_eqs])
+    for d in disjuncts:
         if len(d) > _EXACT_ATOM_CAP:
             if not _arith.quick_unsat(list(d)):
                 return False
-        elif _arith.arith_sat(list(d)) is not None:
+        elif lengths.consistent_with(d[n_shared:]):
             return False
     return True
 
@@ -754,7 +770,8 @@ def _measure(f: NormalizedFormula):
     return total
 
 
-def link_back(leaf: NormalizedFormula, ancestors: List[NormalizedFormula]):
+def link_back(leaf: NormalizedFormula, ancestors: List[NormalizedFormula],
+              hyp: Optional[_arith.Hypothesis] = None):
     """First ancestor (nearest first) the leaf is isomorphic to, with the
     substitution.  Subterm constraints are discarded on both sides.
 
@@ -766,7 +783,8 @@ def link_back(leaf: NormalizedFormula, ancestors: List[NormalizedFormula]):
     cyclic argument would admit loops that consume nothing.
 
     The leaf's constraints are prepared once (lowered, equalities
-    eliminated) and shared by the shrink check of every candidate; a
+    eliminated; ``hyp`` is that preparation when the caller keeps one)
+    and shared by the shrink check of every candidate; a
     candidate that passes it prepares its renamed constraints once for all
     of the ancestor's atoms.  Each entailment query then solves one small
     system per conclusion atom that the hypothesis does not state
@@ -776,7 +794,7 @@ def link_back(leaf: NormalizedFormula, ancestors: List[NormalizedFormula]):
     if not leaf.equations or len(leaf.arith) > _EXACT_ATOM_CAP:
         return None
     leaf_measure = _measure(leaf)
-    leaf_hyp = _arith.Hypothesis(leaf.arith)
+    leaf_hyp = hyp if hyp is not None else _arith.Hypothesis(leaf.arith)
     for a_index, anc in enumerate(ancestors):
         if leaf_steps <= progress_steps(anc):
             continue
@@ -904,6 +922,9 @@ def solve_conjunction(conjuncts: Iterable[Formula], alphabet: Iterable[str],
     root = init_normalize(conjuncts, alphabet)
     fragment = classify_fragment(root)
     tree = UnfoldingTree(root)
+    # each node's arithmetic is its parent's plus the atoms its unfolding
+    # added, so its prepared state extends the parent's by those atoms
+    hyps: Dict[int, _arith.Hypothesis] = {0: _arith.Hypothesis(root.arith)}
     spent = 0
 
     zero_sea_bound = None
@@ -925,11 +946,12 @@ def solve_conjunction(conjuncts: Iterable[Formula], alphabet: Iterable[str],
             if ua.status == "unsat":
                 leaf.status = ClosedUnsat(f"base: {ua.reason}")
                 continue
-            if oa_unsat(leaf.formula, oa_mode):
+            if oa_unsat(leaf.formula, oa_mode, hyps[leaf.id]):
                 leaf.status = ClosedUnsat("length abstraction unsat")
                 continue
             ancestors = tree.ancestors(leaf.id)
-            linked = link_back(leaf.formula, [a.formula for a in ancestors])
+            linked = link_back(leaf.formula, [a.formula for a in ancestors],
+                               hyps[leaf.id])
             if linked is not None:
                 a_index, theta = linked
                 leaf.status = BackLinkedTo(ancestors[a_index].id, theta)
@@ -948,8 +970,14 @@ def solve_conjunction(conjuncts: Iterable[Formula], alphabet: Iterable[str],
         if not children:
             pick.status = ClosedUnsat("no unfolding (constant clash)")
             continue
+        parent_arith = pick.formula.arith
         for child in children:
             node = tree.add_child(pick.id, child.rule, child.formula)
+            if child.formula.arith[:len(parent_arith)] != parent_arith:
+                raise EngineInternalError(
+                    "a child's arithmetic does not extend its parent's")
+            hyps[node.id] = hyps[pick.id].extend(
+                child.formula.arith[len(parent_arith):])
             if zero_sea_bound is not None and node.depth + 1 > zero_sea_bound:
                 raise EngineInternalError(
                     "acyclic path bound exceeded: "

@@ -8,7 +8,7 @@ threads and used as dict keys.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable, List, Union
 
 
 # ---------------------------------------------------------------------------
@@ -434,12 +434,19 @@ def atom_length(a: Atom) -> ArithExpr:
 
 def length_expr(term: Term) -> ArithExpr:
     """Structural length of a term: its character count plus the length
-    of each variable occurrence, AInt(0) for the empty word."""
-    total: ArithExpr = AInt(sum(1 for a in term if isinstance(a, CChar)))
-    for a in term:
-        if not isinstance(a, CChar):
-            total = AAdd(total, atom_length(a))
-    return total
+    of each variable occurrence, AInt(0) for the empty word.  The sum is
+    balanced, so a side with n variable occurrences nests O(log n) deep
+    and the recursive walks over arithmetic stay shallow."""
+    parts: List[ArithExpr] = [atom_length(a) for a in term
+                              if not isinstance(a, CChar)]
+    parts.insert(0, AInt(len(term) - len(parts)))
+    while len(parts) > 1:
+        paired = [AAdd(parts[i], parts[i + 1])
+                  for i in range(0, len(parts) - 1, 2)]
+        if len(parts) % 2:
+            paired.append(parts[-1])
+        parts = paired
+    return parts[0]
 
 
 def term_subst(term: Term, pattern: Atom, replacement: Term) -> Term:

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import random
 from collections import Counter
@@ -5,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from stringsat import arith
 from stringsat.arith import (ArithInternalError, Hypothesis, LinAtom,
                              LinearSystem, _Fresh, _lower_expr, _lp_feasible,
                              _mk_linatom, arith_implies, arith_sat, lower,
@@ -167,6 +169,126 @@ def test_implies_keeps_conclusion_and_lowering_names_apart():
     assert not arith_implies(prepared, [stray])
     assert arith_implies(prepared, [atom_le(m, AVar("y"))])
     assert not arith_implies(prepared, [atom_eq(m, AInt(0))])
+
+
+def _chain_delta(rng: random.Random, vars_: list, shared) -> list:
+    # one link of a path: linear atoms, a shared mod subterm, max/min, and
+    # equalities without a unit coefficient (the Omega step)
+    x, y, z = (AVar(rng.choice(vars_)) for _ in range(3))
+    kind = rng.random()
+    if kind < 0.3:
+        return _linear_atoms(rng, vars_)[:2]
+    if kind < 0.45:
+        return [rng.choice([atom_eq(shared, AVar(rng.choice(vars_))),
+                            atom_le(AInt(1), shared),
+                            atom_le(AScale(2, shared), x)])]
+    if kind < 0.6:
+        return _random_atoms(rng, vars_)[:2]
+    if kind < 0.8:
+        a, b = rng.choice([(2, 3), (3, 5), (4, 6), (6, 9)])
+        return [atom_eq(AAdd(AScale(a, x), AScale(b, y)),
+                        AAdd(AScale(rng.choice([2, 4]), z),
+                             AInt(rng.randint(-4, 4))))]
+    return [atom_le(AInt(-6), x), atom_le(x, AInt(6)),
+            atom_le(AMin(y, AInt(4)), AMax(z, AInt(-2)))]
+
+
+def test_extend_agrees_with_arith_sat_on_every_prefix():
+    rng = random.Random(71)
+    seen = Counter()
+    for _ in range(60):
+        vars_ = ["x", "y", "z", "w"]
+        shared = AMod(AAdd(AVar("x"), AVar(rng.choice(vars_))),
+                      AInt(rng.randint(2, 4)))
+        atoms = _chain_delta(rng, vars_, shared)
+        chain = [Hypothesis(atoms)]
+        for _ in range(rng.randint(2, 6)):
+            delta = _chain_delta(rng, vars_, shared)
+            if rng.random() < 0.2:
+                delta.append(rng.choice(atoms))  # restated
+            if rng.random() < 0.1:
+                # names the lowering's first quotient: a rebuild once the
+                # parent has issued it
+                delta.append(atom_le(AVar("$q0"), AVar(rng.choice(vars_))))
+            atoms = atoms + delta
+            chain.append(chain[-1].extend(delta))
+        for i, hyp in enumerate(chain):
+            # query a prefix now and then, so later links grow from a
+            # parent that was queried, or from one never prepared
+            if rng.random() < 0.5 or i == len(chain) - 1:
+                want = arith_sat(hyp.atoms) is not None
+                assert hyp.consistent_with([]) == want, hyp.atoms
+                seen["sat" if want else "unsat"] += 1
+        # a query atom the hypothesis does not state
+        extra = _random_atoms(rng, vars_)
+        want = arith_sat(atoms + extra) is not None
+        assert chain[-1].consistent_with(extra) == want, (atoms, extra)
+    assert seen["sat"] > 20 and seen["unsat"] > 20, seen
+
+
+def test_extend_keeps_delta_and_lowering_names_apart():
+    m = AMod(AVar("x"), AInt(3))
+    root = Hypothesis([atom_eq(AVar("y"), m)])  # x = 3*$q0 + $r1, y = $r1
+    assert root.consistent_with([])
+    # $q0 here is a variable of its own, not the quotient of x by 3
+    stray = [atom_eq(AVar("x"), AInt(7)),
+             atom_eq(AVar("$q0"), AInt(5)), atom_eq(AVar("y"), AInt(1))]
+    child = root.extend(stray)
+    assert child.consistent_with([])
+    assert arith_sat(root.atoms + stray) is not None
+    assert not child.consistent_with([atom_eq(AVar("y"), AInt(2))])
+    # the sibling grown from the same parent sees none of it
+    sibling = root.extend([atom_eq(AVar("x"), AInt(8))])
+    assert sibling.consistent_with([atom_eq(AVar("y"), AInt(2))])
+    assert not sibling.consistent_with([atom_eq(m, AInt(1))])
+    # a delta naming the next remainder before it is issued: the query's
+    # own mod must get another name
+    ahead = root.extend([atom_eq(AVar("$r3"), AInt(2))])
+    assert ahead.consistent_with([atom_eq(AMod(AVar("z"), AInt(4)),
+                                          AInt(1))])
+
+
+def test_extend_leaves_the_parent_reduction_unchanged():
+    rng = random.Random(73)
+    for _ in range(40):
+        vars_ = ["x", "y", "z"]
+        shared = AMod(AVar("y"), AInt(rng.randint(2, 4)))
+        parent = Hypothesis(_chain_delta(rng, vars_, shared)
+                            + _chain_delta(rng, vars_, shared))
+        parent.consistent_with([])
+        before = copy.deepcopy([(r.ineqs, r.subs) for r in parent._systems])
+        for _ in range(3):
+            child = parent.extend(_chain_delta(rng, vars_, shared))
+            child.consistent_with(_linear_atoms(rng, vars_)[:1])
+            parent.consistent_with(_linear_atoms(rng, vars_)[:1])
+        assert [(r.ineqs, r.subs) for r in parent._systems] == before
+
+
+def test_extend_checks_the_case_split_cap_on_the_product(monkeypatch):
+    def nested(var, depth):
+        e = AVar(var)
+        for _ in range(depth):
+            e = AMax(AInt(1), e)
+        return atom_le(e, AInt(5))
+
+    root = Hypothesis([nested("k", 6)])  # 64 systems
+    assert root.consistent_with([])
+    assert root.extend([nested("j", 6)]).consistent_with([])  # 4096
+    with pytest.raises(ArithInternalError):
+        lower(root.atoms + [nested("j", 7)])
+    # refused before any of the 8192 systems is reduced
+    reductions = Counter()
+
+    def counted(*args, _real=arith._reduce):
+        reductions["n"] += 1
+        return _real(*args)
+
+    monkeypatch.setattr(arith, "_reduce", counted)
+    with pytest.raises(ArithInternalError):
+        root.extend([nested("j", 7)]).consistent_with([])
+    assert reductions["n"] == 0
+    with pytest.raises(ArithInternalError):
+        root.consistent_with([nested("j", 7)])
 
 
 def test_sat_models_satisfy_inputs():

@@ -159,6 +159,21 @@ def test_long_equation_sides_are_solved(tmp_path):
     assert '(define s "a")' in out
 
 
+@pytest.mark.parametrize("prefix,suffix,verdict,code", [
+    ("", "", "sat", EXIT_SAT),            # 1000|s| = 2|s|: s is empty
+    ('"ab" ', ' "ba"', "unsat", EXIT_UNSAT),  # then "ab" = "ba"
+], ids=["empty-word", "constant-clash"])
+def test_many_variable_occurrences_are_solved(tmp_path, prefix, suffix,
+                                              verdict, code):
+    # 1000 occurrences of s on one side: the length sum must stay shallow
+    # for every recursive walk over arithmetic
+    many = " ".join(["s"] * 1000)
+    text = (f"(declare-str s)(assert (= (str.++ {prefix}{many}) "
+            f"(str.++ s s{suffix})))")
+    got, out, err = _run(tmp_path, text)
+    assert (got, out) == (code, verdict + "\n"), err
+
+
 def test_nested_max_stops_at_the_case_split_cap(tmp_path):
     term = "k"
     for _ in range(19):

@@ -5,13 +5,15 @@ import pytest
 
 from corpus import (draw_acyclic, draw_one_cycle, gen_small_normalized,
                     rand_regex)
-from stringsat import oracle
+from stringsat import engine, oracle
+from stringsat.arith import Hypothesis
 from stringsat.classify import is_linear
 from stringsat.engine import (BackLinkedTo, ClosedUnsat, EngineInternalError,
-                              OA_FULL, OA_LENGTHS_ONLY, _length_of, _walker,
-                              export_tree, init_normalize,
-                              link_back, oa_unsat, over_approx,
-                              solve_conjunction, under_approx_check, unfold)
+                              OA_FULL, OA_LENGTHS_ONLY, UnfoldChild,
+                              _length_of, _walker, export_tree,
+                              init_normalize, link_back, oa_unsat,
+                              over_approx, solve_conjunction,
+                              under_approx_check, unfold)
 from stringsat.terms import (AInt, ALen, AMod, AVar, Alias, CChar, CharPrefix,
                              EpsBind, Equation, FAtom, FEq, FIn, Membership,
                              NormalizedFormula, RCat, RStar, RWord,
@@ -273,17 +275,60 @@ def test_solve_worked_example_tree_shape():
     assert tree.nodes[4].status.target == 0
 
 
+def _hard_instance():
+    x, y, z = SVar("x"), SVar("y"), SVar("z")
+    return [FEq((x, z, y), word("b") + (z, x)),
+            FIn((x,), RCat(RStar(RWord("a")), RWord("a")))]
+
+
 def test_hard_instance_tree_is_pinned():
     # x.z.y = b.z.x with x in a*.a is unsat (x starts with a), but the
     # membership stays invisible until a base leaf, so no back-link closes
     # the tree within the budget.  Pins the tree, not the time it takes.
-    x, y, z = SVar("x"), SVar("y"), SVar("z")
-    conjs = [FEq((x, z, y), word("b") + (z, x)),
-             FIn((x,), RCat(RStar(RWord("a")), RWord("a")))]
-    ans = solve_conjunction(conjs, "ab", budget=100)
+    ans = solve_conjunction(_hard_instance(), "ab", budget=100)
     assert ans.verdict == "unknown"
     assert len(ans.tree.nodes) == 171
     assert ans.unfoldings == 100
+
+
+def test_node_hypotheses_give_the_from_scratch_answers():
+    # each node's Hypothesis extends its parent's by the atoms the
+    # unfolding added; OA and the back-link shrink check must answer on it
+    # as they do on the node's own arithmetic prepared from scratch
+    rng = random.Random(24)
+    problems = [(c, 10000) for c in draw_one_cycle(rng, 30)]
+    problems += [(c, 10000) for c in draw_acyclic(rng, 10)]
+    problems += [(_hard_instance(), 100), (worked_example(), 10000)]
+    seen = {"pruned": 0, "linked": 0}
+    for conjs, budget in problems:
+        tree = solve_conjunction(conjs, "ab", budget=budget).tree
+        hyps = {0: Hypothesis(tree.nodes[0].formula.arith)}
+        for n in tree.nodes[1:]:
+            parent = tree.nodes[n.parent].formula.arith
+            hyps[n.id] = hyps[n.parent].extend(n.formula.arith[len(parent):])
+        for n in tree.nodes:
+            f = n.formula
+            got = oa_unsat(f, OA_FULL, hyps[n.id])
+            assert got == oa_unsat(f, OA_FULL), f
+            ancestors = [a.formula for a in tree.ancestors(n.id)]
+            linked = link_back(f, ancestors, hyps[n.id])
+            assert linked == link_back(f, ancestors), f
+            seen["pruned"] += got
+            seen["linked"] += linked is not None
+    assert seen["pruned"] > 20 and seen["linked"] > 5, seen
+
+
+def test_child_arithmetic_must_extend_the_parent(monkeypatch):
+    real_unfold = engine.unfold
+
+    def lossy(f):  # children that drop the parent's first atom
+        return [UnfoldChild(kid.rule, kid.formula.with_(
+                    arith=kid.formula.arith[1:]))
+                for kid in real_unfold(f)]
+
+    monkeypatch.setattr(engine, "unfold", lossy)
+    with pytest.raises(EngineInternalError, match="does not extend"):
+        solve_conjunction(worked_example(), "ab", oa_mode=OA_LENGTHS_ONLY)
 
 
 @pytest.mark.xfail(strict=True, reason="unsound back-link: memberships are "

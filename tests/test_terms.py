@@ -56,6 +56,18 @@ def test_length_expr_long_side_is_flat():
     assert _lin(length_expr(side)) == ({"n": 1}, 1200)
 
 
+def test_length_expr_many_occurrences_nest_shallowly():
+    def depth(e):
+        return 1 + max(depth(e.left), depth(e.right)) \
+            if isinstance(e, AAdd) else 1
+
+    for n in (1, 2, 3, 5, 8, 1000):
+        side = word("ab") + (SPred("u", "n"),) * n
+        got = length_expr(side)
+        assert _lin(got) == ({"n": n}, 2)
+        assert depth(got) <= 2 + n.bit_length()
+
+
 def test_substitute_to_epsilon():
     p = SPred("u", "n")
     assert term_subst((p, CChar("a"), p), p, ()) == (CChar("a"),)
