@@ -15,6 +15,11 @@ queries, and ``extend`` derives the state of a larger conjunction from it
 by lowering and reducing only the added atoms.  The search keeps one per
 node of its unfolding tree, extended from the parent's, because a node's
 arithmetic is always its parent's plus the few atoms its unfolding added.
+Each also carries a witness, the model of its last satisfiable query,
+which also stands for every ancestor that has none; a child whose added
+atoms hold once the witness is extended through their definitional
+equalities (``$n5 = $n3 - 1``) is satisfiable with no lowering at all.
+That extension only adds bindings and never overwrites one.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .terms import (AAdd, AInt, ALen, AMax, AMin, AMod, ANeg, AScale, AVar,
                     ArithAtom, ArithExpr, NonConstantDivisorError, atom_le,
-                    atom_eq, eval_atom, vars_of_atoms)
+                    atom_eq, eval_arith, eval_atom, vars_of_atoms)
 
 
 class ArithInternalError(Exception):
@@ -554,10 +559,7 @@ def _drop_redundant(ineqs: List[Tuple[dict, int]],
 
 def _bb_solve(ineqs: List[Tuple[dict, int]],
               variables: List[str]) -> Optional[Dict[str, int]]:
-    try:
-        ineqs = _dedupe(_tighten(ineqs))
-    except _Unsat:
-        return None
+    # ineqs come from _normalize: tightened, with no two rows parallel
     # if any integer solution exists, one exists inside this box; branches
     # are clamped to it so the search is well-founded, but the box stays out
     # of the LP itself (its huge constants would dominate the vertices)
@@ -678,16 +680,53 @@ def _reduce(atoms, fresh: _Fresh,
     return _Reduced(base.atoms + atoms, tuple(ineqs), base.subs + tuple(subs))
 
 
+def _normalize(ineqs: List[Tuple[dict, int]], fresh: _Fresh):
+    """Normalize inequalities as the Omega test does, until nothing
+    changes: gcd-tighten every row, keep the tightest of parallel rows,
+    refute an opposite pair c.x <= k1, -c.x <= k2 with k1 + k2 < 0, and
+    turn one with k1 + k2 = 0 into the equality c.x = k1 and eliminate
+    it.  Branch and bound cannot see such an implied equality, and climbs
+    the unbounded variables around it instead.  Returns (inequalities,
+    substitutions added); raises _Unsat.  Each round that finds an
+    equality eliminates a variable, so the loop ends."""
+    subs: List[Tuple[str, Tuple[dict, int]]] = []
+    while True:
+        tightest: Dict[tuple, Tuple[dict, int]] = {}
+        for cs, k in _tighten(ineqs):
+            key = tuple(sorted(cs.items()))
+            if key not in tightest or k < tightest[key][1]:
+                tightest[key] = (cs, k)
+        eqs = []
+        for key, (cs, k) in tightest.items():
+            opposite = tightest.get(tuple((v, -c) for v, c in key))
+            if opposite is not None:
+                if k + opposite[1] < 0:
+                    raise _Unsat()
+                if k + opposite[1] == 0 and key[0][1] > 0:
+                    eqs.append((cs, k))
+        ineqs = list(tightest.values())
+        if not eqs:
+            return ineqs, subs
+        # the pair's own rows reduce to 0 <= 0 and drop out next round
+        ineqs, new_subs = _eliminate_equalities(eqs, ineqs, fresh)
+        subs += new_subs
+
+
 def solve_system(system: LinearSystem, base: _Reduced = _NOTHING,
                  fresh: Optional[_Fresh] = None) -> Optional[Dict[str, int]]:
     """Exact integer satisfiability for a conjunction of linear atoms,
     conjoined with ``base`` when one is given; ``fresh`` must then avoid
     every variable of both."""
     all_vars = {v for a in system.atoms + base.atoms for v, _ in a.coeffs}
-    reduced = _reduce(system.atoms, fresh or _Fresh(set(all_vars)), base)
+    fresh = fresh or _Fresh(set(all_vars))
+    reduced = _reduce(system.atoms, fresh, base)
     if reduced is None:
         return None
-    ineqs, subs = reduced.ineqs, reduced.subs
+    try:
+        ineqs, implied = _normalize(list(reduced.ineqs), fresh)
+    except _Unsat:
+        return None
+    subs = reduced.subs + tuple(implied)
     live = sorted({v for cs, _ in ineqs for v in cs}
                   | {v for _, (cs, _) in subs for v in cs})
     model = {v: 0 for v in live}
@@ -771,6 +810,18 @@ class Hypothesis:
     variables (the same sharing ``lower`` does within one call), fresh
     names avoid every atom seen so far, and two extensions of one parent
     never see each other's names.
+
+    A hypothesis also keeps a witness: the integer model of its last
+    satisfiable query, which binds every variable of its atoms.  The
+    model is recorded on the queried hypothesis and on each ancestor up
+    the ``extend`` chain that has none yet, since it satisfies every
+    prefix of the atoms.  A query first tries the nearest witness up the
+    chain: it binds each variable that an added ``eq`` atom ``v = e``
+    defines and the witness leaves unbound, then evaluates the atoms
+    added since the witness's hypothesis and the query.  The extension
+    only adds bindings and never overwrites one, so the atoms the witness
+    already satisfies still hold, and when the rest hold too the query is
+    satisfiable without lowering anything.
     """
 
     def __init__(self, atoms) -> None:
@@ -781,6 +832,7 @@ class Hypothesis:
         self._memo: dict = {}
         self._lowered = 0
         self._systems: List[_Reduced] = []
+        self._witness: Optional[dict] = None
 
     @cached_property
     def stated(self) -> set:
@@ -834,7 +886,6 @@ class Hypothesis:
         self._fresh, self._memo = fresh, memo
         self._lowered = parent._lowered * len(branches)
         self._systems = [r for r in reduced if r is not None]
-        self._parent = None
 
     def _rebuild(self, extra_vars: set) -> None:
         # lower and reduce every atom from scratch
@@ -846,14 +897,46 @@ class Hypothesis:
         reduced = [_reduce(s.atoms, fresh) for s in systems]
         self._fresh, self._memo, self._lowered = fresh, memo, len(systems)
         self._systems = [r for r in reduced if r is not None]
-        self._parent = None
+
+    def _carried(self, atoms) -> Optional[dict]:
+        """The nearest witness up the chain, extended through the
+        definitional equalities added since, if it satisfies every atom
+        added since and ``atoms``; else None."""
+        added = []
+        hyp = self
+        while hyp._witness is None:
+            if hyp._parent is None:
+                return None
+            added[:0] = hyp._delta
+            hyp = hyp._parent
+        env = defaultdict(int, hyp._witness)  # a read binds an unbound 0
+        for a in added:
+            if a.kind == "eq" and isinstance(a.lhs, AVar) \
+                    and a.lhs.name not in env:
+                value = eval_arith(a.rhs, env)
+                env.setdefault(a.lhs.name, value)  # unless e mentions v
+        if all(eval_atom(a, env) for a in added + atoms):
+            return env
+        return None
+
+    def _record(self, env: dict) -> None:
+        self._witness = env
+        hyp = self._parent
+        while hyp is not None and hyp._witness is None:
+            hyp._witness = env
+            hyp = hyp._parent
 
     def consistent_with(self, atoms) -> bool:
         """Whether the hypothesis and ``atoms`` have a common integer
-        solution: only ``atoms`` are lowered, substituted through each
+        solution.  A carried witness that satisfies them answers at once;
+        otherwise only ``atoms`` are lowered, substituted through each
         reduced hypothesis system and handed to branch and bound.  A
         solution found is checked against every atom of both."""
         atoms = list(atoms)
+        env = self._carried(atoms)
+        if env is not None:
+            self._record(env)
+            return True
         self._prepare(vars_of_atoms(atoms))
         branches = lower(atoms, self._fresh, self._memo)
         _check_cap(self._lowered * len(branches))
@@ -866,6 +949,7 @@ class Hypothesis:
                         if not eval_atom(a, env):
                             raise ArithInternalError(
                                 f"witness fails input atom {a}")
+                    self._record(env)
                     return True
         return False
 

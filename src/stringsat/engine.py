@@ -867,10 +867,6 @@ class TreeNode:
     status: object = Open()
     checked: bool = False  # UA/OA/back-link already attempted
 
-    @property
-    def progress(self) -> int:
-        return progress_steps(self.formula)
-
 
 class UnfoldingTree:
     def __init__(self, root: NormalizedFormula):

@@ -157,28 +157,35 @@ class _Node:
         return self.items[0].pos if self.items else (0, 0)
 
 
+# The formula builder and the solver's walks over formulas, regexes and
+# arithmetic recurse up to twice per level of nesting: about 500 levels
+# exhaust Python's default stack.  Deeper input than this is refused with
+# a position instead.
+MAX_NESTING = 100
+
+
 def _read_all(toks: List[_Tok]) -> List[_Node]:
+    """The forms of a token list, read with an explicit stack of the lists
+    still open."""
     out: List[_Node] = []
-    i = 0
-
-    def read(i: int) -> Tuple[_Node, int]:
-        t = toks[i]
+    open_lists: List[Tuple[_Tok, list]] = []
+    for t in toks:
         if t.kind == "lparen":
-            items = []
-            i += 1
-            while i < len(toks) and toks[i].kind != "rparen":
-                node, i = read(i)
-                items.append(node)
-            if i >= len(toks):
-                raise ParseError("missing )", t.line, t.col)
-            return _Node(None, tuple(items)), i + 1
+            if len(open_lists) == MAX_NESTING:
+                raise ParseError(
+                    f"nesting deeper than {MAX_NESTING} levels", t.line, t.col)
+            open_lists.append((t, []))
+            continue
         if t.kind == "rparen":
-            raise ParseError("unexpected )", t.line, t.col)
-        return _Node(t, None), i + 1
-
-    while i < len(toks):
-        node, i = read(i)
-        out.append(node)
+            if not open_lists:
+                raise ParseError("unexpected )", t.line, t.col)
+            node = _Node(None, tuple(open_lists.pop()[1]))
+        else:
+            node = _Node(t, None)
+        (open_lists[-1][1] if open_lists else out).append(node)
+    if open_lists:
+        t = open_lists[-1][0]
+        raise ParseError("missing )", t.line, t.col)
     return out
 
 

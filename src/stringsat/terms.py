@@ -206,10 +206,6 @@ class ArithAtom:
             raise ValueError(f"bad atom kind: {self.kind}")
 
 
-def a_sub(a: ArithExpr, b: ArithExpr) -> ArithExpr:
-    return AAdd(a, ANeg(b))
-
-
 def atom_eq(a: ArithExpr, b: ArithExpr) -> ArithAtom:
     return ArithAtom("eq", a, b)
 

@@ -13,10 +13,14 @@ from stringsat.arith import (ArithInternalError, Hypothesis, LinAtom,
                              solve_system)
 from stringsat.terms import (AAdd, AInt, AMax, AMin, AMod, ANeg, AScale,
                              AVar, ArithAtom, NonConstantDivisorError,
-                             a_sub, atom_eq, atom_le, atom_lt, eval_atom,
+                             atom_eq, atom_le, atom_lt, eval_atom,
                              vars_of_atoms)
 
 N, N1, NP = AVar("n"), AVar("n1"), AVar("n'")
+
+
+def a_sub(a, b):
+    return AAdd(a, ANeg(b))
 
 
 def test_lower_mod_single_system():
@@ -193,7 +197,43 @@ def _chain_delta(rng: random.Random, vars_: list, shared) -> list:
             atom_le(AMin(y, AInt(4)), AMax(z, AInt(-2)))]
 
 
-def test_extend_agrees_with_arith_sat_on_every_prefix():
+def _definition(rng: random.Random, vars_: list, name: str):
+    # an equality with a variable on the left, as an unfolding adds one
+    # (`$n5 = $n3 - 1`): mostly a new name, sometimes a bound one
+    lhs = name if rng.random() < 0.7 else rng.choice(vars_)
+    return atom_eq(AVar(lhs), AAdd(AVar(rng.choice(vars_)),
+                                   AInt(rng.randint(-2, 2))))
+
+
+def _count_carried(monkeypatch) -> Counter:
+    """Count the queries a carried witness answers, and check that the
+    extension of the witness kept every binding it started from."""
+    carried = Counter()
+
+    def counted(hyp, atoms, _real=Hypothesis._carried):
+        source = hyp
+        while source._witness is None and source._parent is not None:
+            source = source._parent
+        env = _real(hyp, atoms)
+        carried["hit" if env is not None else "miss"] += 1
+        if env is not None:
+            assert all(env[v] == value
+                       for v, value in source._witness.items())
+        return env
+
+    monkeypatch.setattr(Hypothesis, "_carried", counted)
+    return carried
+
+
+def _assert_witness_holds(hyp: Hypothesis) -> None:
+    # a plain dict: a variable of the atoms left unbound is a KeyError
+    if hyp._witness is not None:
+        env = dict(hyp._witness)
+        assert all(eval_atom(a, env) for a in hyp.atoms), hyp.atoms
+
+
+def test_extend_agrees_with_arith_sat_on_every_prefix(monkeypatch):
+    carried = _count_carried(monkeypatch)
     rng = random.Random(71)
     seen = Counter()
     for _ in range(60):
@@ -210,20 +250,97 @@ def test_extend_agrees_with_arith_sat_on_every_prefix():
                 # names the lowering's first quotient: a rebuild once the
                 # parent has issued it
                 delta.append(atom_le(AVar("$q0"), AVar(rng.choice(vars_))))
+            if rng.random() < 0.6:
+                if rng.random() < 0.5:
+                    delta = []  # a definition alone, as most unfoldings add
+                name = f"d{len(chain)}"
+                delta.insert(0, _definition(rng, vars_, name))
+                vars_ = vars_ + [name]
             atoms = atoms + delta
             chain.append(chain[-1].extend(delta))
         for i, hyp in enumerate(chain):
             # query a prefix now and then, so later links grow from a
-            # parent that was queried, or from one never prepared
+            # parent that was queried, or from one never prepared, and
+            # start from a witness near them or far up
             if rng.random() < 0.5 or i == len(chain) - 1:
                 want = arith_sat(hyp.atoms) is not None
                 assert hyp.consistent_with([]) == want, hyp.atoms
                 seen["sat" if want else "unsat"] += 1
+            if rng.random() < 0.3:
+                extra = _linear_atoms(rng, vars_)[:1]
+                want = arith_sat(hyp.atoms + extra) is not None
+                assert hyp.consistent_with(extra) == want, (hyp.atoms, extra)
         # a query atom the hypothesis does not state
         extra = _random_atoms(rng, vars_)
         want = arith_sat(atoms + extra) is not None
         assert chain[-1].consistent_with(extra) == want, (atoms, extra)
+        for hyp in chain:
+            _assert_witness_holds(hyp)
     assert seen["sat"] > 20 and seen["unsat"] > 20, seen
+    assert carried["hit"] > 20 and carried["miss"] > 20, carried
+
+
+def test_witnesses_stay_on_their_own_branch(monkeypatch):
+    # a random tree of extensions, queried in random order: a witness
+    # recorded in one branch must never answer for a sibling's
+    carried = _count_carried(monkeypatch)
+    rng = random.Random(79)
+    for _ in range(40):
+        vars_ = ["x", "y", "z"]
+        shared = AMod(AVar("y"), AInt(rng.randint(2, 3)))
+        tree = [Hypothesis(_linear_atoms(rng, vars_)[:1])]
+        for k in range(8):
+            delta = [_definition(rng, vars_, f"d{k}")]
+            if rng.random() < 0.7:
+                delta += _chain_delta(rng, vars_ + [f"d{k}"], shared)[:1]
+            tree.append(rng.choice(tree).extend(delta))
+        for _ in range(12):
+            hyp = rng.choice(tree)
+            extra = _linear_atoms(rng, vars_)[:1] if rng.random() < 0.3 else []
+            want = arith_sat(hyp.atoms + extra) is not None
+            assert hyp.consistent_with(extra) == want, (hyp.atoms, extra)
+        for hyp in tree:
+            _assert_witness_holds(hyp)
+    assert carried["hit"] > 50 and carried["miss"] > 50, carried
+    # the smallest case: one sibling's model fails the other's delta
+    root = Hypothesis([atom_le(AInt(0), AVar("x")), atom_le(AVar("x"), AInt(5))])
+    low = root.extend([atom_le(AVar("x"), AInt(1))])
+    high = root.extend([atom_le(AInt(6), AAdd(AVar("x"), AVar("y"))),
+                        atom_le(AVar("y"), AInt(0))])
+    assert low.consistent_with([])
+    assert not high.consistent_with([])
+
+
+def test_a_carried_witness_answers_without_reducing(monkeypatch):
+    reductions = Counter()
+
+    def counted(*args, _real=arith._reduce):
+        reductions["n"] += 1
+        return _real(*args)
+
+    monkeypatch.setattr(arith, "_reduce", counted)
+    x, n3, n5 = AVar("x"), AVar("$n3"), AVar("$n5")
+    root = Hypothesis([atom_eq(AMod(n3, AInt(2)), AInt(1)),
+                       atom_le(AInt(3), n3), atom_le(n3, x)])
+    assert root.consistent_with([])
+    assert reductions["n"] > 0
+    reductions.clear()
+    # an unfolding's delta: $n5 is defined from the witness's $n3
+    child = root.extend([atom_eq(n5, AAdd(n3, AInt(-1))),
+                         atom_le(AInt(1), n5)])
+    assert child.consistent_with([])
+    assert child.consistent_with([atom_eq(AMod(n5, AInt(2)), AInt(0))])
+    assert arith_implies(child, [atom_le(AInt(2), n5)])  # refuted: reduces
+    reductions.clear()
+    assert not arith_implies(child, [atom_le(n5, AInt(1))])
+    assert reductions["n"] == 0
+    # only an equality with an unbound variable on its left defines it;
+    # an inequality does not, and the witness reads the variable as 0
+    d = AVar("d")
+    grand = child.extend([atom_le(AInt(4), d),
+                          atom_le(d, AAdd(n5, AInt(3)))])
+    assert grand.consistent_with([])
+    assert reductions["n"] > 0
 
 
 def test_extend_keeps_delta_and_lowering_names_apart():
@@ -273,7 +390,8 @@ def test_extend_checks_the_case_split_cap_on_the_product(monkeypatch):
 
     root = Hypothesis([nested("k", 6)])  # 64 systems
     assert root.consistent_with([])
-    assert root.extend([nested("j", 6)]).consistent_with([])  # 4096
+    needs_j = atom_le(AInt(2), AVar("j"))  # root's witness reads j as 0
+    assert root.extend([nested("j", 6), needs_j]).consistent_with([])  # 4096
     with pytest.raises(ArithInternalError):
         lower(root.atoms + [nested("j", 7)])
     # refused before any of the 8192 systems is reduced
@@ -284,11 +402,18 @@ def test_extend_checks_the_case_split_cap_on_the_product(monkeypatch):
         return _real(*args)
 
     monkeypatch.setattr(arith, "_reduce", counted)
+    # root's witness fails 2 <= j, so the query has to lower, and the cap
+    # refuses it
     with pytest.raises(ArithInternalError):
-        root.extend([nested("j", 7)]).consistent_with([])
+        root.extend([nested("j", 7), needs_j]).consistent_with([])
     assert reductions["n"] == 0
     with pytest.raises(ArithInternalError):
-        root.consistent_with([nested("j", 7)])
+        root.consistent_with([nested("j", 7), needs_j])
+    # the same over-cap atoms with j = 0 hold under root's witness, which
+    # answers without lowering or reducing anything
+    assert root.extend([nested("j", 7)]).consistent_with([])
+    assert root.consistent_with([nested("j", 7)])
+    assert reductions["n"] == 0
 
 
 def test_sat_models_satisfy_inputs():

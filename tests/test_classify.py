@@ -5,10 +5,9 @@ from stringsat import engine
 from stringsat.classify import (DepGraph, FragmentTag, build_dep_graph,
                                 classify_fragment, cycle_count, is_linear,
                                 is_periodic_arith)
-from stringsat.terms import (AAdd, AInt, ALen, AMax, AMod, AVar, CChar,
+from stringsat.terms import (AAdd, AInt, ALen, AMax, AMod, ANeg, AVar, CChar,
                              Equation, FAtom, FEq, FIn, NormalizedFormula,
-                             RCat, RStar, RWord, SVar, a_sub, atom_eq,
-                             atom_le, word)
+                             RCat, RStar, RWord, SVar, atom_eq, atom_le, word)
 
 
 def _nf(*eqs, arith=()):
@@ -82,7 +81,7 @@ def test_cycle_count_multi_edges():
 def test_is_periodic_arith():
     n = AVar("n")
     assert is_periodic_arith([atom_eq(AMod(n, AInt(2)), AInt(0))])
-    assert is_periodic_arith([atom_eq(a_sub(AVar("x1"), AVar("x2")),
+    assert is_periodic_arith([atom_eq(AAdd(AVar("x1"), ANeg(AVar("x2"))),
                                       AInt(5))])
     assert not is_periodic_arith([atom_eq(AMax(AVar("x"), AVar("y")),
                                           AInt(3))])

@@ -1,9 +1,11 @@
 import io
+import time
 
 import pytest
 
 from stringsat.cli import (EXIT_ERROR, EXIT_SAT, EXIT_UNKNOWN, EXIT_UNSAT,
                            RunConfig, config_from_args, run)
+from stringsat.frontend import MAX_NESTING
 
 WORKED = """
 (declare-str s)
@@ -182,3 +184,46 @@ def test_nested_max_stops_at_the_case_split_cap(tmp_path):
     code, out, err = _run(tmp_path, text)
     assert code == EXIT_ERROR
     assert "case split explosion" in err
+
+
+def test_deep_nesting_is_a_positioned_error(tmp_path):
+    # the reader keeps its own stack; nesting past what the formula
+    # builder can take is refused at the first list too deep
+    depth = 3000
+    text = ("(declare-str s)\n(assert " + "(and " * depth + '(= s "a")'
+            + ")" * depth + ")")
+    code, out, err = _run(tmp_path, text)
+    assert code == EXIT_ERROR
+    col = len("(assert ") + 5 * (MAX_NESTING - 1) + 1
+    assert out == "" and f":2:{col}:" in err and "nesting" in err
+    assert "Traceback" not in err
+    # the deepest nest accepted is solved
+    depth = MAX_NESTING - 2
+    text = ("(declare-str s)(assert " + "(and " * depth + '(= s "a")'
+            + ")" * depth + ")")
+    assert _run(tmp_path, text)[:2] == (EXIT_SAT, "sat\n")
+
+
+STALL = """
+(declare-str z)
+(declare-str w)
+(declare-str u)
+(declare-str y)
+(declare-str v)
+(assert (= (str.++ z w "ba") "aba"))
+(assert (= (str.++ u "aba" w) (str.++ "aa" y "a" v)))
+(assert (<= (str.len w) 1))
+(assert (= (mod (str.len u) 2) 0))
+(assert (= (mod (str.len y) 2) 1))
+"""
+
+
+def test_implied_equality_does_not_stall_branch_and_bound(tmp_path):
+    # the length abstraction implies an equality that arrives as two
+    # opposite inequalities; unless it is found and eliminated, branch
+    # and bound climbs unbounded quotient variables for minutes
+    start = time.perf_counter()
+    code, out, err = _run(tmp_path, STALL, ["--oracle-check", "4"])
+    assert time.perf_counter() - start < 5
+    assert (code, out) == (EXIT_SAT, "sat\n")
+    assert "model verified" in err
