@@ -1,11 +1,14 @@
 """The unfolding-tree solver.
 
-One solve call owns one tree.  Each iteration decides base leaves exactly
+One solve call owns one tree.  Each iteration prunes leaves a membership
+can no longer accept (empty residual), decides base leaves exactly
 (under-approximation), prunes leaves whose length abstraction is already
 unsatisfiable (over-approximation), tries to close the remaining open
 leaves against an ancestor up the same path (cyclic back-link), and
 otherwise expands the deepest open leaf with the head-directed unfolding
 rules.  SAT answers carry a model; UNSAT answers carry the closed tree.
+A leaf a resource cap stops is given up, and a tree closed with one
+answers unknown.
 """
 
 from __future__ import annotations
@@ -24,10 +27,10 @@ from .terms import (AAdd, AInt, AScale, AVar, Alias, ArithAtom, ArithExpr,
                     Atom, CChar, CharPrefix, EpsBind, Equation, FAtom, FEq,
                     FIn, FNot, Formula, Membership, Model, NormalizedFormula,
                     SPred, SVar, Split, Subterm, arith_len_vars, atom_eq,
-                    atom_le, atom_lt, equation_size, formula_summary,
-                    length_expr, normalized_to_formula, rename_atom_vars,
-                    rename_subterm, subst_len, subterm_defined, term_subst,
-                    vars_of_atoms)
+                    atom_le, atom_lt, equation_size, fold_balanced,
+                    formula_summary, length_expr, normalized_to_formula,
+                    rename_atom_vars, rename_subterm, subst_len,
+                    subterm_defined, term_subst, vars_of_atoms)
 
 DEFAULT_BUDGET = 10000
 
@@ -37,6 +40,12 @@ OA_LENGTHS_ONLY = "lengths-only"
 
 class EngineInternalError(Exception):
     """Invariant violation inside the solver; never a verdict."""
+
+
+class CapExceeded(Exception):
+    """A resource cap stopped the exact decision of a leaf.  Unless the
+    length abstraction or a back-link closes it, the leaf is given up: the
+    search goes on, and can no longer answer unsat."""
 
 
 # ---------------------------------------------------------------------------
@@ -378,15 +387,17 @@ def _concat(left: tuple, right: tuple) -> tuple:
 
 def _length_of(segs: tuple, lens: Dict[str, str],
                fresh: Iterator[int]) -> ArithExpr:
-    """|segs| over the length variables: the count of its literal
-    characters plus the length variable of each open piece.  An open
-    variable without one gets a fresh $L variable numbered from fresh."""
-    expr = AInt(sum(len(s) for s in segs if isinstance(s, str)))
+    """|segs| over the length variables, as a balanced sum: the count of
+    its literal characters plus the length variable of each open piece.
+    An open variable without one gets a fresh $L variable numbered from
+    fresh."""
+    parts: List[ArithExpr] = [
+        AInt(sum(len(s) for s in segs if isinstance(s, str)))]
     for s in segs:
         if not isinstance(s, str):
             name = lens[s[1]] if s[1] in lens else f"$L{next(fresh)}_{s[1]}"
-            expr = AAdd(expr, AVar(name))
-    return expr
+            parts.append(AVar(name))
+    return fold_balanced(AAdd, parts)
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +412,24 @@ def _set_component_atoms(expr, comp, fresh: str) -> tuple:
             atom_le(AInt(0), AVar(fresh)))
 
 
-_FALSE_ATOM = atom_eq(AInt(0), AInt(1))
+def residual_empty(f: NormalizedFormula) -> Optional[str]:
+    """The first member variable whose membership no word of its resolved
+    pieces can meet, or None.
+
+    Each membership's automaton runs over the pieces ``_walker`` resolves
+    its variable to (``regexes.residual_states``): literals step the state
+    set, an open variable takes its reachability closure.  Occurrences of
+    one variable are treated independently, which only loses precision,
+    so an accepting state missing from the final set proves the leaf has
+    no model."""
+    pieces = _walker(f)
+    for m in f.memberships:
+        dfa = _regexes.compiled(m.regex, f.alphabet)
+        if not _regexes.residual_states(dfa, pieces(m.var)) & dfa.accepting:
+            return m.var
+    return None
+
+
 _OA_DISJUNCT_CAP = 256
 
 
@@ -411,8 +439,10 @@ def over_approx(f: NormalizedFormula,
 
     Every word equation becomes an equality of lengths.  In full mode each
     membership additionally pins the member's length inside the semilinear
-    length set of its regex; that strengthening stays sound because any
-    string model's lengths satisfy it.
+    length set of its regex (analysed once per cached automaton); that
+    strengthening stays sound because any string model's lengths satisfy
+    it.  A membership with an empty length set leaves no disjunct; the
+    search closes such leaves earlier, by their empty residual.
 
     Every disjunct has the same layout: one length equality per equation,
     in order, then ``f.arith`` as it is, then the disjunct's own
@@ -430,14 +460,10 @@ def over_approx(f: NormalizedFormula,
         dfa = _regexes.compiled(m.regex, f.alphabet)
         lset = _regexes.length_set(dfa)
         expr = _length_of(pieces(m.var), lens, fresh)
-        comps: List[tuple] = []
-        if lset.is_empty():
-            comps = [(_FALSE_ATOM,)]
-        else:
-            for n in sorted(lset.finite):
-                comps.append(_set_component_atoms(expr, n, ""))
-            for j, prog in enumerate(lset.progressions):
-                comps.append(_set_component_atoms(expr, prog, f"$k{i}_{j}"))
+        comps = [_set_component_atoms(expr, n, "")
+                 for n in sorted(lset.finite)]
+        comps += [_set_component_atoms(expr, prog, f"$k{i}_{j}")
+                  for j, prog in enumerate(lset.progressions)]
         if len(disjuncts) * len(comps) > _OA_DISJUNCT_CAP:
             break  # weaken: remaining memberships contribute nothing
         disjuncts = [d + c for d in disjuncts for c in comps]
@@ -459,6 +485,8 @@ def oa_unsat(f: NormalizedFormula, mode: str = OA_FULL,
     conjoined to it once; each disjunct then solves only its membership
     atoms on top."""
     disjuncts = over_approx(f, mode)
+    if not disjuncts:
+        return True
     n_eqs, n_shared = len(f.equations), len(f.equations) + len(f.arith)
     if hyp is None:
         hyp = _arith.Hypothesis(f.arith)
@@ -501,7 +529,8 @@ def under_approx_check(f: NormalizedFormula) -> UAResult:
     into boundary-state choices over their DFAs; each choice constrains
     every open variable's length to the semilinear length set of the joint
     run of all its occurrences, and the arithmetic backend decides the
-    rest.  A SAT verdict always carries a checked model.
+    rest.  A SAT verdict always carries a checked model.  Raises
+    CapExceeded when the boundary choices number more than _UA_COMBO_CAP.
     """
     if not is_base(f):
         return UAResult("notbase")
@@ -543,7 +572,8 @@ def under_approx_check(f: NormalizedFormula) -> UAResult:
             opens = [s for s in segs if not isinstance(s, str)]
             total *= max(dfa.n_states ** len(opens), 1)
             if total > _UA_COMBO_CAP:
-                raise EngineInternalError("membership state space too large")
+                raise CapExceeded("membership state space over "
+                                  f"_UA_COMBO_CAP = {_UA_COMBO_CAP}")
             choices = []
             for mids in itertools.product(range(dfa.n_states),
                                           repeat=len(opens)):
@@ -856,6 +886,11 @@ class SatLeaf:
     model: Model
 
 
+@dataclass(frozen=True)
+class GaveUp:
+    reason: str
+
+
 @dataclass
 class TreeNode:
     id: int
@@ -934,7 +969,17 @@ def solve_conjunction(conjuncts: Iterable[Formula], alphabet: Iterable[str],
             if leaf.checked:
                 continue
             leaf.checked = True
-            ua = under_approx_check(leaf.formula)
+            if oa_mode == OA_FULL:
+                member = residual_empty(leaf.formula)
+                if member is not None:
+                    leaf.status = ClosedUnsat(
+                        f"membership residual empty: {member}")
+                    continue
+            capped = None
+            try:
+                ua = under_approx_check(leaf.formula)
+            except CapExceeded as e:
+                ua, capped = UAResult("notbase"), e
             if ua.status == "sat":
                 leaf.status = SatLeaf(ua.model)
                 return Answer("sat", model=ua.model, tree=tree,
@@ -951,10 +996,13 @@ def solve_conjunction(conjuncts: Iterable[Formula], alphabet: Iterable[str],
             if linked is not None:
                 a_index, theta = linked
                 leaf.status = BackLinkedTo(ancestors[a_index].id, theta)
+            elif capped is not None:
+                leaf.status = GaveUp(str(capped))
 
         if tree.is_closed():
-            return Answer("unsat", tree=tree, unfoldings=spent,
-                          fragment=fragment)
+            gave_up = any(isinstance(n.status, GaveUp) for n in tree.nodes)
+            return Answer("unknown" if gave_up else "unsat", tree=tree,
+                          unfoldings=spent, fragment=fragment)
         if spent >= budget:
             return Answer("unknown", tree=tree, unfoldings=spent,
                           fragment=fragment)
@@ -986,7 +1034,7 @@ def solve_conjunction(conjuncts: Iterable[Formula], alphabet: Iterable[str],
 
 def export_tree(tree: UnfoldingTree) -> str:
     """Render the tree for graphviz: tree edges solid, back-links dashed,
-    closed leaves grey, SAT leaves bold."""
+    closed leaves grey, given-up leaves yellow, SAT leaves bold."""
     lines = ["digraph unfolding_tree {",
              '  node [shape=box, fontname="monospace", fontsize=9];']
     for n in tree.nodes:
@@ -998,6 +1046,9 @@ def export_tree(tree: UnfoldingTree) -> str:
         elif isinstance(n.status, SatLeaf):
             style = ', style=bold, color=darkgreen'
             label += "\\nSAT"
+        elif isinstance(n.status, GaveUp):
+            style = ', style="filled,dashed", fillcolor=lightyellow'
+            label += f"\\ngave up: {_dot_escape(n.status.reason)}"
         elif isinstance(n.status, BackLinkedTo):
             label += f"\\nlinked to #{n.status.target}"
         lines.append(f'  n{n.id} [label="{label}"{style}];')

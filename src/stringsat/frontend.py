@@ -20,8 +20,8 @@ from .terms import (AAdd, AInt, ALen, AMax, AMin, AMod, ANeg, AScale, AVar,
                     ArithAtom, ArithExpr, CChar, FAnd, FAtom, FEq, FIn, FNot,
                     FOr, Formula, Model, RCat, RComp, RE, REps, RInter,
                     RStar, RUnion, RWord, SVar, Term, arith_len_vars,
-                    atom_le, collect_vars, eval_arith, formula_chars, to_dnf,
-                    word)
+                    atom_le, collect_vars, eval_arith, fold_balanced,
+                    formula_chars, to_dnf, word)
 
 
 class ParseError(Exception):
@@ -392,10 +392,7 @@ def _regex(n: _Node, ctx: _Ctx) -> RE:
 def _fold(ctor, parts: List[RE], n: _Node) -> RE:
     if not parts:
         raise ParseError("operator expects at least one regex", *n.pos)
-    out = parts[0]
-    for p in parts[1:]:
-        out = ctor(out, p)
-    return out
+    return fold_balanced(ctor, parts)
 
 
 def _arith(n: _Node, ctx: _Ctx) -> ArithExpr:
@@ -420,10 +417,7 @@ def _arith(n: _Node, ctx: _Ctx) -> ArithExpr:
     if head == "+":
         if not args:
             raise ParseError("+ expects at least one argument", *n.pos)
-        out = _arith(args[0], ctx)
-        for a in args[1:]:
-            out = AAdd(out, _arith(a, ctx))
-        return out
+        return fold_balanced(AAdd, [_arith(a, ctx) for a in args])
     if head == "-":
         if len(args) == 1:
             return ANeg(_arith(args[0], ctx))

@@ -428,21 +428,28 @@ def atom_length(a: Atom) -> ArithExpr:
     return AVar(a.length)
 
 
-def length_expr(term: Term) -> ArithExpr:
-    """Structural length of a term: its character count plus the length
-    of each variable occurrence, AInt(0) for the empty word.  The sum is
-    balanced, so a side with n variable occurrences nests O(log n) deep
-    and the recursive walks over arithmetic stay shallow."""
-    parts: List[ArithExpr] = [atom_length(a) for a in term
-                              if not isinstance(a, CChar)]
-    parts.insert(0, AInt(len(term) - len(parts)))
+def fold_balanced(ctor, parts: list):
+    """The parts, in order, joined by the binary constructor ctor,
+    pairing neighbours level by level.  n parts nest O(log n) deep, so
+    the recursive walks over the result stay shallow."""
+    if not parts:
+        raise ValueError("nothing to fold")
     while len(parts) > 1:
-        paired = [AAdd(parts[i], parts[i + 1])
+        paired = [ctor(parts[i], parts[i + 1])
                   for i in range(0, len(parts) - 1, 2)]
         if len(parts) % 2:
             paired.append(parts[-1])
         parts = paired
     return parts[0]
+
+
+def length_expr(term: Term) -> ArithExpr:
+    """Structural length of a term: its character count plus the length
+    of each variable occurrence, AInt(0) for the empty word, as a
+    balanced sum."""
+    parts: List[ArithExpr] = [atom_length(a) for a in term
+                              if not isinstance(a, CChar)]
+    return fold_balanced(AAdd, [AInt(len(term) - len(parts))] + parts)
 
 
 def term_subst(term: Term, pattern: Atom, replacement: Term) -> Term:

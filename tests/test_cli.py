@@ -1,11 +1,15 @@
 import io
+import random
 import time
 
 import pytest
 
+from corpus import draw_acyclic, draw_one_cycle, rand_regex
 from stringsat.cli import (EXIT_ERROR, EXIT_SAT, EXIT_UNKNOWN, EXIT_UNSAT,
                            RunConfig, config_from_args, run)
-from stringsat.frontend import MAX_NESTING
+from stringsat.frontend import MAX_NESTING, Problem, render_problem
+from stringsat.terms import (FAnd, FIn, SVar, formula_int_vars,
+                             formula_len_vars, formula_string_vars)
 
 WORKED = """
 (declare-str s)
@@ -227,3 +231,121 @@ def test_implied_equality_does_not_stall_branch_and_bound(tmp_path):
     assert time.perf_counter() - start < 5
     assert (code, out) == (EXIT_SAT, "sat\n")
     assert "model verified" in err
+
+
+def test_many_summands_are_solved(tmp_path):
+    # n-ary + folds balanced, so 2,000 summands nest 11 deep
+    many = " ".join(["k"] * 2000)
+    text = f"(declare-int k)(assert (= (+ {many}) 4000))"
+    code, out, err = _run(tmp_path, text, ["--model"])
+    assert code == EXIT_SAT, err
+    assert "(define k 2)" in out
+
+
+@pytest.mark.parametrize("op,part", [
+    ("re.++", '(re.* (str.to_re "ab"))'),
+    ("re.union", '(str.to_re "aba")'),
+    ("re.inter", '(re.++ (re.* (str.to_re "ab")) (str.to_re "a"))'),
+])
+def test_many_regex_operands_are_solved(tmp_path, op, part):
+    # n-ary regex operators fold balanced; each form below denotes a
+    # language holding "aba" once the last operand is (ab)*.a
+    last = '(re.++ (re.* (str.to_re "ab")) (str.to_re "a"))'
+    regex = f"({op} {' '.join([part] * 1999)} {last})"
+    text = (f"(declare-str s)(assert (str.in_re s {regex}))"
+            "(assert (= (str.len s) 3))")
+    code, out, err = _run(tmp_path, text, ["--model"])
+    assert code == EXIT_SAT, err
+    assert '(define s "aba")' in out
+
+
+CAPPED = """
+(declare-str x)
+(declare-str y)
+(declare-str z)
+(assert (= (str.++ x y z) (str.++ z y x)))
+(assert (= (str.len x) (+ (str.len z) 1)))
+(assert (str.in_re x (re.* (str.to_re "ab"))))
+"""
+
+
+def test_membership_state_space_cap_answers_unknown(tmp_path):
+    # base leaves past the UA boundary-choice cap are given up: the search
+    # goes on, and the answer is unknown, not an error
+    dot = tmp_path / "tree.dot"
+    code, out, err = _run(tmp_path, CAPPED,
+                          ["--budget", "20", "--dot", str(dot)])
+    assert (code, out) == (EXIT_UNKNOWN, "unknown\n"), err
+    assert "gave up: membership state space over _UA_COMBO_CAP" \
+        in dot.read_text()
+
+
+# --- fixed-seed fuzz: every input ends in a documented exit code -----------
+
+def _problem_text(conjs) -> str:
+    f = FAnd(tuple(conjs))
+    strs = sorted(formula_string_vars(f) | formula_len_vars(f))
+    return render_problem(Problem(tuple(strs),
+                                  tuple(sorted(formula_int_vars(f))), (),
+                                  tuple(conjs)))
+
+
+def _fuzz_inputs(rng: random.Random):
+    good = [_problem_text(c) for c in draw_one_cycle(rng, 30)]
+    for conjs in draw_acyclic(rng, 20):
+        names = sorted(formula_string_vars(FAnd(tuple(conjs))))
+        if names:
+            conjs = conjs + [FIn((SVar(rng.choice(names)),),
+                                 rand_regex(rng, "ab", 3))]
+        good.append(_problem_text(conjs))
+    yield from good
+    operators = ["str.++", "re.++", "re.union", "re.inter", "+", "and",
+                 "or", "not", "re.*", "re.comp", "str.len", "mod", "max"]
+    for _ in range(150):
+        text = rng.choice(good)
+        kind = rng.randrange(6)
+        if kind == 0:  # truncated
+            yield text[:rng.randrange(len(text))]
+        elif kind == 1:  # one parenthesis too few or too many
+            i = rng.randrange(len(text))
+            yield text[:i] + rng.choice("()") + text[i + 1:]
+        elif kind == 2:  # deep parentheses around an assertion
+            depth = rng.choice([99, 150])
+            yield text + "(assert " + "(and " * depth + "true" \
+                + ")" * depth + ")"
+        elif kind == 3:  # an unknown or misused operator
+            bad = rng.choice(["str.replace", "re.opt", "frob", "*", "-"])
+            yield text.replace(rng.choice(operators), bad, 1)
+        elif kind == 4:  # a 2,000-argument term
+            op, arg = rng.choice([("+", "(str.len s)"), ("and", "true"),
+                                  ("re.union", '(str.to_re "ab")'),
+                                  ("str.++", '"a"')])
+            many = " ".join([arg] * 2000)
+            if op == "+":
+                yield text + f"(assert (<= ({op} {many}) 3))"
+            elif op == "and":
+                yield text + f"(assert ({op} {many}))"
+            elif op == "re.union":
+                yield text + f"(assert (str.in_re s ({op} {many})))"
+            else:
+                yield text + f"(assert (= s ({op} {many})))"
+        else:  # random bytes spliced in
+            i = rng.randrange(len(text))
+            junk = "".join(rng.choice('()" ab1-+=\\') for _ in range(5))
+            yield text[:i] + junk + text[i:]
+
+
+def test_fuzzed_inputs_end_in_a_documented_exit_code(tmp_path):
+    start = time.perf_counter()
+    rng = random.Random(61)
+    seen = set()
+    for text in _fuzz_inputs(rng):
+        budget = rng.choice(["0", "5", "50"])
+        code, out, err = _run(tmp_path, text, ["--budget", budget])
+        assert code in (EXIT_SAT, EXIT_UNSAT, EXIT_UNKNOWN, EXIT_ERROR), text
+        if code == EXIT_UNSAT:
+            assert out == "unsat\n", text
+        assert "Traceback" not in err, text
+        seen.add(code)
+    assert seen == {EXIT_SAT, EXIT_UNSAT, EXIT_UNKNOWN, EXIT_ERROR}, seen
+    assert time.perf_counter() - start < 20

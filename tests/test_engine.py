@@ -1,18 +1,19 @@
+import hashlib
 import itertools
 import random
 
 import pytest
 
 from corpus import (draw_acyclic, draw_one_cycle, gen_small_normalized,
-                    rand_regex)
+                    rand_regex, rand_tame_regex)
 from stringsat import engine, oracle
 from stringsat.arith import Hypothesis
 from stringsat.classify import is_linear
 from stringsat.engine import (BackLinkedTo, ClosedUnsat, EngineInternalError,
-                              OA_FULL, OA_LENGTHS_ONLY, UnfoldChild,
+                              GaveUp, OA_FULL, OA_LENGTHS_ONLY, UnfoldChild,
                               _length_of, _walker, export_tree,
                               init_normalize, link_back, oa_unsat,
-                              over_approx, progress_steps,
+                              over_approx, progress_steps, residual_empty,
                               solve_conjunction,
                               under_approx_check, unfold)
 from stringsat.terms import (AInt, ALen, AMod, AVar, Alias, CChar, CharPrefix,
@@ -283,13 +284,94 @@ def _hard_instance():
 
 
 def test_hard_instance_tree_is_pinned():
-    # x.z.y = b.z.x with x in a*.a is unsat (x starts with a), but the
-    # membership stays invisible until a base leaf, so no back-link closes
-    # the tree within the budget.  Pins the tree, not the time it takes.
+    # x.z.y = b.z.x with x in a*.a is unsat (x starts with a).  After the
+    # first unfolding x is either empty or b followed by a rest, and a*.a
+    # accepts neither: both children close by their empty residual.  Pins
+    # the tree, not the time it takes.
     ans = solve_conjunction(_hard_instance(), "ab", budget=100)
-    assert ans.verdict == "unknown"
-    assert len(ans.tree.nodes) == 171
-    assert ans.unfoldings == 100
+    assert ans.verdict == "unsat"
+    assert len(ans.tree.nodes) == 3
+    assert ans.unfoldings == 1
+    assert [n.status for n in ans.tree.nodes[1:]] == \
+        [ClosedUnsat("membership residual empty: x")] * 2
+
+
+def _residual_closed(tree):
+    return [n for n in tree.nodes if isinstance(n.status, ClosedUnsat)
+            and n.status.reason.startswith("membership residual empty: ")]
+
+
+def _acyclic_with_membership(rng, count):
+    """Acyclic draws, each given a membership on one of its variables."""
+    out = []
+    for conjs in draw_acyclic(rng, count):
+        names = sorted({a.name for c in conjs for a in c.lhs + c.rhs
+                        if isinstance(a, SVar)})
+        if names:
+            conjs = conjs + [FIn((SVar(rng.choice(names)),),
+                                 rand_tame_regex(rng, "ab", 2))]
+        out.append(conjs)
+    return out
+
+
+def test_residual_closed_nodes_have_no_oracle_model():
+    # the residual check reads memberships and subterms only, so each node
+    # it closes must lack a model even with its arithmetic dropped
+    rng = random.Random(51)
+    problems = draw_one_cycle(rng, 60) + _acyclic_with_membership(rng, 60)
+    closed = 0
+    for conjs in problems:
+        for n in _residual_closed(solve_conjunction(conjs, "ab").tree):
+            assert residual_empty(n.formula) is not None
+            f = normalized_to_formula(n.formula.with_(arith=()))
+            assert oracle.brute_force_solve(f, "ab",
+                                            oracle.Bound(4, 8)) is None, f
+            closed += 1
+    assert closed > 20, closed
+
+
+def test_lengths_only_trees_are_unchanged(monkeypatch):
+    # lengths-only OA never runs the residual check; the digest of these
+    # trees' DOT export was recorded before the check existed
+    def refuse(f):
+        raise AssertionError("residual check in lengths-only mode")
+
+    monkeypatch.setattr(engine, "residual_empty", refuse)
+    rng = random.Random(52)
+    problems = draw_one_cycle(rng, 10) + _acyclic_with_membership(rng, 10)
+    problems += [_hard_instance(), worked_example()]
+    digest = hashlib.sha1()
+    sizes = []
+    for conjs in problems:
+        ans = solve_conjunction(conjs, "ab", budget=100,
+                                oa_mode=OA_LENGTHS_ONLY)
+        digest.update(export_tree(ans.tree).encode())
+        sizes.append(len(ans.tree.nodes))
+    assert sizes == [1, 7, 1, 1, 1, 5, 1, 1, 1, 5, 6,
+                     1, 1, 1, 1, 1, 1, 6, 1, 1, 171, 5]
+    assert digest.hexdigest() == "c83f5a094fb873820e93adbcbc68e014bcf8fe00"
+
+
+def test_a_capped_leaf_is_given_up_unless_closed_otherwise(monkeypatch):
+    x = SVar("x")
+    odd_a = [FIn((x,), ROTATE_RE)]
+    clash = odd_a + [FIn((x,), RCat(RStar(RWord("ba")), RWord("b")))]
+    even = odd_a + [FAtom(atom_eq(AMod(ALen("x"), AInt(2)), AInt(0)))]
+    problems = [odd_a, clash, even]
+    assert [solve_conjunction(c, "ab").verdict for c in problems] == \
+        ["sat", "unsat", "unsat"]
+    # every root below is base, and its 3-state automaton has more
+    # boundary choices than the cap allows
+    monkeypatch.setattr(engine, "_UA_COMBO_CAP", 1)
+    capped = [solve_conjunction(c, "ab") for c in problems]
+    assert [a.verdict for a in capped] == ["unknown", "unknown", "unsat"]
+    for ans in capped[:2]:
+        assert ans.tree.is_closed()
+        assert isinstance(ans.tree.nodes[0].status, GaveUp)
+        assert "gave up: membership state space over _UA_COMBO_CAP = 1" \
+            in export_tree(ans.tree)
+    assert capped[2].tree.nodes[0].status == \
+        ClosedUnsat("length abstraction unsat")
 
 
 def test_node_hypotheses_give_the_from_scratch_answers():
@@ -299,6 +381,7 @@ def test_node_hypotheses_give_the_from_scratch_answers():
     rng = random.Random(24)
     problems = [(c, 10000) for c in draw_one_cycle(rng, 30)]
     problems += [(c, 10000) for c in draw_acyclic(rng, 10)]
+    problems += [(c, 10000) for c in draw_one_cycle(rng, 30)]
     problems += [(_hard_instance(), 100), (worked_example(), 10000)]
     seen = {"pruned": 0, "linked": 0}
     for conjs, budget in problems:

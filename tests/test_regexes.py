@@ -1,13 +1,15 @@
 import itertools
 import random
+from collections import OrderedDict
 
 import pytest
 
 from corpus import rand_regex
+from stringsat import regexes
 from stringsat.regexes import (LiteralOutsideAlphabetError, accepts,
-                               compile_regex, joint_product, length_set,
-                               lengths_reachable, product,
-                               witness_with_length)
+                               compile_regex, compiled, joint_product,
+                               length_set, lengths_reachable, product,
+                               residual_states, witness_with_length)
 from stringsat.terms import (RCat, RComp, REmpty, REps, RInter, RLit, RStar,
                              RUnion, RWord)
 
@@ -177,3 +179,130 @@ def test_joint_product_requires_consistent_word():
     j = joint_product([(d, d.start, acc), (d, d.start, acc)])
     assert accepts(j, "a")
     assert not accepts(j, "ab")
+
+
+# --- residual state sets ----------------------------------------------------
+
+OPEN = ("var", "x")
+
+
+def _residual_accepts(r, sigma: str, pieces) -> bool:
+    d = compile_regex(r, sigma)
+    return bool(residual_states(d, pieces) & d.accepting)
+
+
+def test_residual_steps_literals_and_closes_over_open_pieces():
+    assert _residual_accepts(ROTATE, "ab", ["ab", OPEN, "a"])
+    assert _residual_accepts(ROTATE, "ab", [OPEN, "ba"])
+    assert not _residual_accepts(ROTATE, "ab", ["b", OPEN])
+    assert not _residual_accepts(ROTATE, "ab", [OPEN, "b"])
+    assert not _residual_accepts(ROTATE, "ab", ["aa", OPEN])
+    assert not _residual_accepts(ROTATE, "ab", [])
+    # a literal after an open piece steps every state the closure reached
+    a_star_ba = RCat(RStar(RLit("a")), RWord("ba"))
+    assert _residual_accepts(a_star_ba, "ab", ["a", OPEN, "a"])
+    assert not _residual_accepts(a_star_ba, "ab", [OPEN, "b"])
+    # a character outside the automaton's alphabet leaves no run
+    assert residual_states(compile_regex(ROTATE, "ab"), ["c"]) == frozenset()
+
+
+def _instances(pieces, sigma: str, n: int):
+    opens = [i for i, p in enumerate(pieces) if not isinstance(p, str)]
+    words = ["".join(w) for k in range(n + 1)
+             for w in itertools.product(sigma, repeat=k)]
+    for fill in itertools.product(words, repeat=len(opens)):
+        got = dict(zip(opens, fill))
+        yield "".join(got.get(i, p) for i, p in enumerate(pieces))
+
+
+def test_residual_is_exact_for_distinct_open_pieces():
+    # each open piece stands for its own word, so some filling of the open
+    # pieces is accepted iff an accepting state is in the residual set; a
+    # shortest word between two states has fewer letters than the
+    # automaton has states, which bounds the fillings to try
+    rng = random.Random(41)
+    checked = 0
+    while checked < 60:
+        sigma = "ab"[:rng.randint(1, 2)]
+        r = rand_regex(rng, sigma, 3)
+        d = compile_regex(r, sigma)
+        if d.n_states > 6:
+            continue
+        pieces = [OPEN if rng.random() < 0.4 else
+                  "".join(rng.choice(sigma) for _ in range(rng.randint(1, 2)))
+                  for _ in range(rng.randint(0, 3))]
+        if sum(p == OPEN for p in pieces) > 1 and d.n_states > 4:
+            continue
+        want = any(_accepts_by_derivative(r, w)
+                   for w in _instances(pieces, sigma, d.n_states - 1))
+        assert bool(residual_states(d, pieces) & d.accepting) == want, \
+            (r, pieces)
+        checked += 1
+
+
+# --- the automaton cache ----------------------------------------------------
+
+@pytest.fixture
+def cold_cache(monkeypatch):
+    cache = OrderedDict()
+    monkeypatch.setattr(regexes, "_compiled_cache", cache)
+    return cache
+
+
+def test_cache_evicts_the_least_recently_used(cold_cache, monkeypatch):
+    monkeypatch.setattr(regexes, "CACHE_SIZE", 3)
+    sigma = ("a", "b")
+    words = [RWord(w) for w in ("a", "b", "ab", "ba")]
+    first = compiled(words[0], sigma)
+    compiled(words[1], sigma)
+    compiled(words[2], sigma)
+    assert compiled(words[0], sigma) is first  # a hit refreshes the entry
+    compiled(words[3], sigma)
+    assert [r for r, _ in cold_cache] == [words[2], words[0], words[3]]
+    # sub-expressions take entries too, and the bound holds for them
+    compiled(RStar(RCat(words[1], words[2])), sigma)
+    assert len(cold_cache) == 3
+    assert list(cold_cache)[-1] == (RStar(RCat(words[1], words[2])), sigma)
+
+
+def test_subexpression_cache_compiles_what_a_cold_cache_compiles(
+        cold_cache):
+    rng = random.Random(43)
+    sigma = ("a", "b")
+    drawn = [rand_regex(rng, "ab", 4) for _ in range(60)]
+    warm = [compiled(r, sigma) for r in drawn]  # parts shared across draws
+    for r, d in zip(drawn, warm):
+        cold_cache.clear()
+        assert compile_regex(r, sigma) == d, r
+        for n in range(5):
+            for w in itertools.product(sigma, repeat=n):
+                w = "".join(w)
+                assert accepts(d, w) == _accepts_by_derivative(r, w), (r, w)
+
+
+def test_alphabet_is_checked_once_per_top_level_regex(cold_cache,
+                                                      monkeypatch):
+    seen = []
+    real = regexes.regex_chars
+    monkeypatch.setattr(regexes, "regex_chars",
+                        lambda r: seen.append(r) or real(r))
+    r = RStar(RCat(RUnion(RLit("a"), RWord("ab")), RComp(RLit("b"))))
+    compiled(r, ("a", "b"))
+    compiled(r, ("a", "b"))
+    assert seen == [r]
+
+
+def test_length_set_is_analysed_once_per_automaton(cold_cache, monkeypatch):
+    analysed = []
+    real = regexes._length_lasso
+    monkeypatch.setattr(regexes, "_length_lasso",
+                        lambda d: analysed.append(d) or real(d))
+    sigma = ("a", "b")
+    for _ in range(3):
+        assert length_set(compiled(ROTATE, sigma)).contains(3)
+        assert length_set(compiled(RStar(RWord("ab")), sigma)).contains(4)
+    assert len(analysed) == 2
+    # an evicted automaton is compiled and analysed afresh
+    cold_cache.clear()
+    length_set(compiled(ROTATE, sigma))
+    assert len(analysed) == 3
