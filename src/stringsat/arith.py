@@ -37,7 +37,11 @@ from .terms import (AAdd, AInt, ALen, AMax, AMin, AMod, ANeg, AScale, AVar,
 
 
 class ArithInternalError(Exception):
-    """A resource cap tripped; never reported as a verdict."""
+    """A broken invariant; never reported as a verdict."""
+
+
+class CapExceeded(Exception):
+    """A resource cap stopped a decision; the search gives the leaf up."""
 
 
 # A linear atom: sum(coeffs[v] * v) (kind) const, kind in {'eq', 'le'}
@@ -100,7 +104,7 @@ def _check_cap(n: int) -> None:
     Every alternative of a subexpression ends up in its own system, so a
     count over the cap here means the whole lowering would exceed it."""
     if n > _LOWER_CAP:
-        raise ArithInternalError("case split explosion in lowering")
+        raise CapExceeded("case split explosion in lowering")
 
 
 class _Fresh:
@@ -569,7 +573,7 @@ def _bb_solve(ineqs: List[Tuple[dict, int]],
     while stack:
         nodes += 1
         if nodes > _BB_NODE_CAP:
-            raise ArithInternalError("branch-and-bound node cap exceeded")
+            raise CapExceeded("branch-and-bound node cap exceeded")
         sys_ineqs = stack.pop()
         bounds = _propagate(sys_ineqs, variables)
         if bounds is None:
@@ -755,7 +759,7 @@ def quick_unsat(atoms) -> bool:
     nothing.  Used where the full procedure would be too expensive."""
     try:
         systems = lower(atoms)
-    except ArithInternalError:
+    except CapExceeded:
         return False
     for system in systems:
         try:

@@ -185,15 +185,10 @@ def _mod_template(atom: ArithAtom) -> bool:
     return False
 
 
-def is_periodic_arith(atoms: Iterable[ArithAtom]) -> bool:
-    """True when every atom fits the periodic templates: octagonal
-    (+-x +-y <= k and the equalities it spans, hence also x = k and
-    x' = +-x + k), or mod-by-constant on a variable.  max/min and mod by a
-    non-constant divisor fall outside."""
-    return _first_nonperiodic(atoms) is None
-
-
 def _first_nonperiodic(atoms: Iterable[ArithAtom]) -> Optional[ArithAtom]:
+    """The first atom outside the periodic templates (octagonal +-x +-y <= k
+    and the equalities it spans, or mod by a constant on a variable), or
+    None; max/min and mod by a non-constant divisor fall outside."""
     for a in atoms:
         if not (_mod_template(a) or _octagonal_shape(a)):
             return a

@@ -42,12 +42,6 @@ class EngineInternalError(Exception):
     """Invariant violation inside the solver; never a verdict."""
 
 
-class CapExceeded(Exception):
-    """A resource cap stopped the exact decision of a leaf.  Unless the
-    length abstraction or a back-link closes it, the leaf is given up: the
-    search goes on, and can no longer answer unsat."""
-
-
 # ---------------------------------------------------------------------------
 # Fresh names.  Engine-generated variables carry a "$" prefix the parser
 # never accepts, so they cannot collide with user identifiers.
@@ -572,7 +566,7 @@ def under_approx_check(f: NormalizedFormula) -> UAResult:
             opens = [s for s in segs if not isinstance(s, str)]
             total *= max(dfa.n_states ** len(opens), 1)
             if total > _UA_COMBO_CAP:
-                raise CapExceeded("membership state space over "
+                raise _arith.CapExceeded("membership state space over "
                                   f"_UA_COMBO_CAP = {_UA_COMBO_CAP}")
             choices = []
             for mids in itertools.product(range(dfa.n_states),
@@ -695,9 +689,9 @@ def _finish_model(f: NormalizedFormula, pieces: Callable[[str], tuple],
 
 @dataclass(frozen=True)
 class Theta:
-    """Substitution making a leaf isomorphic to an ancestor: a string
-    variable permutation, a character permutation, and an integer
-    renaming."""
+    """Substitution making a leaf an instance of an ancestor: the string
+    variable map of the equations, a letter-to-letter character map
+    (identity where it is silent), and an integer renaming."""
 
     svar_map: tuple
     char_map: tuple
@@ -711,9 +705,9 @@ def progress_steps(f: NormalizedFormula) -> int:
     return sum(1 for c in f.subterms if isinstance(c, (CharPrefix, Split)))
 
 
-def _unify_equations(leaf_eqs: tuple, anc_eqs: tuple):
-    if len(leaf_eqs) != len(anc_eqs):
-        return None
+def _unify_equations(pairs: Iterable[tuple]):
+    """One injective string, character and length map under which the
+    equations of each pair's first formula are the second's, or None."""
     smap: Dict[str, str] = {}
     cmap: Dict[str, str] = {}
     imap: Dict[str, str] = {}
@@ -724,72 +718,61 @@ def _unify_equations(leaf_eqs: tuple, anc_eqs: tuple):
         m[a] = b
         return True
 
-    for el, ea in zip(leaf_eqs, anc_eqs):
-        for tl, ta in ((el.lhs, ea.lhs), (el.rhs, ea.rhs)):
-            if len(tl) != len(ta):
-                return None
-            for al, aa in zip(tl, ta):
-                if isinstance(al, CChar) and isinstance(aa, CChar):
-                    if not bind(cmap, al.char, aa.char):
-                        return None
-                elif isinstance(al, SPred) and isinstance(aa, SPred):
-                    if not bind(smap, al.var, aa.var):
-                        return None
-                    if not bind(imap, al.length, aa.length):
-                        return None
-                else:
+    for leaf, anc in pairs:
+        if len(leaf.equations) != len(anc.equations):
+            return None
+        for el, ea in zip(leaf.equations, anc.equations):
+            for tl, ta in ((el.lhs, ea.lhs), (el.rhs, ea.rhs)):
+                if len(tl) != len(ta):
                     return None
+                for al, aa in zip(tl, ta):
+                    if isinstance(al, CChar) and isinstance(aa, CChar):
+                        if not bind(cmap, al.char, aa.char):
+                            return None
+                    elif isinstance(al, SPred) and isinstance(aa, SPred):
+                        if not bind(smap, al.var, aa.var):
+                            return None
+                        if not bind(imap, al.length, aa.length):
+                            return None
+                    else:
+                        return None
     for m in (smap, cmap, imap):
         if len(set(m.values())) != len(m):
             return None
     return smap, cmap, imap
 
 
-def _rename_regex(r, cmap: dict):
-    from .terms import RCat, RComp, RInter, RLit, RStar, RUnion, RWord
-    if isinstance(r, RLit):
-        return RLit(cmap.get(r.char, r.char))
-    if isinstance(r, RWord):
-        return RWord("".join(cmap.get(c, c) for c in r.chars))
-    if isinstance(r, (RCat, RUnion, RInter)):
-        return type(r)(_rename_regex(r.left, cmap), _rename_regex(r.right, cmap))
-    if isinstance(r, (RComp, RStar)):
-        return type(r)(_rename_regex(r.inner, cmap))
-    return r
-
-
-_FP_PERM_CAP = 10000
-
-
-def _match_memberships(leaf: NormalizedFormula, anc: NormalizedFormula,
-                       smap: dict, cmap: dict):
-    """Extend the equation-derived maps over the membership lists; tries
-    identity alignment first, then the (few) other bijections."""
-    lm, am = list(leaf.memberships), list(anc.memberships)
-    if len(lm) != len(am):
+def _residual(dfa: _regexes.Dfa, segs: tuple):
+    """(residual state, open variable or None) of pieces that are a literal
+    prefix then at most one open variable; None for any other shape."""
+    prefix = segs[:1] if segs and isinstance(segs[0], str) else ()
+    rest = segs[len(prefix):]
+    states = _regexes.residual_states(dfa, prefix)
+    if len(rest) > 1 or len(states) != 1:
         return None
-    if not lm:
-        return smap
-    perms = itertools.permutations(range(len(am)))
-    tried = 0
-    for perm in perms:
-        tried += 1
-        if tried > _FP_PERM_CAP:
-            return None
-        cand = dict(smap)
-        ok = True
-        for i, j in enumerate(perm):
-            mv, av = lm[i].var, am[j].var
-            if cand.get(mv, av) != av:
-                ok = False
-                break
-            cand[mv] = av
-            if _rename_regex(lm[i].regex, cmap) != am[j].regex:
-                ok = False
-                break
-        if ok and len(set(cand.values())) == len(cand):
-            return cand
-    return None
+    return next(iter(states)), rest[0][1] if rest else None
+
+
+def _memberships_entailed(leaf: NormalizedFormula, anc: NormalizedFormula,
+                          smap: dict, cmap: dict) -> bool:
+    """Whether each leaf membership entails the ancestor's (unfolding never
+    changes the list, so they pair up by index): the leaf's open variable
+    maps to the ancestor's, and its residual language, renamed by the
+    character map, is included in the ancestor's."""
+    if leaf.memberships != anc.memberships:
+        return False
+    walkers = _walker(leaf), _walker(anc)
+    for m in leaf.memberships:
+        dfa = _regexes.compiled(m.regex, leaf.alphabet)
+        got = [_residual(dfa, pieces(m.var)) for pieces in walkers]
+        if None in got:
+            return False
+        (ql, vl), (qa, va) = got
+        # no None key: a fully known word pairs only with a known one
+        if smap.get(vl) != va or \
+                not _regexes.residual_included(dfa, ql, dfa, qa, cmap):
+            return False
+    return True
 
 
 def _measure(f: NormalizedFormula):
@@ -802,8 +785,9 @@ def _measure(f: NormalizedFormula):
 
 def link_back(leaf: NormalizedFormula, ancestors: List[NormalizedFormula],
               hyp: Optional[_arith.Hypothesis] = None):
-    """First ancestor (nearest first) the leaf is isomorphic to, with the
-    substitution.  Subterm constraints are discarded on both sides.
+    """First ancestor (nearest first) the leaf is an instance of, with the
+    substitution.  Memberships must be entailed by residual inclusion;
+    other subterm constraints are discarded on both sides.
 
     Progress demands a structural unfolding step on the segment and, more
     importantly, that the leaf's own constraints imply the leaf equations
@@ -812,13 +796,11 @@ def link_back(leaf: NormalizedFormula, ancestors: List[NormalizedFormula],
     measures are expressible there).  Without the strict decrease the
     cyclic argument would admit loops that consume nothing.
 
-    The leaf's constraints are prepared once (lowered, equalities
-    eliminated; ``hyp`` is that preparation when the caller keeps one)
-    and shared by the shrink check of every candidate; a
-    candidate that passes it prepares its renamed constraints once for all
-    of the ancestor's atoms.  Each entailment query then solves one small
-    system per conclusion atom that the hypothesis does not state
-    literally.
+    The leaf's constraints are prepared once (``hyp`` when the caller
+    keeps one) for the shrink check of every candidate; a candidate that
+    passes it prepares its renamed constraints once for all of the
+    ancestor's atoms.  Each query solves one small system per conclusion
+    atom that the hypothesis does not state literally.
     """
     leaf_steps = progress_steps(leaf)
     if not leaf.equations or len(leaf.arith) > _EXACT_ATOM_CAP:
@@ -828,16 +810,19 @@ def link_back(leaf: NormalizedFormula, ancestors: List[NormalizedFormula],
     for a_index, anc in enumerate(ancestors):
         if leaf_steps <= progress_steps(anc):
             continue
-        got = _unify_equations(leaf.equations, anc.equations)
+        got = _unify_equations([(leaf, anc)])
         if got is None:
             continue
         smap, cmap, imap = got
-        smap2 = _match_memberships(leaf, anc, smap, cmap)
-        if smap2 is None:
+        if not _memberships_entailed(leaf, anc, smap, cmap):
             continue
         shrink = atom_le(AAdd(leaf_measure, AInt(1)), _measure(anc))
         if not _arith.arith_implies(leaf_hyp, [shrink]):
             continue
+        # where both paths match level by level up to the root, rename along
+        # them: the ancestor's dropped lengths meet the leaf path's own
+        path = _unify_equations(zip([leaf] + ancestors, ancestors[a_index:]))
+        imap = path[2] if path else imap
         # extend the integer renaming: leaf variables that collide with a
         # target of the positional match must move out of the way
         targets = set(imap.values())
@@ -854,7 +839,7 @@ def link_back(leaf: NormalizedFormula, ancestors: List[NormalizedFormula],
                 full_imap[v] = v
         renamed = [rename_atom_vars(a, full_imap) for a in leaf.arith]
         if _arith.arith_implies(renamed, list(anc.arith)):
-            theta = Theta(tuple(sorted(smap2.items())),
+            theta = Theta(tuple(sorted(smap.items())),
                           tuple(sorted(cmap.items())),
                           tuple(sorted(full_imap.items())))
             return a_index, theta
@@ -978,7 +963,7 @@ def solve_conjunction(conjuncts: Iterable[Formula], alphabet: Iterable[str],
             capped = None
             try:
                 ua = under_approx_check(leaf.formula)
-            except CapExceeded as e:
+            except _arith.CapExceeded as e:
                 ua, capped = UAResult("notbase"), e
             if ua.status == "sat":
                 leaf.status = SatLeaf(ua.model)
@@ -987,12 +972,16 @@ def solve_conjunction(conjuncts: Iterable[Formula], alphabet: Iterable[str],
             if ua.status == "unsat":
                 leaf.status = ClosedUnsat(f"base: {ua.reason}")
                 continue
-            if oa_unsat(leaf.formula, oa_mode, hyps[leaf.id]):
-                leaf.status = ClosedUnsat("length abstraction unsat")
-                continue
-            ancestors = tree.ancestors(leaf.id)
-            linked = link_back(leaf.formula, [a.formula for a in ancestors],
-                               hyps[leaf.id])
+            try:
+                if oa_unsat(leaf.formula, oa_mode, hyps[leaf.id]):
+                    leaf.status = ClosedUnsat("length abstraction unsat")
+                    continue
+                ancestors = tree.ancestors(leaf.id)
+                linked = link_back(leaf.formula,
+                                   [a.formula for a in ancestors],
+                                   hyps[leaf.id])
+            except _arith.CapExceeded as e:
+                linked, capped = None, e
             if linked is not None:
                 a_index, theta = linked
                 leaf.status = BackLinkedTo(ancestors[a_index].id, theta)

@@ -1,5 +1,6 @@
 """Regex compilation to total DFAs, plus the analyses the search runs on
-them: residual state sets over partly known words, and length sets.
+them: residual state sets over partly known words, inclusion between
+residual languages, and length sets.
 
 Intersection is done by product, complement by flipping the accepting set
 of a total automaton, and concatenation/star through an epsilon-free NFA
@@ -16,7 +17,7 @@ keeps it.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Dict, Iterable, Optional
 
@@ -335,6 +336,21 @@ def residual_states(d: Dfa, pieces: Iterable) -> frozenset:
     return cur
 
 
+def residual_included(d1: Dfa, p: int, d2: Dfa, q: int,
+                      rename: Dict[str, str]) -> bool:
+    """Whether d2 accepts from state q every word d1 accepts from state p,
+    renamed letter by letter (identity where ``rename`` is silent; an image
+    outside d2's alphabet refuses): in d2 read through the renaming, the
+    "first and not second" product accepts nothing."""
+    cols = [d2.index.get(rename.get(c, c)) for c in d2.alphabet]
+    if None in cols:
+        return False
+    pre = Dfa(d2.alphabet, tuple(tuple(row[i] for i in cols)
+                                 for row in d2.transitions), q, d2.accepting)
+    return not product(replace(d1, start=p), pre,
+                       lambda a, b: a and not b).accepting
+
+
 def joint_product(specs: list) -> Dfa:
     """Words driving several (dfa, source, target) runs at once.
 
@@ -398,10 +414,6 @@ class SemilinearLengthSet:
 
     def is_empty(self) -> bool:
         return not self.finite and not self.progressions
-
-    def sample(self, limit: int) -> list:
-        """The members below limit, ascending."""
-        return [n for n in range(limit) if self.contains(n)]
 
 
 def _normalize_length_set(prefix_flags: list, cycle_flags: list,

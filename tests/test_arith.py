@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from stringsat import arith
-from stringsat.arith import (ArithInternalError, Hypothesis, LinAtom,
+from stringsat.arith import (CapExceeded, Hypothesis, LinAtom,
                              LinearSystem, _Fresh, _lower_expr, _lp_feasible,
                              _mk_linatom, arith_implies, arith_sat, lower,
                              solve_system)
@@ -51,7 +51,7 @@ def test_lower_caps_nested_max_as_it_builds():
     # alternatives are built, however deep the nesting goes
     assert len(lower([nested(12)])) == 4096
     for depth in (13, 19, 40):
-        with pytest.raises(ArithInternalError):
+        with pytest.raises(CapExceeded):
             lower([nested(depth)])
 
 
@@ -392,7 +392,7 @@ def test_extend_checks_the_case_split_cap_on_the_product(monkeypatch):
     assert root.consistent_with([])
     needs_j = atom_le(AInt(2), AVar("j"))  # root's witness reads j as 0
     assert root.extend([nested("j", 6), needs_j]).consistent_with([])  # 4096
-    with pytest.raises(ArithInternalError):
+    with pytest.raises(CapExceeded):
         lower(root.atoms + [nested("j", 7)])
     # refused before any of the 8192 systems is reduced
     reductions = Counter()
@@ -404,10 +404,10 @@ def test_extend_checks_the_case_split_cap_on_the_product(monkeypatch):
     monkeypatch.setattr(arith, "_reduce", counted)
     # root's witness fails 2 <= j, so the query has to lower, and the cap
     # refuses it
-    with pytest.raises(ArithInternalError):
+    with pytest.raises(CapExceeded):
         root.extend([nested("j", 7), needs_j]).consistent_with([])
     assert reductions["n"] == 0
-    with pytest.raises(ArithInternalError):
+    with pytest.raises(CapExceeded):
         root.consistent_with([nested("j", 7), needs_j])
     # the same over-cap atoms with j = 0 hold under root's witness, which
     # answers without lowering or reducing anything

@@ -2,9 +2,9 @@ import random
 
 from corpus import draw_acyclic
 from stringsat import engine
-from stringsat.classify import (DepGraph, FragmentTag, build_dep_graph,
-                                classify_fragment, cycle_count, is_linear,
-                                is_periodic_arith)
+from stringsat.classify import (DepGraph, FragmentTag, _first_nonperiodic,
+                                build_dep_graph, classify_fragment,
+                                cycle_count, is_linear)
 from stringsat.terms import (AAdd, AInt, ALen, AMax, AMod, ANeg, AVar, CChar,
                              Equation, FAtom, FEq, FIn, NormalizedFormula,
                              RCat, RStar, RWord, SVar, atom_eq, atom_le, word)
@@ -79,14 +79,15 @@ def test_cycle_count_multi_edges():
 
 
 def test_is_periodic_arith():
+    def periodic(atoms):
+        return _first_nonperiodic(atoms) is None
+
     n = AVar("n")
-    assert is_periodic_arith([atom_eq(AMod(n, AInt(2)), AInt(0))])
-    assert is_periodic_arith([atom_eq(AAdd(AVar("x1"), ANeg(AVar("x2"))),
-                                      AInt(5))])
-    assert not is_periodic_arith([atom_eq(AMax(AVar("x"), AVar("y")),
-                                          AInt(3))])
+    assert periodic([atom_eq(AMod(n, AInt(2)), AInt(0))])
+    assert periodic([atom_eq(AAdd(AVar("x1"), ANeg(AVar("x2"))), AInt(5))])
+    assert not periodic([atom_eq(AMax(AVar("x"), AVar("y")), AInt(3))])
     # three-variable sums fall outside the octagonal shape
-    assert not is_periodic_arith(
+    assert not periodic(
         [atom_le(AAdd(AVar("x"), AAdd(AVar("y"), AVar("z"))), AInt(3))])
 
 

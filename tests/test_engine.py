@@ -6,7 +6,7 @@ import pytest
 
 from corpus import (draw_acyclic, draw_one_cycle, gen_small_normalized,
                     rand_regex, rand_tame_regex)
-from stringsat import engine, oracle
+from stringsat import engine, frontend, oracle
 from stringsat.arith import Hypothesis
 from stringsat.classify import is_linear
 from stringsat.engine import (BackLinkedTo, ClosedUnsat, EngineInternalError,
@@ -16,11 +16,11 @@ from stringsat.engine import (BackLinkedTo, ClosedUnsat, EngineInternalError,
                               over_approx, progress_steps, residual_empty,
                               solve_conjunction,
                               under_approx_check, unfold)
-from stringsat.terms import (AInt, ALen, AMod, AVar, Alias, CChar, CharPrefix,
-                             EpsBind, Equation, FAtom, FEq, FIn, Membership,
-                             NormalizedFormula, RCat, RStar, RWord,
-                             SPred, SVar, Split, atom_eq, atom_le, atom_lt,
-                             eval_arith, normalized_to_formula, word)
+from stringsat.terms import (AAdd, AInt, ALen, AMod, AVar, Alias, CChar,
+                             CharPrefix, EpsBind, Equation, FAtom, FEq, FIn,
+                             Membership, NormalizedFormula, RCat, RStar,
+                             RWord, SPred, SVar, Split, atom_eq, atom_le,
+                             atom_lt, eval_arith, normalized_to_formula, word)
 
 ROTATE_RE = RCat(RStar(RWord("ab")), RWord("a"))
 
@@ -332,7 +332,9 @@ def test_residual_closed_nodes_have_no_oracle_model():
 
 def test_lengths_only_trees_are_unchanged(monkeypatch):
     # lengths-only OA never runs the residual check; the digest of these
-    # trees' DOT export was recorded before the check existed
+    # trees' DOT export was recorded before the check existed, and again
+    # when back-links began to compare memberships by residual language
+    # (the hard instance's node 11, where x is b.z.$u0, no longer links)
     def refuse(f):
         raise AssertionError("residual check in lengths-only mode")
 
@@ -349,7 +351,7 @@ def test_lengths_only_trees_are_unchanged(monkeypatch):
         sizes.append(len(ans.tree.nodes))
     assert sizes == [1, 7, 1, 1, 1, 5, 1, 1, 1, 5, 6,
                      1, 1, 1, 1, 1, 1, 6, 1, 1, 171, 5]
-    assert digest.hexdigest() == "c83f5a094fb873820e93adbcbc68e014bcf8fe00"
+    assert digest.hexdigest() == "0448a88111452cabfec0575cb34abf7a76f18de5"
 
 
 def test_a_capped_leaf_is_given_up_unless_closed_otherwise(monkeypatch):
@@ -415,28 +417,136 @@ def test_child_arithmetic_must_extend_the_parent(monkeypatch):
         solve_conjunction(worked_example(), "ab", oa_mode=OA_LENGTHS_ONLY)
 
 
-@pytest.mark.xfail(strict=True, reason="unsound back-link: memberships are "
-                   "matched by alias name, not by what the alias denotes")
 def test_back_link_respects_membership_of_resolved_alias():
-    """s.b = b.s with s in bb is satisfied by s = bb, yet the solver
-    answers unsat.  After the first unfolding the leaf's s denotes b.$u0,
-    but _match_memberships pairs the leaf's membership on s with the
-    root's by alias name, so the leaf links back as if s were unchanged.
-
-    Two quick fixes were tried and rejected.  Refusing links whose
-    membership variable is not a plain alias fixes this instance but
-    breaks acceptance 1, the paper's worked example.  Comparing residual
-    DFA states under the character map keeps acceptance 1 and 2 passing,
-    but acceptance 3/4 then hit RecursionError in oa_unsat on the deeper
-    trees.  The real fix is to carry memberships as automaton states
-    advanced by unfolding.
-    """
+    """s.b = b.s with s in bb is satisfied by s = bb.  After the first
+    unfolding the leaf's s denotes b.$u0, whose residual language under
+    bb is {b}; that is not included in the root's {bb}, so the leaf may
+    not link back to the root."""
     s = SVar("s")
     conjs = [FEq((s,) + word("b"), word("b") + (s,)),
              FIn((s,), RWord("bb"))]
     ans = solve_conjunction(conjs, "ab")
     assert ans.verdict == "sat"
     assert all(oracle.eval_formula(c, ans.model, "ab") for c in conjs)
+
+
+# One-cycle benchmark problems (fragments workload, seeds 1 and 2) that a
+# back-link matching memberships by regex syntax once answered unsat:
+# (equation sides, membership of s, length atom), ids as "seed-index".
+FORMERLY_REFUTED_IDS = ["1-3", "1-421", "1-947", "1-1147", "1-1187",
+                        "1-2671", "1-2729", "1-2741", "2-205", "2-241",
+                        "2-1705", "2-1815", "2-2041", "2-2055", "2-2323",
+                        "2-2609", "2-2783"]
+FORMERLY_REFUTED = [
+    ('(str.++ t s "b") (str.++ "bbab" s)', '(str.to_re "bb")',
+     '(<= (str.len s) 3)'),
+    ('(str.++ s "b") (str.++ "b" s)', '(str.to_re "bb")',
+     '(= (mod (str.len s) 2) 0)'),
+    ('(str.++ s "b") (str.++ "b" s)',
+     '(re.* (re.++ (str.to_re "b") (str.to_re "bb")))',
+     '(= (mod (str.len s) 2) 1)'),
+    ('(str.++ "b" s) (str.++ s "b")', '(str.to_re "b")',
+     '(<= (str.len s) 3)'),
+    ('(str.++ t s "a") (str.++ "abba" s)', '(str.to_re "aa")',
+     '(<= (str.len s) 6)'),
+    ('(str.++ s "bb") (str.++ "bb" s)', '(str.to_re "b")',
+     '(<= (str.len s) 4)'),
+    ('(str.++ t s "b") (str.++ "abb" s)', '(str.to_re "b")',
+     '(<= (str.len s) 1)'),
+    ('(str.++ t s "b") (str.++ "bbb" s)', '(str.to_re "b")',
+     '(<= (str.len s) 7)'),
+    ('(str.++ t s "bb") (str.++ "babb" s)', '(str.to_re "bb")',
+     '(= (mod (str.len s) 2) 0)'),
+    ('(str.++ s "bb") (str.++ "b" s t)',
+     '(re.++ (str.to_re "b") (re.* (str.to_re "a")))',
+     '(<= (str.len s) 2)'),
+    ('(str.++ s "b") (str.++ "b" s)', '(str.to_re "bb")',
+     '(<= (str.len s) 5)'),
+    ('(str.++ s "abaa") (str.++ "a" s t)',
+     '(re.union (re.++ (str.to_re "bb") (str.to_re "aa")) '
+     '(re.union (str.to_re "a") (str.to_re "ba")))',
+     '(<= (str.len s) 4)'),
+    ('(str.++ s "b") (str.++ "b" s)', '(str.to_re "b")',
+     '(<= (str.len s) 2)'),
+    ('(str.++ "ba" s t) (str.++ s "abbb")',
+     '(re.++ (str.to_re "b") (re.++ (str.to_re "a") (str.to_re "b")))',
+     '(<= (str.len s) 6)'),
+    ('(str.++ s "aa") (str.++ "aa" s)',
+     '(re.union (re.++ (str.to_re "ab") (str.to_re "b")) '
+     '(re.union (str.to_re "a") (str.to_re "ba")))',
+     '(<= (str.len s) 6)'),
+    ('(str.++ s "ab") (str.++ "a" s t)', '(str.to_re "aa")',
+     '(<= (str.len s) 3)'),
+    ('(str.++ "bbb" s) (str.++ t s "b")', '(str.to_re "b")',
+     '(<= (str.len s) 6)'),
+]
+
+
+@pytest.mark.parametrize("eq, regex, length", FORMERLY_REFUTED,
+                         ids=FORMERLY_REFUTED_IDS)
+def test_formerly_refuted_one_cycle_problems_are_sat(eq, regex, length):
+    text = ("(declare-str s)" + ("(declare-str t)" if " t" in eq else "")
+            + f'(declare-chars "ab")(assert (= {eq}))'
+            + f"(assert (str.in_re s {regex}))(assert {length})")
+    problem = frontend.parse_problem(text)
+    sigma = problem.alphabet()
+    (conjs,) = problem.disjuncts()
+    ans = solve_conjunction(conjs, sigma)
+    assert ans.verdict == "sat", text
+    assert oracle.eval_formula(problem.formula(), ans.model, sigma), text
+
+
+def test_back_link_needs_the_membership_variable_to_map_to_its_own():
+    # u0.a.u1 = u1.a.u0 with x = u0 in a*.  The leaf has cut a leading a
+    # off y; its equation matches the ancestor's with u0 and u1 swapped,
+    # so the leaf's x (its u0) stands for the ancestor's y, and nothing
+    # in the leaf keeps the word standing for the ancestor's x in a*
+    def pred(i, n):
+        return SPred(f"$u{i}", f"$n{n}")
+
+    a = (CChar("a"),)
+    nonneg = tuple(atom_le(AInt(0), AVar(f"$n{i}")) for i in range(2))
+    anc = NormalizedFormula(
+        equations=(Equation((pred(0, 0),) + a + (pred(1, 1),),
+                            (pred(1, 1),) + a + (pred(0, 0),)),),
+        memberships=(Membership("x", RStar(RWord("a"))),),
+        arith=nonneg, subterms=(Alias("x", "$u0"), Alias("y", "$u1")),
+        lengths=(("$u0", "$n0"), ("$u1", "$n1")), alphabet=("a", "b"))
+    leaf = anc.with_(
+        equations=(Equation((pred(1, 3),) + a + (pred(0, 0),),
+                            (pred(0, 0),) + a + (pred(1, 3),)),),
+        arith=nonneg + (atom_eq(AVar("$n3"), AAdd(AVar("$n1"), AInt(-1))),
+                        atom_lt(AInt(0), AVar("$n1")),
+                        atom_le(AInt(0), AVar("$n3"))),
+        subterms=(Alias("x", "$u0"), Alias("y", "$u3"),
+                  CharPrefix("$u3", "a", "$u1")),
+        lengths=(("$u0", "$n0"), ("$u1", "$n3")))
+    assert link_back(leaf, [anc]) is None
+    # without the membership the same pair links
+    assert link_back(leaf.with_(memberships=()),
+                     [anc.with_(memberships=())]) is not None
+
+
+def test_back_link_renames_lengths_along_both_paths():
+    # s.ba = aa.s with s in a*.aa.ab and |s| mod 3 = 2 is unsat: s ends in
+    # b, s.ba in a.  Each unfolding strips one a, and from depth 3 on the
+    # leaf is s'.ba = aa.s' with s' in a*b.  The depth-6 leaf is an
+    # instance of the depth-3 node only if its lengths three levels up
+    # stand for the ancestor's dropped ones, which carry |s| mod 3 = 2
+    text = ('(declare-str s)(declare-chars "ab")'
+            '(assert (= (str.++ s "ba") (str.++ "aa" s)))'
+            '(assert (str.in_re s (re.++ (re.* (str.to_re "a")) '
+            '(re.++ (str.to_re "aa") (str.to_re "ab")))))'
+            '(assert (= (mod (str.len s) 3) 2))')
+    problem = frontend.parse_problem(text)
+    (conjs,) = problem.disjuncts()
+    ans = solve_conjunction(conjs, problem.alphabet(), budget=20)
+    assert (ans.verdict, ans.unfoldings) == ("unsat", 6)
+    (leaf,) = [n for n in ans.tree.nodes if isinstance(n.status, BackLinkedTo)]
+    assert (leaf.depth, ans.tree.nodes[leaf.status.target].depth) == (6, 3)
+    ints = leaf.status.theta.ints()
+    assert [ints[f"$n{i}"] for i in range(3, 7)] == \
+        [f"$n{i}" for i in range(4)]
 
 
 def test_solve_sat_with_model_checked_against_oracle():

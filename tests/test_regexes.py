@@ -6,10 +6,11 @@ import pytest
 
 from corpus import rand_regex
 from stringsat import regexes
-from stringsat.regexes import (LiteralOutsideAlphabetError, accepts,
+from stringsat.regexes import (Dfa, LiteralOutsideAlphabetError, accepts,
                                compile_regex, compiled, joint_product,
                                length_set, lengths_reachable, product,
-                               residual_states, witness_with_length)
+                               residual_included, residual_states,
+                               witness_with_length)
 from stringsat.terms import (RCat, RComp, REmpty, REps, RInter, RLit, RStar,
                              RUnion, RWord)
 
@@ -238,6 +239,49 @@ def test_residual_is_exact_for_distinct_open_pieces():
         assert bool(residual_states(d, pieces) & d.accepting) == want, \
             (r, pieces)
         checked += 1
+
+
+def _random_dfa(rng, sigma, n):
+    return Dfa(sigma, tuple(tuple(rng.randrange(n) for _ in sigma)
+                            for _ in range(n)),
+               0, frozenset(q for q in range(n) if rng.random() < 0.5))
+
+
+def test_residual_inclusion_agrees_with_word_enumeration():
+    # a word of L(d1, p) whose renaming d2 rejects from q, if there is
+    # one, is shorter than the product has states, so every word below
+    # n1 * n2 letters is tried (the characters are enumerated one by one,
+    # sharing prefixes)
+    rng = random.Random(43)
+    seen = set()
+    for _ in range(300):
+        sigma = ("a", "b", "c")[:rng.randint(2, 3)]
+        d1 = _random_dfa(rng, sigma, rng.randint(1, 3))
+        d2 = _random_dfa(rng, sigma, rng.randint(1, 3))
+        if len(sigma) == 3 and d1.n_states * d2.n_states > 6:
+            continue
+        p, q = rng.randrange(d1.n_states), rng.randrange(d2.n_states)
+        rename = {c: rng.choice(sigma) for c in sigma if rng.random() < 0.6}
+
+        def escapes(s1, s2, left):
+            if s1 in d1.accepting and s2 not in d2.accepting:
+                return True
+            return left > 0 and any(
+                escapes(d1.step(s1, c), d2.step(s2, rename.get(c, c)),
+                        left - 1) for c in sigma)
+
+        want = not escapes(p, q, d1.n_states * d2.n_states - 1)
+        assert residual_included(d1, p, d2, q, rename) == want, \
+            (d1, p, d2, q, rename)
+        seen.add((want, rename == {}))
+    assert seen == {(True, True), (True, False), (False, True),
+                    (False, False)}
+
+
+def test_residual_inclusion_refuses_images_outside_the_alphabet():
+    d = compile_regex(RStar(RLit("a")), "ab")
+    assert residual_included(d, d.start, d, d.start, {"b": "b"})
+    assert not residual_included(d, d.start, d, d.start, {"b": "c"})
 
 
 # --- the automaton cache ----------------------------------------------------
