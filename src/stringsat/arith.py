@@ -756,7 +756,8 @@ def quick_unsat(atoms) -> bool:
     """Cheap certain-unsatisfiability test: equality elimination, gcd
     tightening and interval propagation, but no simplex.  True means the
     conjunction definitely has no integer solution; False decides
-    nothing.  Used where the full procedure would be too expensive."""
+    nothing.  Its only caller is under-approximation, which runs it on
+    each candidate system before solving that system in full."""
     try:
         systems = lower(atoms)
     except CapExceeded:

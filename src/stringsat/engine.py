@@ -16,30 +16,26 @@ from __future__ import annotations
 import itertools
 import re as _rx
 from dataclasses import dataclass, field
-from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
-                    Tuple)
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from . import arith as _arith
 from . import oracle as _oracle
 from . import regexes as _regexes
 from .classify import Fragment, FragmentTag, classify_fragment
 from .terms import (AAdd, AInt, AScale, AVar, Alias, ArithAtom, ArithExpr,
-                    Atom, CChar, CharPrefix, EpsBind, Equation, FAtom, FEq,
-                    FIn, FNot, Formula, Membership, Model, NormalizedFormula,
-                    SPred, SVar, Split, Subterm, arith_len_vars, atom_eq,
-                    atom_le, atom_lt, equation_size, fold_balanced,
-                    formula_summary, length_expr, normalized_to_formula,
-                    rename_atom_vars, rename_subterm, subst_len,
-                    subterm_defined, term_subst, vars_of_atoms)
+                    Atom, CChar, CharPrefix, EngineInternalError, EpsBind,
+                    Equation, FAtom, FEq, FIn, FNot, Formula, Membership,
+                    Model, NormalizedFormula, SPred, SVar, Split, Subterm,
+                    arith_len_vars, atom_eq, atom_le, atom_lt, equation_size,
+                    fold_balanced, formula_summary, length_expr,
+                    normalized_to_formula, rename_atom_vars, rename_subterm,
+                    subst_len, subterm_vars, term_subst, vars_of_atoms,
+                    _walker)
 
 DEFAULT_BUDGET = 10000
 
 OA_FULL = "full"
 OA_LENGTHS_ONLY = "lengths-only"
-
-
-class EngineInternalError(Exception):
-    """Invariant violation inside the solver; never a verdict."""
 
 
 # ---------------------------------------------------------------------------
@@ -63,13 +59,7 @@ def _formula_var_names(f: NormalizedFormula) -> set:
         names.add(m.var)
     names |= vars_of_atoms(f.arith)
     for c in f.subterms:
-        names.add(subterm_defined(c))
-        if isinstance(c, CharPrefix):
-            names.add(c.tail)
-        elif isinstance(c, Split):
-            names.update((c.prefix, c.suffix))
-        elif isinstance(c, Alias):
-            names.add(c.other)
+        names.update(subterm_vars(c))
     for v, n in f.lengths:
         names.update((v, n))
     return names
@@ -293,6 +283,7 @@ def _big(f: NormalizedFormula, p1: SPred, p2: SPred) -> List[UnfoldChild]:
     """
     eps_l = UnfoldChild("big-eps-l", _eps_child(f, [p1]))
     eps_r = UnfoldChild("big-eps-r", _eps_child(f, [p2]))
+    k = _next_index(f)  # both splits rename with the same fresh index
 
     eqs = _subst_all(f.equations, p2, (p1,))
     eqs = _drop_heads(eqs)
@@ -303,7 +294,6 @@ def _big(f: NormalizedFormula, p1: SPred, p2: SPred) -> List[UnfoldChild]:
         lengths=_without_length(f.lengths, p2.var)))
 
     def split(longer: SPred, shorter: SPred) -> NormalizedFormula:
-        k = _next_index(f)
         renamed, new_len = f"$u{k}", f"$n{k}"
         tail = SPred(longer.var, new_len)
         eqs = _subst_all(f.equations, longer, (shorter, tail))
@@ -326,58 +316,8 @@ def _big(f: NormalizedFormula, p1: SPred, p2: SPred) -> List[UnfoldChild]:
 
 
 # ---------------------------------------------------------------------------
-# The subterm walker: every word the unfolding recorded, flattened
+# Over-approximation
 # ---------------------------------------------------------------------------
-
-def _definitions(f: NormalizedFormula) -> Dict[str, Subterm]:
-    defs: Dict[str, Subterm] = {}
-    for c in f.subterms:
-        v = subterm_defined(c)
-        if v in defs:
-            raise EngineInternalError(f"variable defined twice: {v}")
-        defs[v] = c
-    return defs
-
-
-def _walker(f: NormalizedFormula) -> Callable[[str], tuple]:
-    """Flatten variables through the subterm constraints.
-
-    The returned function maps a variable to its pieces: literal strings
-    (adjacent ones merged) and ("var", v) for each variable with no
-    definition.  Results are memoized for the lifetime of the walker."""
-    defs = _definitions(f)
-    memo: Dict[str, Optional[tuple]] = {}
-
-    def pieces(v: str) -> tuple:
-        if v in memo:
-            got = memo[v]
-            if got is None:
-                raise EngineInternalError("cyclic subterm constraints")
-            return got
-        memo[v] = None  # on the current path
-        d = defs.get(v)
-        if d is None:
-            out: tuple = (("var", v),)
-        elif isinstance(d, EpsBind):
-            out = ()
-        elif isinstance(d, CharPrefix):
-            out = _concat((d.char,), pieces(d.tail))
-        elif isinstance(d, Split):
-            out = _concat(pieces(d.prefix), pieces(d.suffix))
-        else:
-            out = pieces(d.other)
-        memo[v] = out
-        return out
-
-    return pieces
-
-
-def _concat(left: tuple, right: tuple) -> tuple:
-    if left and right and isinstance(left[-1], str) \
-            and isinstance(right[0], str):
-        return left[:-1] + (left[-1] + right[0],) + right[1:]
-    return left + right
-
 
 def _length_of(segs: tuple, lens: Dict[str, str],
                fresh: Iterator[int]) -> ArithExpr:
@@ -394,10 +334,6 @@ def _length_of(segs: tuple, lens: Dict[str, str],
     return fold_balanced(AAdd, parts)
 
 
-# ---------------------------------------------------------------------------
-# Over-approximation
-# ---------------------------------------------------------------------------
-
 def _set_component_atoms(expr, comp, fresh: str) -> tuple:
     if isinstance(comp, int):
         return (atom_eq(expr, AInt(comp)),)
@@ -410,16 +346,16 @@ def residual_empty(f: NormalizedFormula) -> Optional[str]:
     """The first member variable whose membership no word of its resolved
     pieces can meet, or None.
 
-    Each membership's automaton runs over the pieces ``_walker`` resolves
-    its variable to (``regexes.residual_states``): literals step the state
-    set, an open variable takes its reachability closure.  Occurrences of
+    Each membership's automaton runs over the pieces its variable
+    resolves to (``f.member_pieces``, by ``regexes.residual_states``):
+    literals step the state set, an open variable takes its reachability
+    closure.  Occurrences of
     one variable are treated independently, which only loses precision,
     so an accepting state missing from the final set proves the leaf has
     no model."""
-    pieces = _walker(f)
-    for m in f.memberships:
+    for m, segs in zip(f.memberships, f.member_pieces):
         dfa = _regexes.compiled(m.regex, f.alphabet)
-        if not _regexes.residual_states(dfa, pieces(m.var)) & dfa.accepting:
+        if not _regexes.residual_states(dfa, segs) & dfa.accepting:
             return m.var
     return None
 
@@ -447,13 +383,12 @@ def over_approx(f: NormalizedFormula,
     if mode == OA_LENGTHS_ONLY or not f.memberships:
         return [base]
     disjuncts: List[tuple] = [base]
-    pieces = _walker(f)
     lens = f.length_map()
     fresh = itertools.count(1)
-    for i, m in enumerate(f.memberships):
+    for i, (m, segs) in enumerate(zip(f.memberships, f.member_pieces)):
         dfa = _regexes.compiled(m.regex, f.alphabet)
         lset = _regexes.length_set(dfa)
-        expr = _length_of(pieces(m.var), lens, fresh)
+        expr = _length_of(segs, lens, fresh)
         comps = [_set_component_atoms(expr, n, "")
                  for n in sorted(lset.finite)]
         comps += [_set_component_atoms(expr, prog, f"$k{i}_{j}")
@@ -462,12 +397,6 @@ def over_approx(f: NormalizedFormula,
             break  # weaken: remaining memberships contribute nothing
         disjuncts = [d + c for d in disjuncts for c in comps]
     return disjuncts
-
-
-# formulas beyond this many abstraction atoms (deep trees outside the
-# decidable fragments) get the cheap refutation only; failing to close a
-# node is always sound
-_EXACT_ATOM_CAP = 80
 
 
 def oa_unsat(f: NormalizedFormula, mode: str = OA_FULL,
@@ -485,13 +414,7 @@ def oa_unsat(f: NormalizedFormula, mode: str = OA_FULL,
     if hyp is None:
         hyp = _arith.Hypothesis(f.arith)
     lengths = hyp.extend(disjuncts[0][:n_eqs])
-    for d in disjuncts:
-        if len(d) > _EXACT_ATOM_CAP:
-            if not _arith.quick_unsat(list(d)):
-                return False
-        elif lengths.consistent_with(d[n_shared:]):
-            return False
-    return True
+    return not any(lengths.consistent_with(d[n_shared:]) for d in disjuncts)
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +461,7 @@ def under_approx_check(f: NormalizedFormula) -> UAResult:
     lens = f.length_map()
     open_vars: List[str] = sorted(
         {v for v, _ in f.lengths}
-        - {subterm_defined(c) for c in f.subterms})
+        - {c.var for c in f.subterms})
     base_atoms = list(f.arith)
     if not sigma:
         # no characters exist, so every open variable is the empty word
@@ -546,10 +469,8 @@ def under_approx_check(f: NormalizedFormula) -> UAResult:
 
     # memberships: fully determined members are checked outright; the rest
     # produce (dfa, pieces) obligations
-    pieces = _walker(f)
     obligations: List[Tuple[_regexes.Dfa, tuple]] = []
-    for m in f.memberships:
-        segs = pieces(m.var)
+    for m, segs in zip(f.memberships, f.member_pieces):
         dfa = _regexes.compiled(m.regex, sigma)
         if all(isinstance(s, str) for s in segs):
             w = "".join(segs)
@@ -640,13 +561,13 @@ def under_approx_check(f: NormalizedFormula) -> UAResult:
             beta = _arith.arith_sat(system)
             if beta is None:
                 continue
-            model = _finish_model(f, pieces, beta, joints, open_vars)
+            model = _finish_model(f, beta, joints, open_vars)
             return UAResult("sat", model=model)
     return UAResult("unsat", reason="no base model")
 
 
-def _finish_model(f: NormalizedFormula, pieces: Callable[[str], tuple],
-                  beta: Dict[str, int], joints: Dict[str, _regexes.Dfa],
+def _finish_model(f: NormalizedFormula, beta: Dict[str, int],
+                  joints: Dict[str, _regexes.Dfa],
                   open_vars: List[str]) -> Model:
     """Words for every open variable at its length in beta (a witness of
     its joint membership automaton where it has one), then for every
@@ -668,7 +589,8 @@ def _finish_model(f: NormalizedFormula, pieces: Callable[[str], tuple],
                 raise EngineInternalError("unsatisfiable open length")
         values[v] = w
 
-    for v in [subterm_defined(c) for c in f.subterms] + \
+    pieces = _walker(f)
+    for v in [c.var for c in f.subterms] + \
             [m.var for m in f.memberships]:
         values[v] = "".join(s if isinstance(s, str)
                             else values.setdefault(s[1], "")
@@ -699,10 +621,6 @@ class Theta:
 
     def ints(self) -> dict:
         return dict(self.ivar_map)
-
-
-def progress_steps(f: NormalizedFormula) -> int:
-    return sum(1 for c in f.subterms if isinstance(c, (CharPrefix, Split)))
 
 
 def _unify_equations(pairs: Iterable[tuple]):
@@ -761,10 +679,10 @@ def _memberships_entailed(leaf: NormalizedFormula, anc: NormalizedFormula,
     character map, is included in the ancestor's."""
     if leaf.memberships != anc.memberships:
         return False
-    walkers = _walker(leaf), _walker(anc)
-    for m in leaf.memberships:
+    for m, leaf_segs, anc_segs in zip(leaf.memberships, leaf.member_pieces,
+                                      anc.member_pieces):
         dfa = _regexes.compiled(m.regex, leaf.alphabet)
-        got = [_residual(dfa, pieces(m.var)) for pieces in walkers]
+        got = [_residual(dfa, leaf_segs), _residual(dfa, anc_segs)]
         if None in got:
             return False
         (ql, vl), (qa, va) = got
@@ -802,13 +720,12 @@ def link_back(leaf: NormalizedFormula, ancestors: List[NormalizedFormula],
     ancestor's atoms.  Each query solves one small system per conclusion
     atom that the hypothesis does not state literally.
     """
-    leaf_steps = progress_steps(leaf)
-    if not leaf.equations or len(leaf.arith) > _EXACT_ATOM_CAP:
+    if not leaf.equations:
         return None
     leaf_measure = _measure(leaf)
     leaf_hyp = hyp if hyp is not None else _arith.Hypothesis(leaf.arith)
     for a_index, anc in enumerate(ancestors):
-        if leaf_steps <= progress_steps(anc):
+        if leaf.progress_steps <= anc.progress_steps:
             continue
         got = _unify_equations([(leaf, anc)])
         if got is None:
@@ -885,7 +802,6 @@ class TreeNode:
     rule: str
     children: List[int] = field(default_factory=list)
     status: object = Open()
-    checked: bool = False  # UA/OA/back-link already attempted
 
 
 class UnfoldingTree:
@@ -907,13 +823,6 @@ class UnfoldingTree:
             out.append(self.nodes[cur])
             cur = self.nodes[cur].parent
         return out
-
-    def open_leaves(self) -> List[TreeNode]:
-        return [n for n in self.nodes
-                if not n.children and isinstance(n.status, Open)]
-
-    def is_closed(self) -> bool:
-        return not self.open_leaves()
 
     def max_path_length(self) -> int:
         return max((n.depth + 1 for n in self.nodes if not n.children),
@@ -938,9 +847,6 @@ def solve_conjunction(conjuncts: Iterable[Formula], alphabet: Iterable[str],
     root = init_normalize(conjuncts, alphabet)
     fragment = classify_fragment(root)
     tree = UnfoldingTree(root)
-    # each node's arithmetic is its parent's plus the atoms its unfolding
-    # added, so its prepared state extends the parent's by those atoms
-    hyps: Dict[int, _arith.Hypothesis] = {0: _arith.Hypothesis(root.arith)}
     spent = 0
 
     zero_sea_bound = None
@@ -949,11 +855,17 @@ def solve_conjunction(conjuncts: Iterable[Formula], alphabet: Iterable[str],
         n = max(equation_size(eq) for eq in root.equations)
         zero_sea_bound = 4 * (2 ** m) * max(n, 1)
 
+    # Open leaves with their prepared arithmetic, the deepest with the
+    # lowest id on top.  Only the last expansion's children can be deeper
+    # than every other open leaf, and each expansion pushes its still-open
+    # children in reverse id order, so popping the top expands the deepest
+    # open leaf, lowest id first.  A child's arithmetic is its parent's
+    # plus the atoms its unfolding added, so its hypothesis extends the
+    # parent's by those atoms; a closed leaf's is dropped with it.
+    stack: List[Tuple[TreeNode, _arith.Hypothesis]] = []
+    unchecked = [(tree.nodes[0], _arith.Hypothesis(root.arith))]
     while True:
-        for leaf in list(tree.open_leaves()):
-            if leaf.checked:
-                continue
-            leaf.checked = True
+        for leaf, hyp in unchecked:
             if oa_mode == OA_FULL:
                 member = residual_empty(leaf.formula)
                 if member is not None:
@@ -973,13 +885,12 @@ def solve_conjunction(conjuncts: Iterable[Formula], alphabet: Iterable[str],
                 leaf.status = ClosedUnsat(f"base: {ua.reason}")
                 continue
             try:
-                if oa_unsat(leaf.formula, oa_mode, hyps[leaf.id]):
+                if oa_unsat(leaf.formula, oa_mode, hyp):
                     leaf.status = ClosedUnsat("length abstraction unsat")
                     continue
                 ancestors = tree.ancestors(leaf.id)
                 linked = link_back(leaf.formula,
-                                   [a.formula for a in ancestors],
-                                   hyps[leaf.id])
+                                   [a.formula for a in ancestors], hyp)
             except _arith.CapExceeded as e:
                 linked, capped = None, e
             if linked is not None:
@@ -987,8 +898,10 @@ def solve_conjunction(conjuncts: Iterable[Formula], alphabet: Iterable[str],
                 leaf.status = BackLinkedTo(ancestors[a_index].id, theta)
             elif capped is not None:
                 leaf.status = GaveUp(str(capped))
+        stack += [(n, h) for n, h in reversed(unchecked)
+                  if isinstance(n.status, Open)]
 
-        if tree.is_closed():
+        if not stack:
             gave_up = any(isinstance(n.status, GaveUp) for n in tree.nodes)
             return Answer("unknown" if gave_up else "unsat", tree=tree,
                           unfoldings=spent, fragment=fragment)
@@ -996,25 +909,24 @@ def solve_conjunction(conjuncts: Iterable[Formula], alphabet: Iterable[str],
             return Answer("unknown", tree=tree, unfoldings=spent,
                           fragment=fragment)
 
-        leaves = sorted(tree.open_leaves(), key=lambda n: (-n.depth, n.id))
-        pick = leaves[0]
+        pick, pick_hyp = stack.pop()
         children = unfold(pick.formula)
         spent += 1
         if not children:
             pick.status = ClosedUnsat("no unfolding (constant clash)")
-            continue
         parent_arith = pick.formula.arith
+        unchecked = []
         for child in children:
             node = tree.add_child(pick.id, child.rule, child.formula)
             if child.formula.arith[:len(parent_arith)] != parent_arith:
                 raise EngineInternalError(
                     "a child's arithmetic does not extend its parent's")
-            hyps[node.id] = hyps[pick.id].extend(
-                child.formula.arith[len(parent_arith):])
             if zero_sea_bound is not None and node.depth + 1 > zero_sea_bound:
                 raise EngineInternalError(
                     "acyclic path bound exceeded: "
                     f"{node.depth + 1} > {zero_sea_bound}")
+            unchecked.append((node, pick_hyp.extend(
+                child.formula.arith[len(parent_arith):])))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ threads and used as dict keys.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Union
+from functools import cached_property
+from typing import Callable, Dict, Iterable, List, Optional, Union
 
 
 # ---------------------------------------------------------------------------
@@ -357,11 +358,22 @@ class Alias:
 Subterm = Union[EpsBind, CharPrefix, Split, Alias]
 
 
-def subterm_defined(c: Subterm) -> str:
-    return c.var
+def subterm_vars(c: Subterm) -> tuple:
+    """Every variable the constraint names, the defined one first."""
+    if isinstance(c, EpsBind):
+        return (c.var,)
+    if isinstance(c, CharPrefix):
+        return (c.var, c.tail)
+    if isinstance(c, Split):
+        return (c.var, c.prefix, c.suffix)
+    return (c.var, c.other)
 
 
 def rename_subterm(c: Subterm, mapping: dict) -> Subterm:
+    """The constraint with its variables renamed; the same object when the
+    mapping names none of them."""
+    if mapping.keys().isdisjoint(subterm_vars(c)):
+        return c
     g = lambda v: mapping.get(v, v)
     if isinstance(c, EpsBind):
         return EpsBind(g(c.var))
@@ -409,6 +421,80 @@ class NormalizedFormula:
         )
         base.update(kw)
         return NormalizedFormula(**base)
+
+    # Views kept on the formula, filled on first use.  They are not
+    # fields, so equality, hashing and with_ see only the parts above.
+
+    @cached_property
+    def member_pieces(self) -> tuple:
+        """The pieces of each membership's variable, in membership order,
+        from one ``_walker``.  Only these are kept: the walker's memo
+        holds every variable down the path, each as a flattened copy."""
+        pieces = _walker(self)
+        return tuple(pieces(m.var) for m in self.memberships)
+
+    @cached_property
+    def progress_steps(self) -> int:
+        """The structural unfolding steps the subterms record."""
+        return sum(1 for c in self.subterms
+                   if isinstance(c, (CharPrefix, Split)))
+
+
+# ---------------------------------------------------------------------------
+# The subterm walker: every word the unfolding recorded, flattened
+# ---------------------------------------------------------------------------
+
+class EngineInternalError(Exception):
+    """Invariant violation inside the solver; never a verdict."""
+
+
+def _definitions(f: NormalizedFormula) -> Dict[str, Subterm]:
+    defs: Dict[str, Subterm] = {}
+    for c in f.subterms:
+        if c.var in defs:
+            raise EngineInternalError(f"variable defined twice: {c.var}")
+        defs[c.var] = c
+    return defs
+
+
+def _walker(f: NormalizedFormula) -> Callable[[str], tuple]:
+    """Flatten variables through the subterm constraints.
+
+    The returned function maps a variable to its pieces: literal strings
+    (adjacent ones merged) and ("var", v) for each variable with no
+    definition.  Results are memoized for the lifetime of the walker."""
+    defs = _definitions(f)
+    memo: Dict[str, Optional[tuple]] = {}
+
+    def pieces(v: str) -> tuple:
+        if v in memo:
+            got = memo[v]
+            if got is None:
+                raise EngineInternalError("cyclic subterm constraints")
+            return got
+        memo[v] = None  # on the current path
+        d = defs.get(v)
+        if d is None:
+            out: tuple = (("var", v),)
+        elif isinstance(d, EpsBind):
+            out = ()
+        elif isinstance(d, CharPrefix):
+            out = _concat((d.char,), pieces(d.tail))
+        elif isinstance(d, Split):
+            out = _concat(pieces(d.prefix), pieces(d.suffix))
+        else:
+            out = pieces(d.other)
+        memo[v] = out
+        return out
+
+    return pieces
+
+
+def _concat(left: tuple, right: tuple) -> tuple:
+    if left and right and isinstance(left[-1], str) \
+            and isinstance(right[0], str):
+        return left[:-1] + (left[-1] + right[0],) + right[1:]
+    return left + right
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 import io
 import random
 import time
+from collections import Counter
 
 import pytest
 
 from corpus import draw_acyclic, draw_one_cycle, rand_regex
+from stringsat import terms
 from stringsat.cli import (EXIT_ERROR, EXIT_SAT, EXIT_UNKNOWN, EXIT_UNSAT,
                            RunConfig, config_from_args, run)
 from stringsat.frontend import MAX_NESTING, Problem, render_problem
@@ -278,6 +280,23 @@ def test_membership_state_space_cap_answers_unknown(tmp_path):
     assert (code, out) == (EXIT_UNKNOWN, "unknown\n"), err
     assert "gave up: membership state space over _UA_COMBO_CAP" \
         in dot.read_text()
+
+
+def test_each_formula_builds_its_walker_once(tmp_path, monkeypatch):
+    # residual check, UA, OA and every back-link candidate read a node's
+    # resolved membership pieces; one walker builds them on first use and
+    # the formula keeps them
+    built = []
+    real = terms._definitions
+
+    def counting(f):
+        built.append(f)  # keeps f alive, so ids stay distinct
+        return real(f)
+
+    monkeypatch.setattr(terms, "_definitions", counting)
+    code, out, err = _run(tmp_path, CAPPED, ["--budget", "100"])
+    assert (code, out) == (EXIT_UNKNOWN, "unknown\n"), err
+    assert built and max(Counter(map(id, built)).values()) == 1
 
 
 # --- fixed-seed fuzz: every input ends in a documented exit code -----------

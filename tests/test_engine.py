@@ -10,17 +10,17 @@ from stringsat import engine, frontend, oracle
 from stringsat.arith import Hypothesis
 from stringsat.classify import is_linear
 from stringsat.engine import (BackLinkedTo, ClosedUnsat, EngineInternalError,
-                              GaveUp, OA_FULL, OA_LENGTHS_ONLY, UnfoldChild,
-                              _length_of, _walker, export_tree,
+                              GaveUp, OA_FULL, OA_LENGTHS_ONLY, Open,
+                              UnfoldChild, _length_of, export_tree,
                               init_normalize, link_back, oa_unsat,
-                              over_approx, progress_steps, residual_empty,
-                              solve_conjunction,
+                              over_approx, residual_empty, solve_conjunction,
                               under_approx_check, unfold)
 from stringsat.terms import (AAdd, AInt, ALen, AMod, AVar, Alias, CChar,
                              CharPrefix, EpsBind, Equation, FAtom, FEq, FIn,
                              Membership, NormalizedFormula, RCat, RStar,
                              RWord, SPred, SVar, Split, atom_eq, atom_le,
-                             atom_lt, eval_arith, normalized_to_formula, word)
+                             _walker, atom_lt, eval_arith,
+                             normalized_to_formula, word)
 
 ROTATE_RE = RCat(RStar(RWord("ab")), RWord("a"))
 
@@ -368,7 +368,8 @@ def test_a_capped_leaf_is_given_up_unless_closed_otherwise(monkeypatch):
     capped = [solve_conjunction(c, "ab") for c in problems]
     assert [a.verdict for a in capped] == ["unknown", "unknown", "unsat"]
     for ans in capped[:2]:
-        assert ans.tree.is_closed()
+        assert not [n for n in ans.tree.nodes
+                    if not n.children and isinstance(n.status, Open)]
         assert isinstance(ans.tree.nodes[0].status, GaveUp)
         assert "gave up: membership state space over _UA_COMBO_CAP = 1" \
             in export_tree(ans.tree)
@@ -402,6 +403,68 @@ def test_node_hypotheses_give_the_from_scratch_answers():
             seen["pruned"] += got
             seen["linked"] += linked is not None
     assert seen["pruned"] > 20 and seen["linked"] > 5, seen
+
+
+def _links(tree):
+    return [(n.id, n.status.target) for n in tree.nodes
+            if isinstance(n.status, BackLinkedTo)]
+
+
+@pytest.mark.parametrize("mode", [OA_LENGTHS_ONLY, OA_FULL])
+def test_long_arithmetic_does_not_stop_a_back_link(mode):
+    # 85 unrelated atoms 0 <= k_i leave the worked example's proof as it
+    # is: a leaf links back however long its arithmetic has grown
+    padding = [FAtom(atom_le(AInt(0), AVar(f"k{i}"))) for i in range(85)]
+    plain = solve_conjunction(worked_example(), "ab", budget=200,
+                              oa_mode=mode)
+    padded = solve_conjunction(worked_example() + padding, "ab", budget=200,
+                               oa_mode=mode)
+    assert padded.verdict == plain.verdict == "unsat"
+    assert len(padded.tree.nodes) == len(plain.tree.nodes)
+    assert _links(padded.tree) == _links(plain.tree)
+
+
+def _replay_expansions(tree) -> int:
+    """Replay the search from node ids and statuses alone, expanding the
+    deepest pending leaf with the lowest id each time, and check every
+    step against the tree: the expanded node's children are the next
+    block of ids.  A pending leaf stayed open after its checks, so it was
+    expanded later (into children or a constant clash) or the search
+    stopped first.  Returns how many expansions chose among several
+    pending leaves."""
+    nodes = tree.nodes
+    clash = ClosedUnsat("no unfolding (constant clash)")
+
+    def pending(n):
+        return isinstance(n.status, Open) or n.status == clash
+
+    leaves = [nodes[0]] if pending(nodes[0]) else []
+    next_id = 1
+    choices = 0
+    while leaves:
+        pick = min(leaves, key=lambda n: (-n.depth, n.id))
+        if not pick.children and pick.status != clash:
+            break  # the search stopped with this leaf open
+        choices += len(leaves) > 1
+        leaves.remove(pick)
+        assert pick.children == list(
+            range(next_id, next_id + len(pick.children))), pick.id
+        next_id += len(pick.children)
+        leaves += [nodes[c] for c in pick.children if pending(nodes[c])]
+    assert next_id == len(nodes)
+    return choices
+
+
+def test_search_expands_the_deepest_open_leaf_lowest_id_first():
+    rng = random.Random(71)
+    problems = draw_one_cycle(rng, 30) + draw_acyclic(rng, 30)
+    problems += [_hard_instance(), worked_example()]
+    choices = 0
+    for conjs in problems:
+        for mode in (OA_LENGTHS_ONLY, OA_FULL):
+            ans = solve_conjunction(conjs, "ab", budget=100, oa_mode=mode)
+            choices += _replay_expansions(ans.tree)
+    assert choices > 100, choices
 
 
 def test_child_arithmetic_must_extend_the_parent(monkeypatch):
@@ -588,8 +651,8 @@ def test_back_link_targets_are_proper_ancestors_with_progress():
                 anc_ids = [a.id for a in tree.ancestors(n.id)]
                 assert n.status.target in anc_ids
                 target = tree.nodes[n.status.target]
-                assert (progress_steps(n.formula)
-                        > progress_steps(target.formula))
+                assert (n.formula.progress_steps
+                        > target.formula.progress_steps)
 
 
 def test_oa_unsat_nodes_have_no_oracle_model():
