@@ -18,8 +18,8 @@ from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Tuple
 
-from .terms import (AInt, AMod, AVar, ArithAtom, Equation, NormalizedFormula,
-                    atom_repr, equation_string_vars, equation_str,
+from .terms import (AInt, AMod, AVar, ArithAtom, CChar, Equation,
+                    NormalizedFormula, SVar, atom_repr, equation_str,
                     term_string_vars)
 from .arith import _lin  # linear normalization shared with the backend
 
@@ -60,38 +60,48 @@ class DepGraph:
         return sum(1 for s, _ in self.edges if s == v)
 
 
-def _var_counts(eq: Equation) -> Counter:
-    seen: Counter = Counter()
-    for term in (eq.lhs, eq.rhs):
-        for a in term:
-            name = getattr(a, "name", None) or getattr(a, "var", None)
-            if name is not None:
-                seen[name] += 1
-    return seen
-
-
-def is_linear(f: NormalizedFormula) -> bool:
-    """No equation mentions the same string variable twice (both sides
-    counted together)."""
-    return all(max(_var_counts(eq).values(), default=0) <= 1
-               for eq in f.equations)
-
-
-def _choose_intersect(var: str, worklist_eqs: List[Equation]):
-    """Remove and return the first equation mentioning var, split into the
-    side containing it and the other side."""
-    for i, eq in enumerate(worklist_eqs):
-        if var in term_string_vars(eq.lhs):
-            del worklist_eqs[i]
-            return eq.lhs, eq.rhs
-        if var in term_string_vars(eq.rhs):
-            del worklist_eqs[i]
-            return eq.rhs, eq.lhs
+def _first_nonlinear(equations: Iterable[Equation]) -> Optional[Equation]:
+    """The first equation mentioning a string variable twice (both sides
+    counted together), or None."""
+    for eq in equations:
+        names = [a.name if isinstance(a, SVar) else a.var
+                 for a in eq.lhs + eq.rhs if not isinstance(a, CChar)]
+        if len(set(names)) < len(names):
+            return eq
     return None
 
 
-def build_dep_graph(var: str, equations: Iterable[Equation]) -> DepGraph:
-    """Worklist construction over a working copy of the equations.
+def is_linear(f: NormalizedFormula) -> bool:
+    """No equation mentions the same string variable twice."""
+    return _first_nonlinear(f.equations) is None
+
+
+# An equation as the dependency graphs see it: the string variables of
+# its two sides.
+Sides = Tuple[frozenset, frozenset]
+
+
+def side_vars(equations: Iterable[Equation]) -> List[Sides]:
+    return [(term_string_vars(eq.lhs), term_string_vars(eq.rhs))
+            for eq in equations]
+
+
+def _choose_intersect(var: str, pool: List[Sides]) -> Optional[Sides]:
+    """Remove and return the first equation mentioning var, as the
+    variables of the side containing it and those of the other side."""
+    for i, (lhs, rhs) in enumerate(pool):
+        if var in lhs:
+            del pool[i]
+            return lhs, rhs
+        if var in rhs:
+            del pool[i]
+            return rhs, lhs
+    return None
+
+
+def build_dep_graph(var: str, equations: Iterable[Sides]) -> DepGraph:
+    """Worklist construction over a working copy of the equations, given
+    as their ``side_vars``.
 
     Each dequeue consumes at most one equation.  A variable equated to a
     ground word becomes a leaf; leaves lose their outgoing edges and are
@@ -114,12 +124,11 @@ def build_dep_graph(var: str, equations: Iterable[Equation]) -> DepGraph:
                 g.mark_leaf(cur)
             continue
         tr_i, tr_d = picked
-        dem = term_string_vars(tr_d)
-        if not dem:
-            for v in sorted(term_string_vars(tr_i)):
+        if not tr_d:
+            for v in sorted(tr_i):
                 g.mark_leaf(v)
         else:
-            for v in sorted(dem):
+            for v in sorted(tr_d):
                 g.add_vertex(v)
                 g.add_edge(cur, v)
                 if v not in g.leaves:
@@ -129,6 +138,8 @@ def build_dep_graph(var: str, equations: Iterable[Equation]) -> DepGraph:
 
 def cycle_count(g: DepGraph) -> int:
     """Number of distinct simple cycles; parallel edges multiply."""
+    if not g.edges:
+        return 0
     mult = Counter(g.edges)
     adj: dict = {}
     for (s, d), k in mult.items():
@@ -197,20 +208,17 @@ def _first_nonperiodic(atoms: Iterable[ArithAtom]) -> Optional[ArithAtom]:
 
 def classify_fragment(f: NormalizedFormula) -> Fragment:
     """Classify a normalized formula; the witness explains any downgrade."""
-    vars_in_eqs = sorted(set().union(
-        *(equation_string_vars(e) for e in f.equations)) if f.equations
-        else set())
-    graphs = {v: build_dep_graph(v, f.equations) for v in vars_in_eqs}
+    sides = side_vars(f.equations)
+    vars_in_eqs = sorted(set().union(*(lhs | rhs for lhs, rhs in sides)))
+    graphs = {v: build_dep_graph(v, sides) for v in vars_in_eqs}
     cycles = {v: cycle_count(g) for v, g in graphs.items()}
-    linear = is_linear(f)
+    nonlinear = _first_nonlinear(f.equations)
     acyclic = all(c == 0 for c in cycles.values())
-    if linear and acyclic:
+    if nonlinear is None and acyclic:
         return Fragment(FragmentTag.ACYCLIC)
     reasons = []
-    if not linear:
-        bad = next(e for e in f.equations
-                   if any(k > 1 for k in _var_counts(e).values()))
-        reasons.append(f"non-linear equation: {equation_str(bad)}")
+    if nonlinear is not None:
+        reasons.append(f"non-linear equation: {equation_str(nonlinear)}")
     worst = max(cycles.values(), default=0)
     if worst > 0:
         v = next(v for v in vars_in_eqs if cycles[v] == worst)
@@ -221,4 +229,3 @@ def classify_fragment(f: NormalizedFormula) -> Fragment:
     if bad_atom is not None:
         reasons.append(f"non-periodic arithmetic: {atom_repr(bad_atom)}")
     return Fragment(FragmentTag.GENERAL, "; ".join(reasons))
-

@@ -14,7 +14,6 @@ answers unknown.
 from __future__ import annotations
 
 import itertools
-import re as _rx
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -29,49 +28,13 @@ from .terms import (AAdd, AInt, AScale, AVar, Alias, ArithAtom, ArithExpr,
                     arith_len_vars, atom_eq, atom_le, atom_lt, equation_size,
                     fold_balanced, formula_summary, length_expr,
                     normalized_to_formula, rename_atom_vars, rename_subterm,
-                    subst_len, subterm_vars, term_subst, vars_of_atoms,
+                    subst_len, term_subst, vars_of_atoms,
                     _walker)
 
 DEFAULT_BUDGET = 10000
 
 OA_FULL = "full"
 OA_LENGTHS_ONLY = "lengths-only"
-
-
-# ---------------------------------------------------------------------------
-# Fresh names.  Engine-generated variables carry a "$" prefix the parser
-# never accepts, so they cannot collide with user identifiers.
-# ---------------------------------------------------------------------------
-
-_IDX_RX = _rx.compile(r"^\$[a-z]+(\d+)$")
-
-
-def _formula_var_names(f: NormalizedFormula) -> set:
-    names: set = set()
-    for eq in f.equations:
-        for a in eq.lhs + eq.rhs:
-            if isinstance(a, SVar):
-                names.add(a.name)
-            elif isinstance(a, SPred):
-                names.add(a.var)
-                names.add(a.length)
-    for m in f.memberships:
-        names.add(m.var)
-    names |= vars_of_atoms(f.arith)
-    for c in f.subterms:
-        names.update(subterm_vars(c))
-    for v, n in f.lengths:
-        names.update((v, n))
-    return names
-
-
-def _next_index(f: NormalizedFormula) -> int:
-    best = -1
-    for name in _formula_var_names(f):
-        m = _IDX_RX.match(name)
-        if m:
-            best = max(best, int(m.group(1)))
-    return best + 1
 
 
 # ---------------------------------------------------------------------------
@@ -156,10 +119,13 @@ def init_normalize(conjuncts: Iterable[Formula],
                           subst_len(a.rhs, len_map))
         fixed_atoms.append(a)
 
+    # Generated names carry a "$" prefix the parser never accepts, so they
+    # cannot collide with user identifiers.  $u/$n names are numbered by
+    # variable, and every $m name's variable is among them.
     return NormalizedFormula(
         equations=tuple(eqs), memberships=tuple(memberships),
         arith=tuple(fixed_atoms), subterms=tuple(subterms),
-        lengths=tuple(lengths), alphabet=sigma)
+        lengths=tuple(lengths), alphabet=sigma, next_index=len(ordered))
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +222,7 @@ def unfold(f: NormalizedFormula) -> List[UnfoldChild]:
 def _small(f: NormalizedFormula, c: CChar, p: SPred) -> List[UnfoldChild]:
     base = UnfoldChild("small-base", _eps_child(f, [p]))
 
-    k = _next_index(f)
+    k = f.next_index
     renamed, new_len = f"$u{k}", f"$n{k}"
     eqs = _subst_all(f.equations, p, (c, SPred(p.var, new_len)))
     eqs = _drop_heads(eqs)
@@ -267,7 +233,7 @@ def _small(f: NormalizedFormula, c: CChar, p: SPred) -> List[UnfoldChild]:
                     atom_le(AInt(0), AVar(new_len)))
     ind = UnfoldChild("small-ind", f.with_(
         equations=eqs, arith=ar, subterms=subs,
-        lengths=_with_length(f.lengths, p.var, new_len)))
+        lengths=_with_length(f.lengths, p.var, new_len), next_index=k + 1))
     return [base, ind]
 
 
@@ -283,7 +249,7 @@ def _big(f: NormalizedFormula, p1: SPred, p2: SPred) -> List[UnfoldChild]:
     """
     eps_l = UnfoldChild("big-eps-l", _eps_child(f, [p1]))
     eps_r = UnfoldChild("big-eps-r", _eps_child(f, [p2]))
-    k = _next_index(f)  # both splits rename with the same fresh index
+    k = f.next_index  # both splits rename with the same fresh index
 
     eqs = _subst_all(f.equations, p2, (p1,))
     eqs = _drop_heads(eqs)
@@ -308,7 +274,8 @@ def _big(f: NormalizedFormula, p1: SPred, p2: SPred) -> List[UnfoldChild]:
             atom_le(AInt(1), AVar(new_len)),
             atom_le(AInt(1), AVar(shorter.length)))
         return f.with_(equations=eqs, arith=ar, subterms=subs,
-                       lengths=_with_length(f.lengths, longer.var, new_len))
+                       lengths=_with_length(f.lengths, longer.var, new_len),
+                       next_index=k + 1)
 
     left = UnfoldChild("big-left", split(p1, p2))    # p2 a proper prefix of p1
     right = UnfoldChild("big-right", split(p2, p1))  # p1 a proper prefix of p2

@@ -13,8 +13,10 @@ String disequalities are rejected up front.
 
 from __future__ import annotations
 
+import itertools
+import re
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import List, NoReturn, Optional, Tuple, Union
 
 from .terms import (AAdd, AInt, ALen, AMax, AMin, AMod, ANeg, AScale, AVar,
                     ArithAtom, ArithExpr, CChar, FAnd, FAtom, FEq, FIn, FNot,
@@ -63,99 +65,22 @@ class Problem:
 
 
 # ---------------------------------------------------------------------------
-# Lexer / reader
+# Reader
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Tok:
-    kind: str  # lparen rparen symbol string int
-    text: str
-    line: int
-    col: int
+# One token per match; what no alternative matches is whitespace.  A
+# string token without its closing quote is unterminated, and a single
+# character that starts no token is unexpected.
+_TOKEN = re.compile(r'[()]|"[^"\n]*"?|[A-Za-z0-9_.+\-*/<>=!?%]+|;[^\n]*'
+                    r'|[^ \t\r\n]')
+_SYMBOL_CHARS = frozenset("abcdefghijklmnopqrstuvwxyz"
+                          "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+                          "0123456789_.+-*/<>=!?%")
 
-
-_SYMBOL_CHARS = set("abcdefghijklmnopqrstuvwxyz"
-                    "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
-                    "0123456789_.+-*/<>=!?%")
-
-
-def _lex(text: str) -> List[_Tok]:
-    toks: List[_Tok] = []
-    line, col, i = 1, 1, 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c == "(":
-            toks.append(_Tok("lparen", "(", line, col))
-            i += 1
-            col += 1
-            continue
-        if c == ")":
-            toks.append(_Tok("rparen", ")", line, col))
-            i += 1
-            col += 1
-            continue
-        if c == '"':
-            j = i + 1
-            while j < n and text[j] != '"':
-                if text[j] == "\n":
-                    raise ParseError("unterminated string literal", line, col)
-                j += 1
-            if j >= n:
-                raise ParseError("unterminated string literal", line, col)
-            lit = text[i + 1:j]
-            for ch in lit:
-                if not (32 <= ord(ch) < 127):
-                    raise ParseError(
-                        "string literals are printable ASCII only", line, col)
-            toks.append(_Tok("string", lit, line, col))
-            col += j - i + 1
-            i = j + 1
-            continue
-        if c in _SYMBOL_CHARS:
-            j = i
-            while j < n and text[j] in _SYMBOL_CHARS:
-                j += 1
-            t = text[i:j]
-            kind = "int" if _is_int(t) else "symbol"
-            toks.append(_Tok(kind, t, line, col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {c!r}", line, col)
-    return toks
-
-
-def _is_int(t: str) -> bool:
-    body = t[1:] if t[:1] == "-" else t
-    return body.isdigit() and body != ""
-
-
-@dataclass(frozen=True)
-class _Node:
-    # an atom token or a parenthesized list
-    tok: Optional[_Tok]
-    items: Optional[tuple]
-
-    @property
-    def pos(self) -> Tuple[int, int]:
-        if self.tok is not None:
-            return self.tok.line, self.tok.col
-        return self.items[0].pos if self.items else (0, 0)
-
+# A form is a tuple (kind, value, token index).  An atom's value is its
+# text (a string literal without its quotes); a list's is the list of its
+# forms, and its index is that of its "(".
+_LIST, _SYMBOL, _INT, _STRING = "list", "symbol", "int", "string"
 
 # The formula builder and the solver's walks over formulas, regexes and
 # arithmetic recurse up to twice per level of nesting: about 500 levels
@@ -164,29 +89,72 @@ class _Node:
 MAX_NESTING = 100
 
 
-def _read_all(toks: List[_Tok]) -> List[_Node]:
-    """The forms of a token list, read with an explicit stack of the lists
-    still open."""
-    out: List[_Node] = []
-    open_lists: List[Tuple[_Tok, list]] = []
-    for t in toks:
-        if t.kind == "lparen":
+def _read(text: str) -> list:
+    """The forms of a problem text, built in the pass over its tokens with
+    an explicit stack of the lists still open.  A bad token anywhere in
+    the text is reported before a misplaced parenthesis."""
+    toks = _TOKEN.findall(text)
+    out: list = []
+    items = out
+    open_lists: list = []  # (index of its "(", the enclosing items)
+    for i, t in enumerate(toks):
+        if t == "(":
             if len(open_lists) == MAX_NESTING:
-                raise ParseError(
-                    f"nesting deeper than {MAX_NESTING} levels", t.line, t.col)
-            open_lists.append((t, []))
-            continue
-        if t.kind == "rparen":
+                _misplaced(text, toks, i,
+                           f"nesting deeper than {MAX_NESTING} levels")
+            open_lists.append((i, items))
+            items = []
+        elif t == ")":
             if not open_lists:
-                raise ParseError("unexpected )", t.line, t.col)
-            node = _Node(None, tuple(open_lists.pop()[1]))
+                _misplaced(text, toks, i, "unexpected )")
+            start, outer = open_lists.pop()
+            outer.append((_LIST, items, start))
+            items = outer
         else:
-            node = _Node(t, None)
-        (open_lists[-1][1] if open_lists else out).append(node)
+            c = t[0]
+            if c in _SYMBOL_CHARS:
+                is_int = t.isdigit() or (c == "-" and t[1:].isdigit())
+                items.append((_INT if is_int else _SYMBOL, t, i))
+            elif c != ";":  # a string literal, or an unreadable token
+                bad = _bad_token(t)
+                if bad is not None:
+                    raise ParseError(bad, *_position(text, i))
+                items.append((_STRING, t[1:-1], i))
     if open_lists:
-        t = open_lists[-1][0]
-        raise ParseError("missing )", t.line, t.col)
+        # every token was read, so none is bad
+        raise ParseError("missing )", *_position(text, open_lists[-1][0]))
     return out
+
+
+def _bad_token(t: str) -> Optional[str]:
+    """Why the token cannot be read, or None."""
+    c = t[0]
+    if c == '"':
+        if len(t) < 2 or t[-1] != '"':
+            return "unterminated string literal"
+        if not (t.isascii() and t.isprintable()):
+            return "string literals are printable ASCII only"
+        return None
+    if c in _SYMBOL_CHARS or c in "();":
+        return None
+    return f"unexpected character {c!r}"
+
+
+def _misplaced(text: str, toks: list, i: int, msg: str) -> NoReturn:
+    """Raise the read error msg at token i, unless a later token is bad:
+    the first bad token is reported instead."""
+    for j in range(i + 1, len(toks)):
+        bad = _bad_token(toks[j])
+        if bad is not None:
+            raise ParseError(bad, *_position(text, j))
+    raise ParseError(msg, *_position(text, i))
+
+
+def _position(text: str, index: int) -> Tuple[int, int]:
+    """Line and column, both from 1, of the index-th token.  Only errors
+    need one, so it is found by scanning the text again."""
+    at = next(itertools.islice(_TOKEN.finditer(text), index, None)).start()
+    return text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +162,8 @@ def _read_all(toks: List[_Tok]) -> List[_Node]:
 # ---------------------------------------------------------------------------
 
 class _Ctx:
-    def __init__(self) -> None:
+    def __init__(self, text: str) -> None:
+        self.text = text
         self.str_vars: List[str] = []
         self.int_vars: List[str] = []
         self.extra_chars: List[str] = []
@@ -207,6 +176,13 @@ class _Ctx:
             return "int"
         return None
 
+    def pos(self, n: tuple) -> Tuple[int, int]:
+        """A form's position: an atom's own, a list's first item's, and
+        an empty list's "("."""
+        while n[0] == _LIST and n[1]:
+            n = n[1][0]
+        return _position(self.text, n[2])
+
 
 def parse_problem(text: Union[str, bytes]) -> Problem:
     """Parse a problem file; raises positioned errors on bad input."""
@@ -218,93 +194,93 @@ def parse_problem(text: Union[str, bytes]) -> Problem:
             col = len(text[line_start:e.start].decode("utf-8")) + 1
             raise ParseError(f"invalid UTF-8 byte {text[e.start]:#04x}",
                              text.count(b"\n", 0, e.start) + 1, col) from None
-    ctx = _Ctx()
-    for form in _read_all(_lex(text)):
+    ctx = _Ctx(text)
+    for form in _read(text):
         _top_form(form, ctx)
     return Problem(tuple(ctx.str_vars), tuple(ctx.int_vars),
                    tuple(ctx.extra_chars), tuple(ctx.assertions))
 
 
-def _head(form: _Node) -> str:
-    if form.items is None or not form.items or form.items[0].tok is None:
-        raise ParseError("expected a command", *form.pos)
-    return form.items[0].tok.text
+def _head(form: tuple, ctx: _Ctx) -> str:
+    if form[0] != _LIST or not form[1] or form[1][0][0] == _LIST:
+        raise ParseError("expected a command", *ctx.pos(form))
+    return form[1][0][1]
 
 
-def _top_form(form: _Node, ctx: _Ctx) -> None:
-    if form.items is None:
-        raise ParseError("expected a command", *form.pos)
-    head = _head(form)
-    args = form.items[1:]
+def _top_form(form: tuple, ctx: _Ctx) -> None:
+    head = _head(form, ctx)
+    args = form[1][1:]
     if head in ("declare-str", "declare-int"):
-        if len(args) != 1 or args[0].tok is None or args[0].tok.kind != "symbol":
-            raise ParseError(f"{head} expects one identifier", *form.pos)
-        name = args[0].tok.text
+        if len(args) != 1 or args[0][0] != _SYMBOL:
+            raise ParseError(f"{head} expects one identifier", *ctx.pos(form))
+        name = args[0][1]
         if name[0].isdigit() or name[0] in "-$":
-            raise ParseError(f"bad identifier {name!r}", *args[0].pos)
+            raise ParseError(f"bad identifier {name!r}", *ctx.pos(args[0]))
         if ctx.sort_of(name) is not None:
-            raise ParseError(f"{name!r} already declared", *args[0].pos)
+            raise ParseError(f"{name!r} already declared", *ctx.pos(args[0]))
         (ctx.str_vars if head == "declare-str" else ctx.int_vars).append(name)
         return
     if head == "declare-chars":
-        if len(args) != 1 or args[0].tok is None or args[0].tok.kind != "string":
+        if len(args) != 1 or args[0][0] != _STRING:
             raise ParseError("declare-chars expects a string literal",
-                             *form.pos)
-        for c in args[0].tok.text:
+                             *ctx.pos(form))
+        for c in args[0][1]:
             if c not in ctx.extra_chars:
                 ctx.extra_chars.append(c)
         return
     if head == "assert":
         if len(args) != 1:
-            raise ParseError("assert expects one formula", *form.pos)
+            raise ParseError("assert expects one formula", *ctx.pos(form))
         ctx.assertions.append(_formula(args[0], ctx))
         return
     if head in ("set-logic", "set-info", "check-sat", "get-model", "exit"):
         return  # accepted and ignored for convenience
-    raise UnknownIdentifierError(f"unknown command {head!r}", *form.pos)
+    raise UnknownIdentifierError(f"unknown command {head!r}", *ctx.pos(form))
 
 
-def _formula(n: _Node, ctx: _Ctx) -> Formula:
-    if n.items is None:
-        raise ParseError("expected a formula", *n.pos)
-    head = _head(n)
-    args = n.items[1:]
+def _formula(n: tuple, ctx: _Ctx) -> Formula:
+    if n[0] != _LIST:
+        raise ParseError("expected a formula", *ctx.pos(n))
+    head = _head(n, ctx)
+    args = n[1][1:]
     if head == "and":
         return FAnd(tuple(_formula(a, ctx) for a in args))
     if head == "or":
         return FOr(tuple(_formula(a, ctx) for a in args))
     if head == "not":
         if len(args) != 1:
-            raise ParseError("not expects one argument", *n.pos)
+            raise ParseError("not expects one argument", *ctx.pos(n))
         inner = _formula(args[0], ctx)
         if not isinstance(inner, FAtom):
             raise UnsupportedConstructError(
-                "negation is only supported over arithmetic atoms", *n.pos)
+                "negation is only supported over arithmetic atoms",
+                *ctx.pos(n))
         return FNot(inner)
     if head == "distinct":
         sorts = {_sort_of_term(a, ctx) for a in args}
         if "str" in sorts:
             raise UnsupportedConstructError(
                 "string disequalities are not supported "
-                "(they can be eliminated upstream)", *n.pos)
+                "(they can be eliminated upstream)", *ctx.pos(n))
         if len(args) != 2:
             raise UnsupportedConstructError(
-                "distinct expects two integer terms", *n.pos)
+                "distinct expects two integer terms", *ctx.pos(n))
         return FNot(FAtom(ArithAtom("eq", _arith(args[0], ctx),
                                     _arith(args[1], ctx))))
     if head == "str.in_re":
         if len(args) != 2:
-            raise ParseError("str.in_re expects a term and a regex", *n.pos)
+            raise ParseError("str.in_re expects a term and a regex",
+                             *ctx.pos(n))
         return FIn(_str_term(args[0], ctx), _regex(args[1], ctx))
     if head in ("=", "<=", "<", ">=", ">"):
         if len(args) != 2:
-            raise ParseError(f"{head} expects two arguments", *n.pos)
+            raise ParseError(f"{head} expects two arguments", *ctx.pos(n))
         if head == "=":
             s0, s1 = _sort_of_term(args[0], ctx), _sort_of_term(args[1], ctx)
             if s0 == "str" or s1 == "str":
                 if s0 != s1:
                     raise ParseError("equation sides have different sorts",
-                                     *n.pos)
+                                     *ctx.pos(n))
                 return FEq(_str_term(args[0], ctx), _str_term(args[1], ctx))
             return FAtom(ArithAtom("eq", _arith(args[0], ctx),
                                    _arith(args[1], ctx)))
@@ -316,147 +292,145 @@ def _formula(n: _Node, ctx: _Ctx) -> Formula:
         if head == ">=":
             return FAtom(atom_le(b, a))
         return FAtom(atom_le(AAdd(b, AInt(1)), a))
-    raise UnsupportedConstructError(f"unsupported construct {head!r}", *n.pos)
+    raise UnsupportedConstructError(f"unsupported construct {head!r}",
+                                    *ctx.pos(n))
 
 
-def _sort_of_term(n: _Node, ctx: _Ctx) -> str:
-    if n.tok is not None:
-        t = n.tok
-        if t.kind == "string":
-            return "str"
-        if t.kind == "int":
-            return "int"
-        sort = ctx.sort_of(t.text)
-        if sort is None:
-            raise UnknownIdentifierError(f"undeclared identifier {t.text!r}",
-                                         *n.pos)
-        return sort
-    head = _head(n)
-    if head in ("str.++",):
+def _sort_of_term(n: tuple, ctx: _Ctx) -> str:
+    kind, value, _ = n
+    if kind == _STRING:
         return "str"
-    return "int"
+    if kind == _INT:
+        return "int"
+    if kind == _SYMBOL:
+        sort = ctx.sort_of(value)
+        if sort is None:
+            raise UnknownIdentifierError(f"undeclared identifier {value!r}",
+                                         *ctx.pos(n))
+        return sort
+    return "str" if _head(n, ctx) == "str.++" else "int"
 
 
-def _str_term(n: _Node, ctx: _Ctx) -> Term:
-    if n.tok is not None:
-        t = n.tok
-        if t.kind == "string":
-            return word(t.text)
-        if t.kind == "symbol":
-            if ctx.sort_of(t.text) != "str":
-                raise UnknownIdentifierError(
-                    f"{t.text!r} is not a declared string variable", *n.pos)
-            return (SVar(t.text),)
-        raise ParseError("expected a string term", *n.pos)
-    head = _head(n)
+def _str_term(n: tuple, ctx: _Ctx) -> Term:
+    kind, value, _ = n
+    if kind == _STRING:
+        return word(value)
+    if kind == _SYMBOL:
+        if ctx.sort_of(value) != "str":
+            raise UnknownIdentifierError(
+                f"{value!r} is not a declared string variable", *ctx.pos(n))
+        return (SVar(value),)
+    if kind == _INT:
+        raise ParseError("expected a string term", *ctx.pos(n))
+    head = _head(n, ctx)
     if head == "str.++":
-        out: tuple = ()
-        for a in n.items[1:]:
-            out = out + _str_term(a, ctx)
-        return out
+        return tuple(x for a in value[1:] for x in _str_term(a, ctx))
     raise UnsupportedConstructError(
-        f"unsupported string operator {head!r}", *n.pos)
+        f"unsupported string operator {head!r}", *ctx.pos(n))
 
 
-def _regex(n: _Node, ctx: _Ctx) -> RE:
-    if n.tok is not None:
-        raise ParseError("expected a regex", *n.pos)
-    head = _head(n)
-    args = n.items[1:]
+def _regex(n: tuple, ctx: _Ctx) -> RE:
+    if n[0] != _LIST:
+        raise ParseError("expected a regex", *ctx.pos(n))
+    head = _head(n, ctx)
+    args = n[1][1:]
     if head == "str.to_re":
-        if len(args) != 1 or args[0].tok is None:
-            raise ParseError("str.to_re expects a string literal", *n.pos)
-        t = args[0].tok
-        if t.kind != "string":
+        if len(args) != 1 or args[0][0] == _LIST:
+            raise ParseError("str.to_re expects a string literal",
+                             *ctx.pos(n))
+        kind, text, _ = args[0]
+        if kind != _STRING:
             raise UnsupportedConstructError(
-                "string variables cannot occur inside regexes", *args[0].pos)
-        return REps() if t.text == "" else RWord(t.text)
+                "string variables cannot occur inside regexes",
+                *ctx.pos(args[0]))
+        return REps() if text == "" else RWord(text)
     if head == "re.++":
-        return _fold(RCat, [_regex(a, ctx) for a in args], n)
+        return _fold(RCat, [_regex(a, ctx) for a in args], n, ctx)
     if head == "re.union":
-        return _fold(RUnion, [_regex(a, ctx) for a in args], n)
+        return _fold(RUnion, [_regex(a, ctx) for a in args], n, ctx)
     if head == "re.inter":
-        return _fold(RInter, [_regex(a, ctx) for a in args], n)
+        return _fold(RInter, [_regex(a, ctx) for a in args], n, ctx)
     if head == "re.comp":
         if len(args) != 1:
-            raise ParseError("re.comp expects one regex", *n.pos)
+            raise ParseError("re.comp expects one regex", *ctx.pos(n))
         return RComp(_regex(args[0], ctx))
     if head == "re.*":
         if len(args) != 1:
-            raise ParseError("re.* expects one regex", *n.pos)
+            raise ParseError("re.* expects one regex", *ctx.pos(n))
         return RStar(_regex(args[0], ctx))
     raise UnsupportedConstructError(f"unsupported regex operator {head!r}",
-                                    *n.pos)
+                                    *ctx.pos(n))
 
 
-def _fold(ctor, parts: List[RE], n: _Node) -> RE:
+def _fold(ctor, parts: List[RE], n: tuple, ctx: _Ctx) -> RE:
     if not parts:
-        raise ParseError("operator expects at least one regex", *n.pos)
+        raise ParseError("operator expects at least one regex", *ctx.pos(n))
     return fold_balanced(ctor, parts)
 
 
-def _arith(n: _Node, ctx: _Ctx) -> ArithExpr:
-    if n.tok is not None:
-        t = n.tok
-        if t.kind == "int":
-            return AInt(int(t.text))
-        if t.kind == "symbol":
-            if ctx.sort_of(t.text) != "int":
-                raise UnknownIdentifierError(
-                    f"{t.text!r} is not a declared integer variable", *n.pos)
-            return AVar(t.text)
-        raise ParseError("expected an integer term", *n.pos)
-    head = _head(n)
-    args = n.items[1:]
+def _arith(n: tuple, ctx: _Ctx) -> ArithExpr:
+    kind, value, _ = n
+    if kind == _INT:
+        return AInt(int(value))
+    if kind == _SYMBOL:
+        if ctx.sort_of(value) != "int":
+            raise UnknownIdentifierError(
+                f"{value!r} is not a declared integer variable", *ctx.pos(n))
+        return AVar(value)
+    if kind == _STRING:
+        raise ParseError("expected an integer term", *ctx.pos(n))
+    head = _head(n, ctx)
+    args = value[1:]
     if head == "str.len":
-        if len(args) != 1 or args[0].tok is None \
-                or ctx.sort_of(args[0].tok.text) != "str":
+        if len(args) != 1 or args[0][0] == _LIST \
+                or ctx.sort_of(args[0][1]) != "str":
             raise UnsupportedConstructError(
-                "str.len applies to a declared string variable", *n.pos)
-        return ALen(args[0].tok.text)
+                "str.len applies to a declared string variable", *ctx.pos(n))
+        return ALen(args[0][1])
     if head == "+":
         if not args:
-            raise ParseError("+ expects at least one argument", *n.pos)
+            raise ParseError("+ expects at least one argument", *ctx.pos(n))
         return fold_balanced(AAdd, [_arith(a, ctx) for a in args])
     if head == "-":
         if len(args) == 1:
             return ANeg(_arith(args[0], ctx))
         if len(args) == 2:
             return AAdd(_arith(args[0], ctx), ANeg(_arith(args[1], ctx)))
-        raise ParseError("- expects one or two arguments", *n.pos)
+        raise ParseError("- expects one or two arguments", *ctx.pos(n))
     if head == "*":
         if len(args) != 2:
-            raise ParseError("* expects two arguments", *n.pos)
+            raise ParseError("* expects two arguments", *ctx.pos(n))
         a, b = _arith(args[0], ctx), _arith(args[1], ctx)
         if isinstance(a, AInt):
             return AScale(a.value, b)
         if isinstance(b, AInt):
             return AScale(b.value, a)
         raise UnsupportedConstructError(
-            "multiplication needs a constant factor", *n.pos)
+            "multiplication needs a constant factor", *ctx.pos(n))
     if head == "mod":
         if len(args) != 2:
-            raise ParseError("mod expects two arguments", *n.pos)
+            raise ParseError("mod expects two arguments", *ctx.pos(n))
         return AMod(_arith(args[0], ctx), _divisor(args[1], ctx))
     if head in ("max", "min"):
         if len(args) != 2:
-            raise ParseError(f"{head} expects two arguments", *n.pos)
+            raise ParseError(f"{head} expects two arguments", *ctx.pos(n))
         ctor = AMax if head == "max" else AMin
         return ctor(_arith(args[0], ctx), _arith(args[1], ctx))
     raise UnsupportedConstructError(f"unsupported integer operator {head!r}",
-                                    *n.pos)
+                                    *ctx.pos(n))
 
 
-def _divisor(n: _Node, ctx: _Ctx) -> AInt:
+def _divisor(n: tuple, ctx: _Ctx) -> AInt:
     """A mod divisor: a variable-free term with a positive value, kept as
     that value, the only divisor form the arithmetic backend accepts."""
     d = _arith(n, ctx)
     if collect_vars(d, set()) or arith_len_vars(d):
         raise UnsupportedConstructError("mod divisor must be a constant",
-                                        *n.pos)
+                                        *ctx.pos(n))
     value = eval_arith(d, {})
     if value <= 0:
-        raise ParseError(f"mod divisor must be positive, got {value}", *n.pos)
+        raise ParseError(f"mod divisor must be positive, got {value}",
+                         *ctx.pos(n))
     return AInt(value)
 
 

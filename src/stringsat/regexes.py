@@ -92,49 +92,76 @@ def _dfa_word(alphabet: tuple, chars: str) -> Dfa:
 
 
 def _minimize(d: Dfa) -> Dfa:
-    # drop unreachable states, then Moore partition refinement
+    # drop unreachable states, then Hopcroft partition refinement
     reach = {d.start}
     stack = [d.start]
     while stack:
-        q = stack.pop()
-        for t in d.transitions[q]:
+        for t in d.transitions[stack.pop()]:
             if t not in reach:
                 reach.add(t)
                 stack.append(t)
     states = sorted(reach)
     remap = {q: i for i, q in enumerate(states)}
-    trans = [tuple(remap[d.transitions[q][i]] for i in range(len(d.alphabet)))
-             for q in states]
-    acc = frozenset(remap[q] for q in d.accepting if q in reach)
+    trans = [[remap[t] for t in d.transitions[q]] for q in states]
+    acc = {remap[q] for q in d.accepting if q in reach}
     n = len(states)
 
-    block = [1 if q in acc else 0 for q in range(n)]
-    while True:
-        sig = {}
-        new_block = [0] * n
-        for q in range(n):
-            key = (block[q],) + tuple(block[t] for t in trans[q])
-            if key not in sig:
-                sig[key] = len(sig)
-            new_block[q] = sig[key]
-        if new_block == block:
-            break
-        block = new_block
+    # pre[a][t]: the states that enter t on the a-th symbol
+    pre = [[[] for _ in range(n)] for _ in d.alphabet]
+    for q, row in enumerate(trans):
+        for a, t in enumerate(row):
+            pre[a][t].append(q)
+    blocks = [set(acc) if acc else set(range(n))]
+    block = [0] * n
+    waiting = []
+    if 0 < len(acc) < n:
+        rest = set(range(n)) - acc
+        blocks.append(rest)
+        for q in rest:
+            block[q] = 1
+        waiting.append(0 if len(acc) <= len(rest) else 1)
+    # A block leaves the worklist once its preimages have split every
+    # block.  Of a split block not waiting, only the smaller half is
+    # queued: splitting by the whole and by one half splits by the other.
+    queued = set(waiting)
+    while waiting:
+        s = waiting.pop()
+        queued.discard(s)
+        splitter = list(blocks[s])
+        for into in pre:
+            hit: Dict[int, list] = {}
+            for t in splitter:
+                for q in into[t]:
+                    b = block[q]
+                    if b in hit:
+                        hit[b].append(q)
+                    else:
+                        hit[b] = [q]
+            for b, qs in hit.items():
+                if len(qs) == len(blocks[b]):
+                    continue
+                part = set(qs)
+                blocks[b] -= part
+                nb = len(blocks)
+                blocks.append(part)
+                for q in qs:
+                    block[q] = nb
+                w = nb if b in queued or len(part) <= len(blocks[b]) else b
+                waiting.append(w)
+                queued.add(w)
 
-    n_blocks = max(block) + 1 if n else 0
-    rep = {}
-    for q in range(n):
-        rep.setdefault(block[q], q)
     # renumber blocks by first occurrence for determinism
-    order = sorted(rep, key=lambda b: rep[b])
-    renum = {b: i for i, b in enumerate(order)}
-    out_trans = []
-    for b in order:
-        q = rep[b]
-        out_trans.append(tuple(renum[block[t]] for t in trans[q]))
-    out_acc = frozenset(renum[block[q]] for q in range(n) if q in acc)
-    return Dfa(d.alphabet, tuple(out_trans), renum[block[remap[d.start]]],
-               out_acc)
+    renum: Dict[int, int] = {}
+    reps = []
+    for q in range(n):
+        if block[q] not in renum:
+            renum[block[q]] = len(renum)
+            reps.append(q)
+    return Dfa(d.alphabet,
+               tuple(tuple([renum[block[t]] for t in trans[q]])
+                     for q in reps),
+               renum[block[remap[d.start]]],
+               frozenset([renum[block[q]] for q in acc]))
 
 
 def product(d1: Dfa, d2: Dfa, combine: Callable[[bool, bool], bool]) -> Dfa:

@@ -7,7 +7,8 @@ threads and used as dict keys.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Dict, Iterable, List, Optional, Union
 
@@ -409,6 +410,15 @@ class NormalizedFormula:
     subterms: tuple = ()
     lengths: tuple = ()  # pairs (string var, its length variable)
     alphabet: tuple = ()
+    # The least index no generated name ($u3, $n3, $m3) of the formula
+    # carries yet.  init_normalize sets it and each unfolding passes it on
+    # or advances it; a formula built without it reads it off its names.
+    # It is bookkeeping: equality and hashing ignore it.
+    next_index: Optional[int] = field(default=None, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.next_index is None:
+            object.__setattr__(self, "next_index", _free_index(self))
 
     def length_map(self) -> dict:
         return dict(self.lengths)
@@ -417,7 +427,7 @@ class NormalizedFormula:
         base = dict(
             equations=self.equations, memberships=self.memberships,
             arith=self.arith, subterms=self.subterms, lengths=self.lengths,
-            alphabet=self.alphabet,
+            alphabet=self.alphabet, next_index=self.next_index,
         )
         base.update(kw)
         return NormalizedFormula(**base)
@@ -438,6 +448,26 @@ class NormalizedFormula:
         """The structural unfolding steps the subterms record."""
         return sum(1 for c in self.subterms
                    if isinstance(c, (CharPrefix, Split)))
+
+
+_INDEXED = re.compile(r"^\$[a-z]+(\d+)$")
+
+
+def _free_index(f: NormalizedFormula) -> int:
+    names = set(vars_of_atoms(f.arith))
+    for eq in f.equations:
+        for a in eq.lhs + eq.rhs:
+            if isinstance(a, SVar):
+                names.add(a.name)
+            elif isinstance(a, SPred):
+                names.update((a.var, a.length))
+    names.update(m.var for m in f.memberships)
+    for c in f.subterms:
+        names.update(subterm_vars(c))
+    for pair in f.lengths:
+        names.update(pair)
+    found = [int(m.group(1)) for m in map(_INDEXED.match, names) if m]
+    return max(found, default=-1) + 1
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ from corpus import draw_acyclic
 from stringsat import engine
 from stringsat.classify import (DepGraph, FragmentTag, _first_nonperiodic,
                                 build_dep_graph, classify_fragment,
-                                cycle_count, is_linear)
+                                cycle_count, is_linear, side_vars)
 from stringsat.terms import (AAdd, AInt, ALen, AMax, AMod, ANeg, AVar, CChar,
                              Equation, FAtom, FEq, FIn, NormalizedFormula,
                              RCat, RStar, RWord, SVar, atom_eq, atom_le, word)
@@ -24,27 +24,28 @@ def test_is_linear():
 
 
 def test_dep_graph_fan_out():
-    g = build_dep_graph("s", [Equation((SVar("s"),),
-                                       (SVar("t"), SVar("u")))])
+    g = build_dep_graph("s", side_vars([Equation((SVar("s"),),
+                                                 (SVar("t"), SVar("u")))]))
     assert sorted(g.edges) == [("s", "t"), ("s", "u")]
 
 
 def test_dep_graph_ground_side_marks_leaves():
-    g = build_dep_graph("s", [Equation((SVar("s"), SVar("t")), word("ab"))])
+    g = build_dep_graph("s", side_vars([Equation((SVar("s"), SVar("t")),
+                                                 word("ab"))]))
     assert g.leaves == {"s", "t"}
     assert g.edges == []
 
 
 def test_dep_graph_self_loop_survives():
     rotation = Equation(word("ab") + (SVar("s"),), (SVar("s"),) + word("ba"))
-    g = build_dep_graph("s", [rotation])
+    g = build_dep_graph("s", side_vars([rotation]))
     assert ("s", "s") in g.edges
     assert cycle_count(g) == 1
 
 
 def test_dep_graph_consumes_each_equation_once():
     eqs = [Equation((SVar("s"),), (SVar("t"),)) for _ in range(4)]
-    g = build_dep_graph("s", eqs)
+    g = build_dep_graph("s", side_vars(eqs))
     # one dequeue consumes one equation; the graph stays finite and sane
     assert g.vertices >= {"s", "t"}
 
@@ -56,14 +57,14 @@ def test_leaf_invariant():
         for eq in nf.equations:
             for v in sorted({a.var for a in eq.lhs + eq.rhs
                              if hasattr(a, "var")}):
-                g = build_dep_graph(v, nf.equations)
+                g = build_dep_graph(v, side_vars(nf.equations))
                 for leaf in g.leaves:
                     assert g.out_degree(leaf) == 0
 
 
 def test_cycle_count_examples():
-    g = build_dep_graph("s", [Equation((SVar("s"),),
-                                       (SVar("t"), SVar("u")))])
+    g = build_dep_graph("s", side_vars([Equation((SVar("s"),),
+                                                 (SVar("t"), SVar("u")))]))
     assert cycle_count(g) == 0
     loop = DepGraph(root="s", vertices={"s"}, edges=[("s", "s")])
     assert cycle_count(loop) == 1

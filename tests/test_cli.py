@@ -261,6 +261,18 @@ def test_many_regex_operands_are_solved(tmp_path, op, part):
     assert '(define s "aba")' in out
 
 
+def test_long_regex_concatenation_is_solved_quickly(tmp_path):
+    # 2,000 one-letter operands make a chain automaton, which partition
+    # refinement by rounds minimizes in quadratic time
+    regex = "(re.++ " + " ".join(['(str.to_re "a")'] * 2000) + ")"
+    start = time.perf_counter()
+    code, out, err = _run(tmp_path, f"(declare-str s)(assert (str.in_re s "
+                          f"{regex}))", ["--model"])
+    assert time.perf_counter() - start < 5
+    assert code == EXIT_SAT, err
+    assert f'(define s "{"a" * 2000}")' in out
+
+
 CAPPED = """
 (declare-str x)
 (declare-str y)

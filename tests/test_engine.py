@@ -19,7 +19,7 @@ from stringsat.terms import (AAdd, AInt, ALen, AMod, AVar, Alias, CChar,
                              CharPrefix, EpsBind, Equation, FAtom, FEq, FIn,
                              Membership, NormalizedFormula, RCat, RStar,
                              RWord, SPred, SVar, Split, atom_eq, atom_le,
-                             _walker, atom_lt, eval_arith,
+                             _free_index, _walker, atom_lt, eval_arith,
                              normalized_to_formula, word)
 
 ROTATE_RE = RCat(RStar(RWord("ab")), RWord("a"))
@@ -141,6 +141,18 @@ def test_unfold_big_cases():
     right = kids[4].formula
     assert right.equations[0].rhs[0] == SPred("$u1", "$n2")
     assert Split("$u2", "$u0", "$u1") in right.subterms
+
+
+def test_unfolding_carries_the_first_unused_index():
+    # each unfolding passes on or advances its formula's next index
+    # instead of reading it off every name; both agree on every node
+    rng = random.Random(73)
+    checked = 0
+    for conjs in draw_one_cycle(rng, 80) + draw_acyclic(rng, 80):
+        for node in solve_conjunction(conjs, "ab", budget=100).tree.nodes:
+            assert node.formula.next_index == _free_index(node.formula)
+            checked += node.rule in ("small-ind", "big-left", "big-right")
+    assert checked > 50
 
 
 def test_unfold_covers_empty_prefix_models():

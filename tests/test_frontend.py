@@ -1,13 +1,20 @@
+import pathlib
 import random
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 import pytest
 
-from corpus import rand_tame_regex
-from stringsat.frontend import (ParseError, UnknownIdentifierError,
+from corpus import draw_acyclic, draw_one_cycle, rand_tame_regex
+from stringsat import frontend
+from stringsat.frontend import (MAX_NESTING, ParseError, Problem,
+                                UnknownIdentifierError,
                                 UnsupportedConstructError, parse_problem,
                                 render_answer, render_problem)
-from stringsat.terms import (AInt, AMod, AVar, FAtom, FEq, FIn, FNot, Model,
-                             RCat, RStar, RWord, SVar, word)
+from stringsat.terms import (AInt, AMod, AVar, FAnd, FAtom, FEq, FIn, FNot,
+                             Model, RCat, RStar, RWord, SVar,
+                             formula_int_vars, formula_len_vars,
+                             formula_string_vars, word)
 
 WORKED = """
 (declare-str s)
@@ -95,6 +102,19 @@ def test_arith_arity_and_divisor_errors(term, col):
     assert (e.value.line, e.value.col) == (2, col)
 
 
+@pytest.mark.parametrize("text, line, col", [
+    ("()", 1, 1),
+    ("(assert ())", 1, 9),
+    ("(declare-str s)\n  (assert ())", 2, 11),
+    ("(())", 1, 2),
+])
+def test_empty_lists_are_placed_at_their_parenthesis(text, line, col):
+    with pytest.raises(ParseError) as e:
+        parse_problem(text)
+    assert (e.value.msg, e.value.line, e.value.col) == \
+        ("expected a command", line, col)
+
+
 def test_constant_divisor_is_folded():
     p = parse_problem("(declare-int k)(assert (= (mod k (+ 1 (max 2 1))) 1))")
     assert p.assertions[0].atom.lhs == AMod(AVar("k"), AInt(3))
@@ -174,3 +194,221 @@ def _random_problem_text(rng: random.Random) -> str:
             lines.append(f"(assert ({rng.choice(['<=', '='])} {lhs} "
                          f"{rng.randint(0, 5)}))")
     return "\n".join(lines)
+
+
+# ---------------------------------------------------------------------------
+# The one-pass reader against the lexer and reader it replaced
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Tok:
+    kind: str  # lparen rparen symbol string int
+    text: str
+    line: int
+    col: int
+
+
+_SYMBOL_CHARS = set("abcdefghijklmnopqrstuvwxyz"
+                    "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+                    "0123456789_.+-*/<>=!?%")
+
+
+def _lex(text: str) -> List[_Tok]:
+    """Reference lexer: a loop per character, all tokens before any list."""
+    toks: List[_Tok] = []
+    line, col, i = 1, 1, 0
+    n = len(text)
+    while i < n:
+        c = text[i]
+        if c == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if c in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if c == ";":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if c in "()":
+            toks.append(_Tok("lparen" if c == "(" else "rparen", c, line,
+                             col))
+            i += 1
+            col += 1
+            continue
+        if c == '"':
+            j = i + 1
+            while j < n and text[j] != '"':
+                if text[j] == "\n":
+                    raise ParseError("unterminated string literal", line, col)
+                j += 1
+            if j >= n:
+                raise ParseError("unterminated string literal", line, col)
+            lit = text[i + 1:j]
+            for ch in lit:
+                if not (32 <= ord(ch) < 127):
+                    raise ParseError(
+                        "string literals are printable ASCII only", line, col)
+            toks.append(_Tok("string", lit, line, col))
+            col += j - i + 1
+            i = j + 1
+            continue
+        if c in _SYMBOL_CHARS:
+            j = i
+            while j < n and text[j] in _SYMBOL_CHARS:
+                j += 1
+            t = text[i:j]
+            body = t[1:] if t[:1] == "-" else t
+            kind = "int" if body.isdigit() and body != "" else "symbol"
+            toks.append(_Tok(kind, t, line, col))
+            col += j - i
+            i = j
+            continue
+        raise ParseError(f"unexpected character {c!r}", line, col)
+    return toks
+
+
+@dataclass(frozen=True)
+class _Node:
+    # an atom token, or a parenthesized list with its "("
+    tok: Optional[_Tok]
+    items: Optional[tuple]
+    paren: Optional[_Tok] = None
+
+    @property
+    def pos(self) -> Tuple[int, int]:
+        if self.tok is not None:
+            return self.tok.line, self.tok.col
+        if self.items:
+            return self.items[0].pos
+        return self.paren.line, self.paren.col
+
+
+def _read_all(toks: List[_Tok]) -> List[_Node]:
+    """Reference reader over the whole token list, with an explicit stack
+    of the lists still open."""
+    out: List[_Node] = []
+    open_lists: List[Tuple[_Tok, list]] = []
+    for t in toks:
+        if t.kind == "lparen":
+            if len(open_lists) == MAX_NESTING:
+                raise ParseError(
+                    f"nesting deeper than {MAX_NESTING} levels", t.line, t.col)
+            open_lists.append((t, []))
+            continue
+        if t.kind == "rparen":
+            if not open_lists:
+                raise ParseError("unexpected )", t.line, t.col)
+            paren, items = open_lists.pop()
+            node = _Node(None, tuple(items), paren)
+        else:
+            node = _Node(t, None)
+        (open_lists[-1][1] if open_lists else out).append(node)
+    if open_lists:
+        t = open_lists[-1][0]
+        raise ParseError("missing )", t.line, t.col)
+    return out
+
+
+def _error(e: ParseError) -> tuple:
+    return type(e), e.msg, e.line, e.col
+
+
+def _reference_forms(text: str):
+    try:
+        nodes = _read_all(_lex(text))
+    except ParseError as e:
+        return _error(e)
+
+    def shape(n: _Node) -> tuple:
+        if n.tok is not None:
+            return n.tok.kind, n.tok.text, n.pos
+        return "list", tuple(shape(x) for x in n.items), n.pos
+    return [shape(n) for n in nodes]
+
+
+def _forms(text: str):
+    try:
+        forms = frontend._read(text)
+    except ParseError as e:
+        return _error(e)
+    ctx = frontend._Ctx(text)
+
+    def shape(n: tuple) -> tuple:
+        kind, value, _ = n
+        if kind == "list":
+            value = tuple(shape(x) for x in value)
+        return kind, value, ctx.pos(n)
+    return [shape(n) for n in forms]
+
+
+def _corpus_texts(rng: random.Random) -> List[str]:
+    texts = [WORKED, "", "(declare-str s)"]
+    texts += [p.read_text() for p in sorted(
+        (pathlib.Path(__file__).parent.parent / "problems").glob("*.smt2"))]
+    texts += [_random_problem_text(rng) for _ in range(20)]
+    for conjs in draw_one_cycle(rng, 10) + draw_acyclic(rng, 10):
+        f = FAnd(tuple(conjs))
+        strs = sorted(formula_string_vars(f) | formula_len_vars(f))
+        texts.append(render_problem(Problem(
+            tuple(strs), tuple(sorted(formula_int_vars(f))), (),
+            tuple(conjs))))
+    return texts
+
+
+def _nest(depth: int) -> str:
+    return "(assert " + "(and " * depth + "true" + ")" * (depth + 1)
+
+
+def _reader_inputs(rng: random.Random) -> List[str]:
+    texts = _corpus_texts(rng)
+    out = list(texts)
+    odd = ["é", " ", "\x0b", "\t", "\r", "\r\n", "\n", "; note (é\n",
+           ";", '"', '"é"', '"a\tb"', "\x7f", "{", "$", "()", "(())"]
+    for depth in (MAX_NESTING - 1, MAX_NESTING, MAX_NESTING + 1):
+        out += [_nest(depth), "(" * depth + ")" * depth,
+                _nest(depth) + " é", "é " + _nest(depth)]
+    out += ["()", "(assert ())", ")", ") é", ')\n"open', "(()", "(( é",
+            "((\n)", ")" + WORKED + '"x\n', WORKED.replace("\n", "\r\n"),
+            WORKED.replace(" ", "\t")]
+    while len(out) < 1000:
+        text = rng.choice(texts)
+        i = rng.randrange(len(text) + 1)
+        kind = rng.randrange(6)
+        if kind == 0:  # truncated
+            out.append(text[:i])
+        elif kind == 1:  # a parenthesis or quote spliced in or over
+            c = rng.choice('()"')
+            out.append(text[:i] + c + text[i + rng.randrange(2):])
+        elif kind == 2:  # odd characters, comments and line ends
+            out.append(text[:i] + rng.choice(odd) + text[i:])
+        elif kind == 3:  # a stray ) early, odd characters later
+            j = rng.randrange(i, len(text) + 1)
+            out.append(text[:i] + ")" + text[i:j] + rng.choice(odd)
+                       + text[j:])
+        elif kind == 4:  # a deep nest somewhere
+            depth = rng.choice((MAX_NESTING - 1, MAX_NESTING,
+                                MAX_NESTING + 1))
+            out.append(text[:i] + _nest(depth) + text[i:])
+        else:  # line ends and tabs
+            out.append(text.replace("\n", rng.choice(("\r\n", "\r", "\n\n")))
+                       .replace(" ", rng.choice((" ", "\t", " \t"))))
+    return out
+
+
+def test_reader_matches_the_two_stage_reference():
+    inputs = _reader_inputs(random.Random(97))
+    errors = set()
+    for text in inputs:
+        want = _reference_forms(text)
+        assert _forms(text) == want, repr(text)
+        if isinstance(want, tuple):
+            errors.add(want[1].split(" '")[0])
+    # every error the reader can raise was drawn
+    assert errors == {"unterminated string literal",
+                      "string literals are printable ASCII only",
+                      "unexpected character", "unexpected )", "missing )",
+                      f"nesting deeper than {MAX_NESTING} levels"}, errors

@@ -350,3 +350,58 @@ def test_length_set_is_analysed_once_per_automaton(cold_cache, monkeypatch):
     cold_cache.clear()
     length_set(compiled(ROTATE, sigma))
     assert len(analysed) == 3
+
+
+# --- minimization against Moore refinement ---------------------------------
+
+def _moore_minimize(d: Dfa) -> Dfa:
+    """Reference: drop unreachable states, refine by Moore signatures until
+    stable, number blocks by their first state."""
+    reach = {d.start}
+    stack = [d.start]
+    while stack:
+        for t in d.transitions[stack.pop()]:
+            if t not in reach:
+                reach.add(t)
+                stack.append(t)
+    states = sorted(reach)
+    remap = {q: i for i, q in enumerate(states)}
+    trans = [tuple(remap[t] for t in d.transitions[q]) for q in states]
+    acc = frozenset(remap[q] for q in d.accepting if q in reach)
+    n = len(states)
+    block = [1 if q in acc else 0 for q in range(n)]
+    while True:
+        sig: dict = {}
+        new_block = [sig.setdefault((block[q],) + tuple(block[t]
+                                                         for t in trans[q]),
+                                    len(sig))
+                     for q in range(n)]
+        if new_block == block:
+            break
+        block = new_block
+    rep: dict = {}
+    for q in range(n):
+        rep.setdefault(block[q], q)
+    order = sorted(rep, key=lambda b: rep[b])
+    renum = {b: i for i, b in enumerate(order)}
+    return Dfa(d.alphabet,
+               tuple(tuple(renum[block[t]] for t in trans[rep[b]])
+                     for b in order),
+               renum[block[remap[d.start]]],
+               frozenset(renum[block[q]] for q in acc))
+
+
+def test_hopcroft_gives_the_moore_automaton():
+    rng = random.Random(41)
+    for _ in range(400):
+        sigma = ("a", "b", "c")[:rng.randint(1, 3)]
+        n = rng.randint(1, 30)
+        d = _random_dfa(rng, sigma, n)
+        d = Dfa(sigma, d.transitions, rng.randrange(n), d.accepting)
+        assert regexes._minimize(d) == _moore_minimize(d), d
+    # chains, where Moore needs a round per state
+    for n in (1, 2, 7, 64):
+        chain = Dfa(("a", "b"), tuple((min(q + 1, n), n) for q in range(n))
+                    + ((n, n),), 0, frozenset((n - 1,)))
+        assert regexes._minimize(chain) == _moore_minimize(chain)
+        assert regexes._minimize(chain).n_states == n + 1
