@@ -924,6 +924,15 @@ class Hypothesis:
             return env
         return None
 
+    def model(self) -> Optional[dict]:
+        """An integer model of the hypothesis without solving anything:
+        the nearest witness up the chain, extended through the
+        definitional equalities added since and checked against every
+        atom added since (an unbound variable reads 0), or None when no
+        witness is known or the extension fails.  After a satisfiable
+        query it is that query's model."""
+        return self._carried([])
+
     def _record(self, env: dict) -> None:
         self._witness = env
         hyp = self._parent

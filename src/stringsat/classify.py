@@ -142,22 +142,38 @@ def cycle_count(g: DepGraph) -> int:
         return 0
     mult = Counter(g.edges)
     adj: dict = {}
+    radj: dict = {}
     for (s, d), k in mult.items():
         adj.setdefault(s, []).append((d, k))
-    order = sorted(g.vertices)
+        radj.setdefault(d, []).append(s)
     total = 0
-    for start in order:
-        # count simple cycles whose smallest vertex is `start`
-        def walk(v: str, seen: frozenset, weight: int) -> int:
-            found = 0
-            for d, k in adj.get(v, ()):
+    for start in sorted(g.vertices):
+        # count simple cycles whose smallest vertex is `start`.  Only the
+        # vertices above it that reach it through vertices above it can
+        # lie on one; walk the simple paths through them depth first, one
+        # frame per path vertex with the weight so far and the vertex's
+        # edges not yet tried
+        back = {start}
+        todo = [start]
+        while todo:
+            for s in radj.get(todo.pop(), ()):
+                if s > start and s not in back:
+                    back.add(s)
+                    todo.append(s)
+        on_path = {start}
+        stack = [(start, 1, iter(adj.get(start, ())))]
+        while stack:
+            v, weight, edges = stack[-1]
+            for d, k in edges:
                 if d == start:
-                    found += weight * k
-                elif d > start and d not in seen:
-                    found += walk(d, seen | {d}, weight * k)
-            return found
-
-        total += walk(start, frozenset((start,)), 1)
+                    total += weight * k
+                elif d in back and d not in on_path:
+                    on_path.add(d)
+                    stack.append((d, weight * k, iter(adj.get(d, ()))))
+                    break
+            else:
+                stack.pop()
+                on_path.discard(v)
     return total
 
 

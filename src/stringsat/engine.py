@@ -14,6 +14,7 @@ answers unknown.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -26,7 +27,7 @@ from .terms import (AAdd, AInt, AScale, AVar, Alias, ArithAtom, ArithExpr,
                     Equation, FAtom, FEq, FIn, FNot, Formula, Membership,
                     Model, NormalizedFormula, SPred, SVar, Split, Subterm,
                     arith_len_vars, atom_eq, atom_le, atom_lt, equation_size,
-                    fold_balanced, formula_summary, length_expr,
+                    eval_atom, fold_balanced, formula_summary,
                     normalized_to_formula, rename_atom_vars, rename_subterm,
                     subst_len, term_subst, vars_of_atoms,
                     _walker)
@@ -345,8 +346,7 @@ def over_approx(f: NormalizedFormula,
     in order, then ``f.arith`` as it is, then the disjunct's own
     membership atoms.  Only the last part differs between disjuncts.
     """
-    base = tuple(atom_eq(length_expr(eq.lhs), length_expr(eq.rhs))
-                 for eq in f.equations) + f.arith
+    base = f.equation_lengths + f.arith
     if mode == OA_LENGTHS_ONLY or not f.memberships:
         return [base]
     disjuncts: List[tuple] = [base]
@@ -370,18 +370,37 @@ def oa_unsat(f: NormalizedFormula, mode: str = OA_FULL,
              hyp: Optional[_arith.Hypothesis] = None) -> bool:
     """Whether every disjunct of the length abstraction is unsatisfiable.
 
-    ``hyp`` is the prepared arithmetic of ``f`` (``f.arith``), as the
-    search keeps it per tree node.  The equation-length atoms are
-    conjoined to it once; each disjunct then solves only its membership
-    atoms on top."""
+    ``hyp`` is the node's hypothesis (``node_hypothesis``), equivalent to
+    the disjuncts' shared part: the equation lengths and ``f.arith``.
+    Each disjunct solves only its membership atoms on top of it."""
     disjuncts = over_approx(f, mode)
     if not disjuncts:
         return True
-    n_eqs, n_shared = len(f.equations), len(f.equations) + len(f.arith)
+    n_shared = len(f.equations) + len(f.arith)
     if hyp is None:
-        hyp = _arith.Hypothesis(f.arith)
-    lengths = hyp.extend(disjuncts[0][:n_eqs])
-    return not any(lengths.consistent_with(d[n_shared:]) for d in disjuncts)
+        hyp = _arith.Hypothesis(disjuncts[0][:n_shared])
+    return not any(hyp.consistent_with(d[n_shared:]) for d in disjuncts)
+
+
+def node_hypothesis(f: NormalizedFormula,
+                    parent: Optional[NormalizedFormula] = None,
+                    parent_hyp: Optional[_arith.Hypothesis] = None
+                    ) -> _arith.Hypothesis:
+    """The prepared arithmetic the search keeps for a tree node.
+
+    The root's is its equation lengths and arithmetic.  A child's extends
+    its parent's by the atoms its unfolding added to ``arith``.  That
+    keeps it equivalent to the child's own equation lengths and
+    arithmetic: each rule that rewrites the equations substitutes one
+    predicate and adds the atom defining the new length (``n = 0``,
+    ``n' = n - 1``, ``n1 = n2``, ``n' = n_long - n_short``), and the
+    others drop equal parts from both sides."""
+    if parent is None:
+        return _arith.Hypothesis(f.equation_lengths + f.arith)
+    if f.arith[:len(parent.arith)] != parent.arith:
+        raise EngineInternalError(
+            "a child's arithmetic does not extend its parent's")
+    return parent_hyp.extend(f.arith[len(parent.arith):])
 
 
 # ---------------------------------------------------------------------------
@@ -663,9 +682,28 @@ def _memberships_entailed(leaf: NormalizedFormula, anc: NormalizedFormula,
 def _measure(f: NormalizedFormula):
     """Total notational length of the equations as an arithmetic term."""
     total = AInt(0)
-    for eq in f.equations:
-        total = AAdd(total, AAdd(length_expr(eq.lhs), length_expr(eq.rhs)))
+    for a in f.equation_lengths:
+        total = AAdd(total, AAdd(a.lhs, a.rhs))
     return total
+
+
+def _refuted(w: dict, shrink: ArithAtom, full_imap: dict,
+             anc: NormalizedFormula) -> bool:
+    """Whether the leaf model ``w`` (an unbound variable reads 0) shows a
+    candidate cannot link: the shrink fails under it, or an ancestor atom
+    fails under its renaming ``env[full_imap[v]] = w[v]``.  The renaming
+    is injective on the leaf's variables, so that assignment satisfies the
+    renamed leaf arithmetic, and a false ancestor atom refutes the
+    entailment.  Where two leaf variables would give one target different
+    values the renaming is no model and nothing is refuted."""
+    if not eval_atom(shrink, w):
+        return True
+    env: Dict[str, int] = defaultdict(int)
+    for v, target in full_imap.items():
+        if target in env and env[target] != w[v]:
+            return False
+        env[target] = w[v]
+    return not all(eval_atom(a, env) for a in anc.arith)
 
 
 def link_back(leaf: NormalizedFormula, ancestors: List[NormalizedFormula],
@@ -681,16 +719,21 @@ def link_back(leaf: NormalizedFormula, ancestors: List[NormalizedFormula],
     measures are expressible there).  Without the strict decrease the
     cyclic argument would admit loops that consume nothing.
 
-    The leaf's constraints are prepared once (``hyp`` when the caller
-    keeps one) for the shrink check of every candidate; a candidate that
-    passes it prepares its renamed constraints once for all of the
-    ancestor's atoms.  Each query solves one small system per conclusion
-    atom that the hypothesis does not state literally.
+    Counter-models come before proofs.  ``hyp`` is the leaf's node
+    hypothesis when the caller keeps one; its model (``Hypothesis.model``)
+    satisfies the leaf's arithmetic, and a candidate it refutes
+    (``_refuted``) is skipped unproved.  A witness only refutes: every
+    link is proved.  The shrink is proved on the leaf's arithmetic alone,
+    prepared on first need and shared by the candidates; the ancestor's
+    atoms on the renamed leaf arithmetic, prepared once per candidate.
+    Each query solves one small system per conclusion atom that the
+    hypothesis does not state literally.
     """
     if not leaf.equations:
         return None
     leaf_measure = _measure(leaf)
-    leaf_hyp = hyp if hyp is not None else _arith.Hypothesis(leaf.arith)
+    w = hyp.model() if hyp is not None else None
+    leaf_hyp = None
     for a_index, anc in enumerate(ancestors):
         if leaf.progress_steps <= anc.progress_steps:
             continue
@@ -701,8 +744,6 @@ def link_back(leaf: NormalizedFormula, ancestors: List[NormalizedFormula],
         if not _memberships_entailed(leaf, anc, smap, cmap):
             continue
         shrink = atom_le(AAdd(leaf_measure, AInt(1)), _measure(anc))
-        if not _arith.arith_implies(leaf_hyp, [shrink]):
-            continue
         # where both paths match level by level up to the root, rename along
         # them: the ancestor's dropped lengths meet the leaf path's own
         path = _unify_equations(zip([leaf] + ancestors, ancestors[a_index:]))
@@ -721,6 +762,12 @@ def link_back(leaf: NormalizedFormula, ancestors: List[NormalizedFormula],
                 fresh_i += 1
             else:
                 full_imap[v] = v
+        if w is not None and _refuted(w, shrink, full_imap, anc):
+            continue
+        if leaf_hyp is None:
+            leaf_hyp = _arith.Hypothesis(leaf.arith)
+        if not _arith.arith_implies(leaf_hyp, [shrink]):
+            continue
         renamed = [rename_atom_vars(a, full_imap) for a in leaf.arith]
         if _arith.arith_implies(renamed, list(anc.arith)):
             theta = Theta(tuple(sorted(smap.items())),
@@ -822,15 +869,14 @@ def solve_conjunction(conjuncts: Iterable[Formula], alphabet: Iterable[str],
         n = max(equation_size(eq) for eq in root.equations)
         zero_sea_bound = 4 * (2 ** m) * max(n, 1)
 
-    # Open leaves with their prepared arithmetic, the deepest with the
-    # lowest id on top.  Only the last expansion's children can be deeper
-    # than every other open leaf, and each expansion pushes its still-open
+    # Open leaves with their node hypotheses, the deepest with the lowest
+    # id on top.  Only the last expansion's children can be deeper than
+    # every other open leaf, and each expansion pushes its still-open
     # children in reverse id order, so popping the top expands the deepest
-    # open leaf, lowest id first.  A child's arithmetic is its parent's
-    # plus the atoms its unfolding added, so its hypothesis extends the
-    # parent's by those atoms; a closed leaf's is dropped with it.
+    # open leaf, lowest id first.  A closed leaf's hypothesis is dropped
+    # with it.
     stack: List[Tuple[TreeNode, _arith.Hypothesis]] = []
-    unchecked = [(tree.nodes[0], _arith.Hypothesis(root.arith))]
+    unchecked = [(tree.nodes[0], node_hypothesis(root))]
     while True:
         for leaf, hyp in unchecked:
             if oa_mode == OA_FULL:
@@ -881,19 +927,15 @@ def solve_conjunction(conjuncts: Iterable[Formula], alphabet: Iterable[str],
         spent += 1
         if not children:
             pick.status = ClosedUnsat("no unfolding (constant clash)")
-        parent_arith = pick.formula.arith
         unchecked = []
         for child in children:
             node = tree.add_child(pick.id, child.rule, child.formula)
-            if child.formula.arith[:len(parent_arith)] != parent_arith:
-                raise EngineInternalError(
-                    "a child's arithmetic does not extend its parent's")
+            hyp = node_hypothesis(child.formula, pick.formula, pick_hyp)
             if zero_sea_bound is not None and node.depth + 1 > zero_sea_bound:
                 raise EngineInternalError(
                     "acyclic path bound exceeded: "
                     f"{node.depth + 1} > {zero_sea_bound}")
-            unchecked.append((node, pick_hyp.extend(
-                child.formula.arith[len(parent_arith):])))
+            unchecked.append((node, hyp))
 
 
 # ---------------------------------------------------------------------------

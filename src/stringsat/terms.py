@@ -54,9 +54,21 @@ Atom = Union[CChar, SVar, SPred]
 Term = tuple
 
 
+# One CChar per character, shared by every word: the value is immutable,
+# so its check runs once per distinct character.
+_CCHARS: Dict[str, CChar] = {}
+
+
+def _cchar(c: str) -> CChar:
+    got = _CCHARS.get(c)
+    if got is None:
+        got = _CCHARS[c] = CChar(c)
+    return got
+
+
 def word(chars: str) -> Term:
     """Build the constant term for a literal word."""
-    return tuple(CChar(c) for c in chars)
+    return tuple(map(_cchar, chars))
 
 
 @dataclass(frozen=True)
@@ -442,6 +454,12 @@ class NormalizedFormula:
         holds every variable down the path, each as a flattened copy."""
         pieces = _walker(self)
         return tuple(pieces(m.var) for m in self.memberships)
+
+    @cached_property
+    def equation_lengths(self) -> tuple:
+        """One length equality |lhs| = |rhs| per equation, in order."""
+        return tuple(atom_eq(length_expr(eq.lhs), length_expr(eq.rhs))
+                     for eq in self.equations)
 
     @cached_property
     def progress_steps(self) -> int:

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 from corpus import draw_acyclic
 from stringsat import engine
@@ -77,6 +78,46 @@ def test_cycle_count_multi_edges():
     g = DepGraph(root="s", vertices={"s", "t"},
                  edges=[("s", "t"), ("s", "t"), ("t", "s")])
     assert cycle_count(g) == 2
+
+
+def _recursive_cycle_count(g):
+    # the recursive walk cycle_count replaced, one Python frame per vertex
+    adj = {}
+    for (s, d), k in Counter(g.edges).items():
+        adj.setdefault(s, []).append((d, k))
+    total = 0
+    for start in sorted(g.vertices):
+        def walk(v, seen, weight):
+            found = 0
+            for d, k in adj.get(v, ()):
+                if d == start:
+                    found += weight * k
+                elif d > start and d not in seen:
+                    found += walk(d, seen | {d}, weight * k)
+            return found
+
+        total += walk(start, frozenset((start,)), 1)
+    return total
+
+
+def test_cycle_count_matches_the_recursive_walk():
+    rng = random.Random(31)
+    for _ in range(300):
+        names = [f"v{i}" for i in range(rng.randint(1, 6))]
+        edges = [(rng.choice(names), rng.choice(names))
+                 for _ in range(rng.randint(0, 12))]
+        g = DepGraph(root=names[0], vertices=set(names), edges=edges)
+        assert cycle_count(g) == _recursive_cycle_count(g), edges
+
+
+def test_cycle_count_on_long_paths_and_cycles():
+    # far deeper than the interpreter's recursion limit
+    names = [f"v{i:04d}" for i in range(3000)]
+    path = list(zip(names, names[1:]))
+    g = DepGraph(root=names[0], vertices=set(names), edges=path)
+    assert cycle_count(g) == 0
+    g.edges = path + [(names[-1], names[0])]
+    assert cycle_count(g) == 1
 
 
 def test_is_periodic_arith():

@@ -7,12 +7,13 @@ import pytest
 from corpus import (draw_acyclic, draw_one_cycle, gen_small_normalized,
                     rand_regex, rand_tame_regex)
 from stringsat import engine, frontend, oracle
-from stringsat.arith import Hypothesis
+from stringsat.arith import Hypothesis, arith_implies
 from stringsat.classify import is_linear
 from stringsat.engine import (BackLinkedTo, ClosedUnsat, EngineInternalError,
                               GaveUp, OA_FULL, OA_LENGTHS_ONLY, Open,
                               UnfoldChild, _length_of, export_tree,
-                              init_normalize, link_back, oa_unsat,
+                              init_normalize, link_back, node_hypothesis,
+                              oa_unsat,
                               over_approx, residual_empty, solve_conjunction,
                               under_approx_check, unfold)
 from stringsat.terms import (AAdd, AInt, ALen, AMod, AVar, Alias, CChar,
@@ -389,10 +390,29 @@ def test_a_capped_leaf_is_given_up_unless_closed_otherwise(monkeypatch):
         ClosedUnsat("length abstraction unsat")
 
 
-def test_node_hypotheses_give_the_from_scratch_answers():
+def _node_hypotheses(tree):
+    """Every node's hypothesis, built as the search builds it."""
+    hyps = {0: node_hypothesis(tree.nodes[0].formula)}
+    for n in tree.nodes[1:]:
+        parent = tree.nodes[n.parent]
+        hyps[n.id] = node_hypothesis(n.formula, parent.formula,
+                                     hyps[parent.id])
+    return hyps
+
+
+def test_node_hypotheses_give_the_from_scratch_answers(monkeypatch):
     # each node's Hypothesis extends its parent's by the atoms the
-    # unfolding added; OA and the back-link shrink check must answer on it
-    # as they do on the node's own arithmetic prepared from scratch
+    # unfolding added; OA must answer on it as on the node's own length
+    # abstraction prepared from scratch, and link_back, refuting
+    # candidates by its model first, as with no hypothesis at all
+    real_refuted = engine._refuted
+    refuted = []
+
+    def counting(*args):
+        refuted.append(real_refuted(*args))
+        return refuted[-1]
+
+    monkeypatch.setattr(engine, "_refuted", counting)
     rng = random.Random(24)
     problems = [(c, 10000) for c in draw_one_cycle(rng, 30)]
     problems += [(c, 10000) for c in draw_acyclic(rng, 10)]
@@ -401,10 +421,7 @@ def test_node_hypotheses_give_the_from_scratch_answers():
     seen = {"pruned": 0, "linked": 0}
     for conjs, budget in problems:
         tree = solve_conjunction(conjs, "ab", budget=budget).tree
-        hyps = {0: Hypothesis(tree.nodes[0].formula.arith)}
-        for n in tree.nodes[1:]:
-            parent = tree.nodes[n.parent].formula.arith
-            hyps[n.id] = hyps[n.parent].extend(n.formula.arith[len(parent):])
+        hyps = _node_hypotheses(tree)
         for n in tree.nodes:
             f = n.formula
             got = oa_unsat(f, OA_FULL, hyps[n.id])
@@ -415,6 +432,81 @@ def test_node_hypotheses_give_the_from_scratch_answers():
             seen["pruned"] += got
             seen["linked"] += linked is not None
     assert seen["pruned"] > 20 and seen["linked"] > 5, seen
+    assert sum(refuted) > 0, seen
+
+
+def test_node_hypotheses_keep_the_node_equation_lengths():
+    # the root's equation lengths and a node's arithmetic entail the
+    # node's own equation lengths and back, on every node of every tree
+    rng = random.Random(25)
+    problems = draw_one_cycle(rng, 30) + draw_acyclic(rng, 20)
+    problems += [_hard_instance(), worked_example()]
+    trees = 0
+    for conjs in problems:
+        for mode in (OA_LENGTHS_ONLY, OA_FULL):
+            tree = solve_conjunction(conjs, "ab", budget=100,
+                                     oa_mode=mode).tree
+            root = tree.nodes[0].formula
+            for n in tree.nodes:
+                f = n.formula
+                from_root = list(root.equation_lengths + f.arith)
+                own = list(f.equation_lengths + f.arith)
+                assert arith_implies(from_root, own), f
+                assert arith_implies(own, from_root), f
+            trees += 1
+    assert trees >= 100
+
+
+def test_witness_refutes_through_the_renaming(monkeypatch):
+    # a hand-built variant of the worked example's pi22 whose current
+    # length $n2 is $n0 - 3, hence odd: the positional match sends $n2 to
+    # the root's $n0 (parity 0 there) and moves the leaf's own $n0 to
+    # $fp0.  The leaf's model read through that renaming gives the root's
+    # $n0 an odd value, which refutes the link before any proof; read
+    # without it, $n0 is even and nothing is refuted
+    f0 = init_normalize(worked_example(), "ab")
+    f12 = unfold(f0)[1].formula
+    f22 = _pi22()
+    step = atom_eq(AVar("$n2"), AAdd(AVar("$n1"), AInt(-1)))
+    leaf = f22.with_(arith=tuple(
+        atom_eq(AVar("$n2"), AAdd(AVar("$n1"), AInt(-2))) if a == step else a
+        for a in f22.arith))
+    assert leaf.arith != f22.arith
+    proofs = []
+
+    def counting(hyp, concl):
+        proofs.append(concl)
+        return arith_implies(hyp, concl)
+
+    monkeypatch.setattr(engine._arith, "arith_implies", counting)
+    hyp = node_hypothesis(leaf)
+    assert hyp.consistent_with([])
+    assert link_back(leaf, [f12, f0], hyp) is None
+    assert proofs == []  # refuted by the model alone
+    assert link_back(leaf, [f12, f0]) is None and proofs
+    proofs.clear()
+    hyp = node_hypothesis(f22)
+    assert hyp.consistent_with([])
+    idx, theta = link_back(f22, [f12, f0], hyp)
+    assert idx == 1 and theta.ints()["$n0"] == "$fp0"
+    assert len(proofs) == 2  # the real leaf still links by proof
+
+
+def test_the_worked_example_links_by_proof(monkeypatch):
+    # a link is never taken on a witness: node 4 links to the root
+    # through one proved shrink and one proved ancestor entailment
+    calls = {"shrink": [], "entailment": []}
+
+    def counting(hyp, concl):
+        got = arith_implies(hyp, concl)
+        kind = "shrink" if isinstance(hyp, Hypothesis) else "entailment"
+        calls[kind].append(got)
+        return got
+
+    monkeypatch.setattr(engine._arith, "arith_implies", counting)
+    ans = solve_conjunction(worked_example(), "ab", oa_mode=OA_LENGTHS_ONLY)
+    assert _links(ans.tree) == [(4, 0)]
+    assert True in calls["shrink"] and True in calls["entailment"], calls
 
 
 def _links(tree):
