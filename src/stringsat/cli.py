@@ -64,6 +64,8 @@ def config_from_args(argv: List[str]) -> RunConfig:
     ns = build_parser().parse_args(argv)
     if ns.budget < 0:
         raise ValueError("budget must be non-negative")
+    if ns.oracle_check is not None and ns.oracle_check < 0:
+        raise ValueError("oracle-check bound must be non-negative")
     return RunConfig(path=ns.input, budget=ns.budget, want_model=ns.model,
                      show_fragment=ns.fragment, dot_path=ns.dot,
                      oa_mode=ns.oa, reduce_to_single=ns.reduce_to_single,

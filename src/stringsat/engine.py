@@ -310,6 +310,16 @@ def _set_component_atoms(expr, comp, fresh: str) -> tuple:
             atom_le(AInt(0), AVar(fresh)))
 
 
+def _automaton(f: NormalizedFormula, i: int) -> _regexes.Dfa:
+    """Membership i's automaton, compiled on first use and shared through
+    ``f.automata`` by every node of the tree."""
+    dfa = f.automata[i]
+    if dfa is None:
+        dfa = f.automata[i] = _regexes.compiled(f.memberships[i].regex,
+                                                f.alphabet)
+    return dfa
+
+
 def residual_empty(f: NormalizedFormula) -> Optional[str]:
     """The first member variable whose membership no word of its resolved
     pieces can meet, or None.
@@ -321,8 +331,8 @@ def residual_empty(f: NormalizedFormula) -> Optional[str]:
     one variable are treated independently, which only loses precision,
     so an accepting state missing from the final set proves the leaf has
     no model."""
-    for m, segs in zip(f.memberships, f.member_pieces):
-        dfa = _regexes.compiled(m.regex, f.alphabet)
+    for i, (m, segs) in enumerate(zip(f.memberships, f.member_pieces)):
+        dfa = _automaton(f, i)
         if not _regexes.residual_states(dfa, segs) & dfa.accepting:
             return m.var
     return None
@@ -344,42 +354,47 @@ def over_approx(f: NormalizedFormula,
 
     Every disjunct has the same layout: one length equality per equation,
     in order, then ``f.arith`` as it is, then the disjunct's own
-    membership atoms.  Only the last part differs between disjuncts.
+    membership atoms (``_membership_parts``).  Only the last part differs
+    between disjuncts.
     """
     base = f.equation_lengths + f.arith
-    if mode == OA_LENGTHS_ONLY or not f.memberships:
-        return [base]
-    disjuncts: List[tuple] = [base]
+    return [base + part for part in _membership_parts(f, mode)]
+
+
+def _membership_parts(f: NormalizedFormula, mode: str) -> List[tuple]:
+    """The membership atoms of each length-abstraction disjunct, in order:
+    one empty part in lengths-only mode or without memberships, none when
+    a membership's length set is empty."""
+    parts: List[tuple] = [()]
+    if mode == OA_LENGTHS_ONLY:
+        return parts
     lens = f.length_map()
     fresh = itertools.count(1)
-    for i, (m, segs) in enumerate(zip(f.memberships, f.member_pieces)):
-        dfa = _regexes.compiled(m.regex, f.alphabet)
-        lset = _regexes.length_set(dfa)
+    for i, segs in enumerate(f.member_pieces):
+        lset = _regexes.length_set(_automaton(f, i))
         expr = _length_of(segs, lens, fresh)
         comps = [_set_component_atoms(expr, n, "")
                  for n in sorted(lset.finite)]
         comps += [_set_component_atoms(expr, prog, f"$k{i}_{j}")
                   for j, prog in enumerate(lset.progressions)]
-        if len(disjuncts) * len(comps) > _OA_DISJUNCT_CAP:
+        if len(parts) * len(comps) > _OA_DISJUNCT_CAP:
             break  # weaken: remaining memberships contribute nothing
-        disjuncts = [d + c for d in disjuncts for c in comps]
-    return disjuncts
+        parts = [p + c for p in parts for c in comps]
+    return parts
 
 
 def oa_unsat(f: NormalizedFormula, mode: str = OA_FULL,
              hyp: Optional[_arith.Hypothesis] = None) -> bool:
     """Whether every disjunct of the length abstraction is unsatisfiable.
 
-    ``hyp`` is the node's hypothesis (``node_hypothesis``), equivalent to
-    the disjuncts' shared part: the equation lengths and ``f.arith``.
-    Each disjunct solves only its membership atoms on top of it."""
-    disjuncts = over_approx(f, mode)
-    if not disjuncts:
-        return True
-    n_shared = len(f.equations) + len(f.arith)
+    ``hyp`` is the node's hypothesis (``node_hypothesis``, built here when
+    not given), equivalent to the disjuncts' shared part: the equation
+    lengths and ``f.arith``.  Each disjunct solves only its membership
+    part on top of it."""
     if hyp is None:
-        hyp = _arith.Hypothesis(disjuncts[0][:n_shared])
-    return not any(hyp.consistent_with(d[n_shared:]) for d in disjuncts)
+        hyp = node_hypothesis(f)
+    return not any(hyp.consistent_with(part)
+                   for part in _membership_parts(f, mode))
 
 
 def node_hypothesis(f: NormalizedFormula,
@@ -388,15 +403,16 @@ def node_hypothesis(f: NormalizedFormula,
                     ) -> _arith.Hypothesis:
     """The prepared arithmetic the search keeps for a tree node.
 
-    The root's is its equation lengths and arithmetic.  A child's extends
-    its parent's by the atoms its unfolding added to ``arith``.  That
-    keeps it equivalent to the child's own equation lengths and
+    The root's is its lengths-only abstraction (its equation lengths and
+    arithmetic), the one length abstraction a tree builds.  A child's
+    extends its parent's by the atoms its unfolding added to ``arith``.
+    That keeps it equivalent to the child's own equation lengths and
     arithmetic: each rule that rewrites the equations substitutes one
     predicate and adds the atom defining the new length (``n = 0``,
     ``n' = n - 1``, ``n1 = n2``, ``n' = n_long - n_short``), and the
     others drop equal parts from both sides."""
     if parent is None:
-        return _arith.Hypothesis(f.equation_lengths + f.arith)
+        return _arith.Hypothesis(over_approx(f, OA_LENGTHS_ONLY)[0])
     if f.arith[:len(parent.arith)] != parent.arith:
         raise EngineInternalError(
             "a child's arithmetic does not extend its parent's")
@@ -425,15 +441,19 @@ def is_base(f: NormalizedFormula) -> bool:
 _UA_COMBO_CAP = 50000
 
 
-def under_approx_check(f: NormalizedFormula) -> UAResult:
+def under_approx_check(f: NormalizedFormula,
+                       hyp: Optional[_arith.Hypothesis] = None) -> UAResult:
     """Decide a base leaf exactly.
 
     Ground equations are compared character-wise.  Memberships are turned
     into boundary-state choices over their DFAs; each choice constrains
     every open variable's length to the semilinear length set of the joint
     run of all its occurrences, and the arithmetic backend decides the
-    rest.  A SAT verdict always carries a checked model.  Raises
-    CapExceeded when the boundary choices number more than _UA_COMBO_CAP.
+    rest.  ``hyp`` is the leaf's node hypothesis when the caller keeps
+    one: a system its model (``Hypothesis.model``, an unbound variable
+    reading 0) satisfies needs no solving.  A SAT verdict always carries a
+    checked model.  Raises CapExceeded when the boundary choices number
+    more than _UA_COMBO_CAP.
     """
     if not is_base(f):
         return UAResult("notbase")
@@ -456,8 +476,8 @@ def under_approx_check(f: NormalizedFormula) -> UAResult:
     # memberships: fully determined members are checked outright; the rest
     # produce (dfa, pieces) obligations
     obligations: List[Tuple[_regexes.Dfa, tuple]] = []
-    for m, segs in zip(f.memberships, f.member_pieces):
-        dfa = _regexes.compiled(m.regex, sigma)
+    for i, (m, segs) in enumerate(zip(f.memberships, f.member_pieces)):
+        dfa = _automaton(f, i)
         if all(isinstance(s, str) for s in segs):
             w = "".join(segs)
             if not _regexes.accepts(dfa, w):
@@ -503,15 +523,19 @@ def under_approx_check(f: NormalizedFormula) -> UAResult:
     if per_mem is None:
         return UAResult("unsat", reason="membership admits no run")
 
+    # the node model answers a system only if it satisfies the shared part
+    node_model = hyp.model() if hyp is not None else None
+    if node_model is not None and \
+            not all(eval_atom(a, node_model) for a in base_atoms):
+        node_model = None
     lset_cache: dict = {}
-    combos = itertools.product(*per_mem) if per_mem else iter([()])
-    for combo in combos:
+    for combo in itertools.product(*per_mem):
         by_var: Dict[str, List] = {}
         for pairs in combo:
             for v, spec in pairs:
                 by_var.setdefault(v, []).append(spec)
         joints: Dict[str, _regexes.Dfa] = {}
-        atoms = list(base_atoms)
+        disjs: List[List[tuple]] = []  # per variable, its length components
         dead = False
         for v, specs in sorted(by_var.items()):
             key = tuple((id(d), p, q) for d, p, q in specs)
@@ -532,21 +556,22 @@ def under_approx_check(f: NormalizedFormula) -> UAResult:
                                       AAdd(AInt(off),
                                            AScale(period, AVar(kvar)))),
                               atom_le(AInt(0), AVar(kvar))))
-            atoms.append(("disj", v, comps))
+            disjs.append(comps)
         if dead:
             continue
 
-        # expand the per-variable component disjunctions
-        plain = [a for a in atoms if isinstance(a, ArithAtom)]
-        disjs = [a for a in atoms if not isinstance(a, ArithAtom)]
-        for chosen in itertools.product(*(c for _, _, c in disjs)) \
-                if disjs else iter([()]):
-            system = plain + [a for grp in chosen for a in grp]
-            if _arith.quick_unsat(system):
+        for chosen in itertools.product(*disjs):
+            own = [a for grp in chosen for a in grp]
+            system = base_atoms + own
+            if node_model is not None and \
+                    all(eval_atom(a, node_model) for a in own):
+                beta = {v: node_model[v] for v in vars_of_atoms(system)}
+            elif _arith.quick_unsat(system):
                 continue
-            beta = _arith.arith_sat(system)
-            if beta is None:
-                continue
+            else:
+                beta = _arith.arith_sat(system)
+                if beta is None:
+                    continue
             model = _finish_model(f, beta, joints, open_vars)
             return UAResult("sat", model=model)
     return UAResult("unsat", reason="no base model")
@@ -665,9 +690,9 @@ def _memberships_entailed(leaf: NormalizedFormula, anc: NormalizedFormula,
     character map, is included in the ancestor's."""
     if leaf.memberships != anc.memberships:
         return False
-    for m, leaf_segs, anc_segs in zip(leaf.memberships, leaf.member_pieces,
-                                      anc.member_pieces):
-        dfa = _regexes.compiled(m.regex, leaf.alphabet)
+    for i, (leaf_segs, anc_segs) in enumerate(zip(leaf.member_pieces,
+                                                  anc.member_pieces)):
+        dfa = _automaton(leaf, i)
         got = [_residual(dfa, leaf_segs), _residual(dfa, anc_segs)]
         if None in got:
             return False
@@ -731,9 +756,8 @@ def link_back(leaf: NormalizedFormula, ancestors: List[NormalizedFormula],
     """
     if not leaf.equations:
         return None
-    leaf_measure = _measure(leaf)
     w = hyp.model() if hyp is not None else None
-    leaf_hyp = None
+    leaf_measure = leaf_hyp = None
     for a_index, anc in enumerate(ancestors):
         if leaf.progress_steps <= anc.progress_steps:
             continue
@@ -743,6 +767,8 @@ def link_back(leaf: NormalizedFormula, ancestors: List[NormalizedFormula],
         smap, cmap, imap = got
         if not _memberships_entailed(leaf, anc, smap, cmap):
             continue
+        if leaf_measure is None:
+            leaf_measure = _measure(leaf)
         shrink = atom_le(AAdd(leaf_measure, AInt(1)), _measure(anc))
         # where both paths match level by level up to the root, rename along
         # them: the ancestor's dropped lengths meet the leaf path's own
@@ -887,7 +913,7 @@ def solve_conjunction(conjuncts: Iterable[Formula], alphabet: Iterable[str],
                     continue
             capped = None
             try:
-                ua = under_approx_check(leaf.formula)
+                ua = under_approx_check(leaf.formula, hyp)
             except _arith.CapExceeded as e:
                 ua, capped = UAResult("notbase"), e
             if ua.status == "sat":

@@ -8,7 +8,7 @@ import pytest
 from corpus import draw_acyclic, draw_one_cycle, rand_regex
 from stringsat import terms
 from stringsat.cli import (EXIT_ERROR, EXIT_SAT, EXIT_UNKNOWN, EXIT_UNSAT,
-                           RunConfig, config_from_args, run)
+                           RunConfig, config_from_args, main, run)
 from stringsat.frontend import MAX_NESTING, Problem, render_problem
 from stringsat.terms import (FAnd, FIn, SVar, formula_int_vars,
                              formula_len_vars, formula_string_vars)
@@ -117,6 +117,27 @@ def test_oracle_check_agreement(tmp_path):
     code, out, err = _run(tmp_path, SAT_ONE, ["--oracle-check", "4"])
     assert code == EXIT_SAT
     assert "model verified" in err
+
+
+COMMUTE = """
+(declare-str x)
+(declare-str y)
+(assert (= (str.++ x y) (str.++ y x)))
+(assert (= (str.len x) 3))
+"""
+
+
+@pytest.mark.parametrize("text, code", [(COMMUTE, EXIT_UNSAT),
+                                        (SAT_ONE, EXIT_SAT)])
+def test_negative_oracle_bound_is_an_error(tmp_path, capsys, text, code):
+    # rejected before solving, whatever the verdict would have been
+    path = tmp_path / "problem.smt2"
+    path.write_text(text)
+    assert main([str(path), "--oracle-check", "-1"]) == EXIT_ERROR
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: oracle-check bound must be non-negative\n"
+    assert main([str(path), "--oracle-check", "0"]) == code
 
 
 def test_reduce_to_single_flag(tmp_path):

@@ -7,7 +7,7 @@ import pytest
 from corpus import (draw_acyclic, draw_one_cycle, gen_small_normalized,
                     rand_regex, rand_tame_regex)
 from stringsat import engine, frontend, oracle
-from stringsat.arith import Hypothesis, arith_implies
+from stringsat.arith import Hypothesis, arith_implies, arith_sat
 from stringsat.classify import is_linear
 from stringsat.engine import (BackLinkedTo, ClosedUnsat, EngineInternalError,
                               GaveUp, OA_FULL, OA_LENGTHS_ONLY, Open,
@@ -426,6 +426,10 @@ def test_node_hypotheses_give_the_from_scratch_answers(monkeypatch):
             f = n.formula
             got = oa_unsat(f, OA_FULL, hyps[n.id])
             assert got == oa_unsat(f, OA_FULL), f
+            # a reference with no hypothesis: every disjunct solved
+            # whole, from scratch
+            assert got == (not any(arith_sat(list(d)) is not None
+                                   for d in over_approx(f, OA_FULL))), f
             ancestors = [a.formula for a in tree.ancestors(n.id)]
             linked = link_back(f, ancestors, hyps[n.id])
             assert linked == link_back(f, ancestors), f
@@ -433,6 +437,67 @@ def test_node_hypotheses_give_the_from_scratch_answers(monkeypatch):
             seen["linked"] += linked is not None
     assert seen["pruned"] > 20 and seen["linked"] > 5, seen
     assert sum(refuted) > 0, seen
+
+
+def test_under_approx_reads_the_node_model_first(monkeypatch):
+    # on every base leaf the search decides, the leaf's hypothesis leaves
+    # UA's verdict as it is and every model holds; the node model answers
+    # some sat leaves with no arith_sat call
+    real_ua, real_sat = engine.under_approx_check, engine._arith.arith_sat
+    solving, leaves = [], []
+
+    def counting_sat(atoms):
+        solving.append(atoms)
+        return real_sat(atoms)
+
+    def recording_ua(f, hyp=None):
+        solving.clear()
+        got = real_ua(f, hyp)
+        if got.status != "notbase":
+            leaves.append((f, got, bool(solving)))
+        return got
+
+    monkeypatch.setattr(engine._arith, "arith_sat", counting_sat)
+    monkeypatch.setattr(engine, "under_approx_check", recording_ua)
+    rng = random.Random(26)
+    problems = draw_one_cycle(rng, 60) + _acyclic_with_membership(rng, 60)
+    problems += [worked_example()]
+    for conjs in problems:
+        solve_conjunction(conjs, "ab")
+    answered = solved = 0
+    for f, got, used_sat in leaves:
+        assert got.status == real_ua(f).status, f
+        if got.status == "sat":
+            assert oracle.eval_formula(normalized_to_formula(f), got.model,
+                                       f.alphabet), f
+            solved += used_sat
+            answered += not used_sat
+    # measured: 12 answered by the node model, 1 by arith_sat
+    assert answered >= 10, (answered, solved)
+
+
+def test_a_solve_builds_one_length_abstraction(monkeypatch):
+    # the root's hypothesis is its lengths-only abstraction; every other
+    # node extends it, and OA solves only the membership parts on it
+    real, calls = engine.over_approx, []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(engine, "over_approx", counting)
+    rng = random.Random(27)
+    problems = draw_one_cycle(rng, 10) + _acyclic_with_membership(rng, 10)
+    problems += [_hard_instance(), worked_example()]
+    nodes = 0
+    for conjs in problems:
+        for mode in (OA_FULL, OA_LENGTHS_ONLY):
+            calls.clear()
+            tree = solve_conjunction(conjs, "ab", budget=100,
+                                     oa_mode=mode).tree
+            assert len(calls) == 1, (mode, conjs)
+            nodes += len(tree.nodes)
+    assert nodes > 2 * len(problems)
 
 
 def test_node_hypotheses_keep_the_node_equation_lengths():
