@@ -758,13 +758,16 @@ def quick_unsat(atoms) -> bool:
     conjunction definitely has no integer solution; False decides
     nothing.  Its only caller is under-approximation, which runs it on
     each candidate system before solving that system in full."""
+    # lowering and elimination draw names from one source that avoids
+    # the input's variables
+    fresh = _Fresh(vars_of_atoms(atoms))
     try:
-        systems = lower(atoms)
+        systems = lower(atoms, fresh)
     except CapExceeded:
         return False
     for system in systems:
         try:
-            reduced = _reduce(system.atoms, _Fresh(set()))
+            reduced = _reduce(system.atoms, fresh)
             if reduced is None:
                 continue
             ineqs = _tighten(reduced.ineqs)

@@ -15,8 +15,8 @@ from __future__ import annotations
 import enum
 import math
 from collections import Counter, deque
-from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .terms import (AInt, AMod, AVar, ArithAtom, CChar, Equation,
                     NormalizedFormula, SVar, atom_repr, equation_str,
@@ -36,28 +36,41 @@ class Fragment:
     witness: str = ""
 
 
-@dataclass
 class DepGraph:
-    """Directed dependency multigraph for one string variable."""
+    """Directed dependency multigraph for one string variable, kept as
+    each vertex's out-edges: ``out[v]`` lists v's targets, once per
+    parallel edge."""
 
-    root: str
-    vertices: set = field(default_factory=set)
-    leaves: set = field(default_factory=set)
-    edges: List[Tuple[str, str]] = field(default_factory=list)
+    def __init__(self, root: str, vertices: Iterable[str] = (),
+                 edges: Iterable[Tuple[str, str]] = ()) -> None:
+        self.root = root
+        self.vertices = set(vertices)
+        self.leaves: set = set()
+        self.edges = edges
+
+    @property
+    def edges(self) -> List[Tuple[str, str]]:
+        return [(s, d) for s, ds in self.out.items() for d in ds]
+
+    @edges.setter
+    def edges(self, pairs: Iterable[Tuple[str, str]]) -> None:
+        self.out: Dict[str, List[str]] = {}
+        for s, d in pairs:
+            self.add_edge(s, d)
 
     def add_vertex(self, v: str) -> None:
         self.vertices.add(v)
 
     def add_edge(self, src: str, dst: str) -> None:
-        self.edges.append((src, dst))
+        self.out.setdefault(src, []).append(dst)
 
     def mark_leaf(self, v: str) -> None:
         self.vertices.add(v)
         self.leaves.add(v)
-        self.edges = [(s, d) for s, d in self.edges if s != v]
+        self.out.pop(v, None)
 
     def out_degree(self, v: str) -> int:
-        return sum(1 for s, _ in self.edges if s == v)
+        return len(self.out.get(v, ()))
 
 
 def _first_nonlinear(equations: Iterable[Equation]) -> Optional[Equation]:
@@ -86,24 +99,13 @@ def side_vars(equations: Iterable[Equation]) -> List[Sides]:
             for eq in equations]
 
 
-def _choose_intersect(var: str, pool: List[Sides]) -> Optional[Sides]:
-    """Remove and return the first equation mentioning var, as the
-    variables of the side containing it and those of the other side."""
-    for i, (lhs, rhs) in enumerate(pool):
-        if var in lhs:
-            del pool[i]
-            return lhs, rhs
-        if var in rhs:
-            del pool[i]
-            return rhs, lhs
-    return None
+def build_dep_graph(var: str, equations: List[Sides]) -> DepGraph:
+    """Worklist construction over the equations, given as their
+    ``side_vars``.
 
-
-def build_dep_graph(var: str, equations: Iterable[Sides]) -> DepGraph:
-    """Worklist construction over a working copy of the equations, given
-    as their ``side_vars``.
-
-    Each dequeue consumes at most one equation.  A variable equated to a
+    Each dequeue consumes at most one equation: the first one not yet
+    consumed that mentions the variable, as the variables of the side
+    containing it and those of the other side.  A variable equated to a
     ground word becomes a leaf; leaves lose their outgoing edges and are
     never enqueued again.  A drained variable that already has dependency
     edges is left as an ordinary exhausted vertex, so recorded cycles
@@ -112,18 +114,32 @@ def build_dep_graph(var: str, equations: Iterable[Sides]) -> DepGraph:
     """
     g = DepGraph(root=var)
     g.add_vertex(var)
-    pool = list(equations)
+    # per variable, the indices of the equations mentioning it, in order
+    mentions: Dict[str, List[int]] = {}
+    for i, (lhs, rhs) in enumerate(equations):
+        for v in lhs | rhs:
+            mentions.setdefault(v, []).append(i)
+    consumed: set = set()
+    # per variable, a position in its mentions before which every
+    # equation is consumed
+    mark: Dict[str, int] = {}
     wl = deque([var])
     while wl:
         cur = wl.popleft()
         if cur in g.leaves:
             continue
-        picked = _choose_intersect(cur, pool)
-        if picked is None:
+        queue = mentions.get(cur, ())
+        k = mark.get(cur, 0)
+        while k < len(queue) and queue[k] in consumed:
+            k += 1
+        mark[cur] = k
+        if k == len(queue):
             if g.out_degree(cur) == 0:
                 g.mark_leaf(cur)
             continue
-        tr_i, tr_d = picked
+        consumed.add(queue[k])
+        lhs, rhs = equations[queue[k]]
+        tr_i, tr_d = (lhs, rhs) if cur in lhs else (rhs, lhs)
         if not tr_d:
             for v in sorted(tr_i):
                 g.mark_leaf(v)
@@ -138,16 +154,38 @@ def build_dep_graph(var: str, equations: Iterable[Sides]) -> DepGraph:
 
 def cycle_count(g: DepGraph) -> int:
     """Number of distinct simple cycles; parallel edges multiply."""
-    if not g.edges:
-        return 0
     mult = Counter(g.edges)
+    # Strip the vertices no cycle passes through (Kahn): those without an
+    # edge in or without an edge out among the vertices left.
+    succ: Dict[str, set] = {}
+    pred: Dict[str, set] = {}
+    for s, d in mult:
+        succ.setdefault(s, set()).add(d)
+        pred.setdefault(d, set()).add(s)
+    live = succ.keys() & pred.keys()
+    todo = list((succ.keys() | pred.keys()) - live)
+    while todo:
+        v = todo.pop()
+        for d in succ.get(v, ()):
+            pred[d].discard(v)
+            if not pred[d] and d in live:
+                live.discard(d)
+                todo.append(d)
+        for s in pred.get(v, ()):
+            succ[s].discard(v)
+            if not succ[s] and s in live:
+                live.discard(s)
+                todo.append(s)
+    if not live:
+        return 0
     adj: dict = {}
     radj: dict = {}
     for (s, d), k in mult.items():
-        adj.setdefault(s, []).append((d, k))
-        radj.setdefault(d, []).append(s)
+        if s in live and d in live:
+            adj.setdefault(s, []).append((d, k))
+            radj.setdefault(d, []).append(s)
     total = 0
-    for start in sorted(g.vertices):
+    for start in sorted(live):
         # count simple cycles whose smallest vertex is `start`.  Only the
         # vertices above it that reach it through vertices above it can
         # lie on one; walk the simple paths through them depth first, one

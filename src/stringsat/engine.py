@@ -49,7 +49,9 @@ def init_normalize(conjuncts: Iterable[Formula],
     Every string variable is replaced inside the equations by a fresh
     predicate instance naming its length; the old name survives as an
     alias in the subterm part and in memberships.  Length expressions in
-    the arithmetic are reduced to the fresh length variables.
+    the arithmetic are reduced to the fresh length variables.  Each
+    membership carries its regex's automaton, which every node of the
+    tree reads.
     """
     sigma = tuple(sorted(set(alphabet)))
     raw_eqs: List[Equation] = []
@@ -62,13 +64,14 @@ def init_normalize(conjuncts: Iterable[Formula],
         elif isinstance(leaf, FIn):
             t = leaf.term
             if len(t) == 1 and isinstance(t[0], SVar):
-                memberships.append(Membership(t[0].name, leaf.regex))
+                name = t[0].name
             else:
                 # name the term so the membership sits on a variable
                 name = f"$m{aux}"
                 aux += 1
                 raw_eqs.append(Equation((SVar(name),), t))
-                memberships.append(Membership(name, leaf.regex))
+            memberships.append(Membership(
+                name, leaf.regex, _regexes.compiled(leaf.regex, sigma)))
         elif isinstance(leaf, FAtom):
             atoms.append(leaf.atom)
         elif isinstance(leaf, FNot):
@@ -310,16 +313,6 @@ def _set_component_atoms(expr, comp, fresh: str) -> tuple:
             atom_le(AInt(0), AVar(fresh)))
 
 
-def _automaton(f: NormalizedFormula, i: int) -> _regexes.Dfa:
-    """Membership i's automaton, compiled on first use and shared through
-    ``f.automata`` by every node of the tree."""
-    dfa = f.automata[i]
-    if dfa is None:
-        dfa = f.automata[i] = _regexes.compiled(f.memberships[i].regex,
-                                                f.alphabet)
-    return dfa
-
-
 def residual_empty(f: NormalizedFormula) -> Optional[str]:
     """The first member variable whose membership no word of its resolved
     pieces can meet, or None.
@@ -331,9 +324,8 @@ def residual_empty(f: NormalizedFormula) -> Optional[str]:
     one variable are treated independently, which only loses precision,
     so an accepting state missing from the final set proves the leaf has
     no model."""
-    for i, (m, segs) in enumerate(zip(f.memberships, f.member_pieces)):
-        dfa = _automaton(f, i)
-        if not _regexes.residual_states(dfa, segs) & dfa.accepting:
+    for m, segs in zip(f.memberships, f.member_pieces):
+        if not _regexes.residual_states(m.dfa, segs) & m.dfa.accepting:
             return m.var
     return None
 
@@ -370,8 +362,8 @@ def _membership_parts(f: NormalizedFormula, mode: str) -> List[tuple]:
         return parts
     lens = f.length_map()
     fresh = itertools.count(1)
-    for i, segs in enumerate(f.member_pieces):
-        lset = _regexes.length_set(_automaton(f, i))
+    for i, (m, segs) in enumerate(zip(f.memberships, f.member_pieces)):
+        lset = _regexes.length_set(m.dfa)
         expr = _length_of(segs, lens, fresh)
         comps = [_set_component_atoms(expr, n, "")
                  for n in sorted(lset.finite)]
@@ -476,15 +468,14 @@ def under_approx_check(f: NormalizedFormula,
     # memberships: fully determined members are checked outright; the rest
     # produce (dfa, pieces) obligations
     obligations: List[Tuple[_regexes.Dfa, tuple]] = []
-    for i, (m, segs) in enumerate(zip(f.memberships, f.member_pieces)):
-        dfa = _automaton(f, i)
+    for m, segs in zip(f.memberships, f.member_pieces):
         if all(isinstance(s, str) for s in segs):
             w = "".join(segs)
-            if not _regexes.accepts(dfa, w):
+            if not _regexes.accepts(m.dfa, w):
                 return UAResult(
                     "unsat", reason=f"membership fails on {m.var}={w!r}")
         else:
-            obligations.append((dfa, segs))
+            obligations.append((m.dfa, segs))
 
     def choice_lists() -> Optional[List[List[List[Tuple]]]]:
         per_mem = []
@@ -690,16 +681,15 @@ def _memberships_entailed(leaf: NormalizedFormula, anc: NormalizedFormula,
     character map, is included in the ancestor's."""
     if leaf.memberships != anc.memberships:
         return False
-    for i, (leaf_segs, anc_segs) in enumerate(zip(leaf.member_pieces,
-                                                  anc.member_pieces)):
-        dfa = _automaton(leaf, i)
-        got = [_residual(dfa, leaf_segs), _residual(dfa, anc_segs)]
+    for m, leaf_segs, anc_segs in zip(leaf.memberships, leaf.member_pieces,
+                                      anc.member_pieces):
+        got = [_residual(m.dfa, leaf_segs), _residual(m.dfa, anc_segs)]
         if None in got:
             return False
         (ql, vl), (qa, va) = got
         # no None key: a fully known word pairs only with a known one
         if smap.get(vl) != va or \
-                not _regexes.residual_included(dfa, ql, dfa, qa, cmap):
+                not _regexes.residual_included(m.dfa, ql, m.dfa, qa, cmap):
             return False
     return True
 

@@ -2,10 +2,15 @@
 them: residual state sets over partly known words, inclusion between
 residual languages, and length sets.
 
-Intersection is done by product, complement by flipping the accepting set
-of a total automaton, and concatenation/star through an epsilon-free NFA
-followed by subset construction.  Automata are minimized after every
-composite step to keep nested complements from blowing up.
+Every automaton comes from one explorer (``_explore``) that numbers the
+states reachable from a start under a step function and minimizes:
+intersection and union explore pairs of states, concatenation a state
+of the left automaton with the set of right-hand runs it has started,
+and star the set of runs of its last factor.  Complement flips the
+accepting set.  Minimization numbers the states breadth-first from the
+start in symbol order, so every automaton the module returns is minimal
+and canonical: two regexes with the same language compile to equal
+``Dfa`` values.
 
 Compiled automata live in one least-recently-used cache of CACHE_SIZE
 entries, keyed by (regex, alphabet).  Compilation reads every
@@ -71,41 +76,41 @@ def accepts(d: Dfa, w: str) -> bool:
 # Construction
 # ---------------------------------------------------------------------------
 
-def _dfa_empty(alphabet: tuple) -> Dfa:
-    return Dfa(alphabet, ((0,) * len(alphabet),), 0, frozenset())
-
-
-def _dfa_word(alphabet: tuple, chars: str) -> Dfa:
-    # chain of len(chars)+1 states plus a sink
-    k = len(chars)
-    sink = k + 1
+def _reachable(alphabet: tuple, start, step: Callable,
+               accept: Callable) -> Dfa:
+    """The automaton of the states reachable from ``start``, numbered
+    breadth-first in symbol order: ``step`` maps a state to its
+    successors, one per symbol, and ``accept`` says whether a state
+    accepts.  States are any hashable values."""
+    index = {start: 0}
+    order = [start]
     rows = []
-    for i in range(k + 2):
+    for state in order:  # grows as new states are found
         row = []
-        for c in alphabet:
-            if i < k and c == chars[i]:
-                row.append(i + 1)
-            else:
-                row.append(sink)
+        for t in step(state):
+            i = index.get(t)
+            if i is None:
+                i = index[t] = len(order)
+                order.append(t)
+            row.append(i)
         rows.append(tuple(row))
-    return Dfa(alphabet, tuple(rows), 0, frozenset((k,)))
+    return Dfa(alphabet, tuple(rows), 0,
+               frozenset(i for i, q in enumerate(order) if accept(q)))
+
+
+def _explore(alphabet: tuple, start, step: Callable, accept: Callable) -> Dfa:
+    """The minimal automaton of ``_reachable``; every construction of this
+    module goes through here."""
+    return _minimize(_reachable(alphabet, start, step, accept))
 
 
 def _minimize(d: Dfa) -> Dfa:
-    # drop unreachable states, then Hopcroft partition refinement
-    reach = {d.start}
-    stack = [d.start]
-    while stack:
-        for t in d.transitions[stack.pop()]:
-            if t not in reach:
-                reach.add(t)
-                stack.append(t)
-    states = sorted(reach)
-    remap = {q: i for i, q in enumerate(states)}
-    trans = [[remap[t] for t in d.transitions[q]] for q in states]
-    acc = {remap[q] for q in d.accepting if q in reach}
-    n = len(states)
-
+    """Hopcroft partition refinement, then the blocks reachable from the
+    start numbered as ``_reachable`` numbers: automata with the same
+    language come out equal."""
+    n = d.n_states
+    trans = d.transitions
+    acc = d.accepting
     # pre[a][t]: the states that enter t on the a-th symbol
     pre = [[[] for _ in range(n)] for _ in d.alphabet]
     for q, row in enumerate(trans):
@@ -150,114 +155,70 @@ def _minimize(d: Dfa) -> Dfa:
                 waiting.append(w)
                 queued.add(w)
 
-    # renumber blocks by first occurrence for determinism
-    renum: Dict[int, int] = {}
-    reps = []
+    # Every state of a block steps into the same blocks, so any one
+    # represents it; unreachable blocks are never numbered.
+    rep = {}
     for q in range(n):
-        if block[q] not in renum:
-            renum[block[q]] = len(renum)
-            reps.append(q)
-    return Dfa(d.alphabet,
-               tuple(tuple([renum[block[t]] for t in trans[q]])
-                     for q in reps),
-               renum[block[remap[d.start]]],
-               frozenset([renum[block[q]] for q in acc]))
+        rep.setdefault(block[q], q)
+    return _reachable(d.alphabet, block[d.start],
+                      lambda b: [block[t] for t in trans[rep[b]]],
+                      lambda b: rep[b] in acc)
+
+
+def _dfa_word(alphabet: tuple, chars: str) -> Dfa:
+    # position i has read chars[:i]; len(chars) + 1 is the sink
+    k = len(chars)
+    return _explore(alphabet, 0,
+                    lambda i: [i + 1 if i < k and c == chars[i] else k + 1
+                               for c in alphabet],
+                    lambda i: i == k)
 
 
 def product(d1: Dfa, d2: Dfa, combine: Callable[[bool, bool], bool]) -> Dfa:
     if d1.alphabet != d2.alphabet:
         raise ValueError("product over mismatched alphabets")
-    na = len(d1.alphabet)
-    idx = {}
-    trans = []
-    acc = set()
-
-    def state_of(p: tuple) -> int:
-        if p not in idx:
-            idx[p] = len(idx)
-            trans.append(None)
-            if combine(p[0] in d1.accepting, p[1] in d2.accepting):
-                acc.add(idx[p])
-        return idx[p]
-
-    start = state_of((d1.start, d2.start))
-    work = [(d1.start, d2.start)]
-    seen = {work[0]}
-    while work:
-        p = work.pop()
-        row = []
-        for i in range(na):
-            np = (d1.transitions[p[0]][i], d2.transitions[p[1]][i])
-            row.append(state_of(np))
-            if np not in seen:
-                seen.add(np)
-                work.append(np)
-        trans[idx[p]] = tuple(row)
-    return _minimize(Dfa(d1.alphabet, tuple(trans), start, frozenset(acc)))
-
-
-def _nfa_of_dfa(d: Dfa):
-    # returns (n_states, starts, accepting, delta) with delta[q][i] a frozenset
-    delta = [[frozenset((d.transitions[q][i],)) for i in range(len(d.alphabet))]
-             for q in range(d.n_states)]
-    return d.n_states, frozenset((d.start,)), set(d.accepting), delta
-
-
-def _determinize(alphabet: tuple, starts: frozenset, accepting: set,
-                 delta) -> Dfa:
-    na = len(alphabet)
-    idx = {starts: 0}
-    order = [starts]
-    trans = []
-    i = 0
-    while i < len(order):
-        cur = order[i]
-        row = []
-        for a in range(na):
-            nxt = frozenset().union(*(delta[q][a] for q in cur)) if cur else frozenset()
-            if nxt not in idx:
-                idx[nxt] = len(order)
-                order.append(nxt)
-            row.append(idx[nxt])
-        trans.append(tuple(row))
-        i += 1
-    acc = frozenset(i for i, s in enumerate(order) if s & accepting)
-    return _minimize(Dfa(alphabet, tuple(trans), 0, acc))
+    t1, t2 = d1.transitions, d2.transitions
+    return _explore(d1.alphabet, (d1.start, d2.start),
+                    lambda p: zip(t1[p[0]], t2[p[1]]),
+                    lambda p: combine(p[0] in d1.accepting,
+                                      p[1] in d2.accepting))
 
 
 def _concat(d1: Dfa, d2: Dfa) -> Dfa:
-    n1, s1, a1, delta1 = _nfa_of_dfa(d1)
-    n2, s2, a2, delta2 = _nfa_of_dfa(d2)
-    na = len(d1.alphabet)
-    shift = n1
-    delta = [[delta1[q][a] for a in range(na)] for q in range(n1)]
-    delta += [[frozenset(t + shift for t in delta2[q][a]) for a in range(na)]
-              for q in range(n2)]
-    # epsilon-free concatenation: accepting part-1 states also make the
-    # moves part 2 would make from its start
-    start2_rows = [frozenset(t + shift for t in
-                             frozenset().union(*(delta2[p][a] for p in s2)))
-                   for a in range(na)]
-    for q in a1:
-        for a in range(na):
-            delta[q][a] = delta[q][a] | start2_rows[a]
-    accepting = {t + shift for t in a2}
-    if s2 & a2:
-        accepting |= a1
-    return _determinize(d1.alphabet, s1, accepting, delta)
+    # a state pairs d1's state with the states of the d2 runs started so
+    # far; a d2 run starts each time d1 accepts
+    t1, t2 = d1.transitions, d2.transitions
+    entry = frozenset((d2.start,))
+
+    def step(p):
+        q, runs = p
+        return [(q1, frozenset(t2[r][a] for r in runs) |
+                 (entry if q1 in d1.accepting else frozenset()))
+                for a, q1 in enumerate(t1[q])]
+
+    return _explore(d1.alphabet,
+                    (d1.start,
+                     entry if d1.start in d1.accepting else frozenset()),
+                    step, lambda p: not p[1].isdisjoint(d2.accepting))
 
 
 def _star(d: Dfa) -> Dfa:
-    n, s, a, delta0 = _nfa_of_dfa(d)
-    na = len(d.alphabet)
-    start_rows = [frozenset().union(*(delta0[p][x] for p in s)) for x in range(na)]
-    delta = [[delta0[q][x] | (start_rows[x] if q in a else frozenset())
-              for x in range(na)] for q in range(n)]
-    # fresh accepting start state for the empty word
-    fresh = n
-    delta.append([start_rows[x] for x in range(na)])
-    accepting = set(a) | {fresh}
-    return _determinize(d.alphabet, frozenset((fresh,)), accepting, delta)
+    # a state is the set of states the runs of the last factor are in,
+    # and a new run starts each time one accepts.  The start is the empty
+    # set and steps like {d.start}; no word but the empty one ends there,
+    # since a total automaton steps a non-empty set to a non-empty one.
+    trans = d.transitions
+    entry = frozenset((d.start,))
+
+    def step(runs):
+        out = []
+        for a in range(len(d.alphabet)):
+            nxt = frozenset(trans[r][a] for r in runs or entry)
+            out.append(nxt if nxt.isdisjoint(d.accepting) else nxt | entry)
+        return out
+
+    return _explore(d.alphabet, frozenset(), step,
+                    lambda runs: not runs or not runs.isdisjoint(d.accepting))
 
 
 def compile_regex(r: RE, alphabet: Iterable[str]) -> Dfa:
@@ -297,7 +258,7 @@ def compiled(r: RE, alphabet: tuple) -> Dfa:
 
 def _compile(r: RE, sigma: tuple) -> Dfa:
     if isinstance(r, REmpty):
-        return _dfa_empty(sigma)
+        return Dfa(sigma, ((0,) * len(sigma),), 0, frozenset())
     if isinstance(r, REps):
         return _dfa_word(sigma, "")
     if isinstance(r, RLit):
@@ -315,9 +276,10 @@ def _compile(r: RE, sigma: tuple) -> Dfa:
     if isinstance(r, RInter):
         return product(sub(r.left), sub(r.right), lambda a, b: a and b)
     if isinstance(r, RComp):
+        # a minimal automaton with its accepting states flipped is the
+        # minimal one of the complement, numbered the same
         d = sub(r.inner)
-        return _minimize(Dfa(d.alphabet, d.transitions, d.start,
-                             frozenset(range(d.n_states)) - d.accepting))
+        return replace(d, accepting=frozenset(range(d.n_states)) - d.accepting)
     if isinstance(r, RStar):
         return _star(sub(r.inner))
     raise TypeError(f"not a regex: {r!r}")
@@ -389,36 +351,11 @@ def joint_product(specs: list) -> Dfa:
     alphabet = specs[0][0].alphabet
     if any(d.alphabet != alphabet for d, _, _ in specs):
         raise ValueError("joint product over mismatched alphabets")
-    na = len(alphabet)
-    idx: dict = {}
-    trans: list = []
-
-    def state_of(t: tuple) -> int:
-        if t not in idx:
-            idx[t] = len(idx)
-            trans.append(None)
-        return idx[t]
-
-    start = tuple(p for _, p, _ in specs)
+    tables = [d.transitions for d, _, _ in specs]
     goal = tuple(q for _, _, q in specs)
-    state_of(start)
-    work = [start]
-    while work:
-        cur = work.pop()
-        if trans[idx[cur]] is not None:
-            continue
-        row = []
-        for a in range(na):
-            nxt = tuple(d.transitions[q][a] for (d, _, _), q in zip(specs, cur))
-            row.append(state_of(nxt))
-            if trans[idx[nxt]] is None and nxt != cur:
-                work.append(nxt)
-        trans[idx[cur]] = tuple(row)
-    for i, row in enumerate(trans):
-        if row is None:
-            trans[i] = tuple(i for _ in range(na))
-    acc = frozenset((idx[goal],)) if goal in idx else frozenset()
-    return _minimize(Dfa(alphabet, tuple(trans), idx[start], acc))
+    return _explore(alphabet, tuple(p for _, p, _ in specs),
+                    lambda cur: zip(*[t[q] for t, q in zip(tables, cur)]),
+                    lambda cur: cur == goal)
 
 
 # ---------------------------------------------------------------------------

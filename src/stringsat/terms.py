@@ -405,6 +405,11 @@ def rename_subterm(c: Subterm, mapping: dict) -> Subterm:
 class Membership:
     var: str
     regex: RE
+    # The regex's automaton over the problem alphabet (a ``regexes.Dfa``),
+    # set once per tree by ``engine.init_normalize``: unfolding never
+    # changes the memberships, so every node reads the same object.
+    # Equality, hashing and repr ignore it.
+    dfa: object = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -427,19 +432,10 @@ class NormalizedFormula:
     # or advances it; a formula built without it reads it off its names.
     # It is bookkeeping: equality and hashing ignore it.
     next_index: Optional[int] = field(default=None, compare=False)
-    # Each membership's compiled automaton, or None until first use (the
-    # engine fills it).  ``with_`` hands the same list on unless the
-    # memberships or the alphabet change, so a whole unfolding tree
-    # compiles each membership once.  Equality, hashing and repr ignore it.
-    automata: Optional[list] = field(default=None, compare=False,
-                                     repr=False)
 
     def __post_init__(self) -> None:
         if self.next_index is None:
             object.__setattr__(self, "next_index", _free_index(self))
-        if self.automata is None:
-            object.__setattr__(self, "automata",
-                               [None] * len(self.memberships))
 
     def length_map(self) -> dict:
         return dict(self.lengths)
@@ -450,8 +446,6 @@ class NormalizedFormula:
             arith=self.arith, subterms=self.subterms, lengths=self.lengths,
             alphabet=self.alphabet, next_index=self.next_index,
         )
-        if "memberships" not in kw and "alphabet" not in kw:
-            base["automata"] = self.automata
         base.update(kw)
         return NormalizedFormula(**base)
 

@@ -10,11 +10,11 @@ from stringsat import arith
 from stringsat.arith import (CapExceeded, Hypothesis, LinAtom,
                              LinearSystem, _Fresh, _lower_expr, _lp_feasible,
                              _mk_linatom, arith_implies, arith_sat, lower,
-                             solve_system)
+                             quick_unsat, solve_system)
 from stringsat.terms import (AAdd, AInt, AMax, AMin, AMod, ANeg, AScale,
                              AVar, ArithAtom, NonConstantDivisorError,
                              atom_eq, atom_le, atom_lt, eval_atom,
-                             vars_of_atoms)
+                             fold_balanced, vars_of_atoms)
 
 N, N1, NP = AVar("n"), AVar("n1"), AVar("n'")
 
@@ -447,6 +447,31 @@ def test_agreement_with_enumeration():
         checked += 1
         assert (got is None) == (found is None), atoms
     assert checked == 500
+
+
+def test_quick_unsat_never_refutes_a_satisfiable_system():
+    # bounded systems over inputs named like the "$s<n>" variables that
+    # equality elimination issues; equalities without a unit coefficient
+    # make it issue them, and its names must avoid the input's
+    rng = random.Random(53)
+    vars_ = ["x", "y", "$s0", "$s1"]
+
+    def combination():
+        return fold_balanced(AAdd, [
+            AScale(rng.choice((-4, -3, -2, 2, 3, 4)), AVar(v))
+            for v in rng.sample(vars_, rng.randint(1, 3))])
+
+    refuted = 0
+    for _ in range(1000):
+        atoms = [ArithAtom(rng.choice(("eq", "eq", "le")), combination(),
+                           AInt(rng.randint(-9, 9)))
+                 for _ in range(rng.randint(1, 3))]
+        atoms += [atom_le(AInt(-8), AVar(v)) for v in vars_]
+        atoms += [atom_le(AVar(v), AInt(8)) for v in vars_]
+        if quick_unsat(atoms):
+            refuted += 1
+            assert arith_sat(atoms) is None, atoms
+    assert refuted > 100
 
 
 def test_solve_system_exactness_on_big_coefficients():

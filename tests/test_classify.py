@@ -1,4 +1,5 @@
 import random
+import time
 from collections import Counter
 
 from corpus import draw_acyclic
@@ -118,6 +119,65 @@ def test_cycle_count_on_long_paths_and_cycles():
     assert cycle_count(g) == 0
     g.edges = path + [(names[-1], names[0])]
     assert cycle_count(g) == 1
+
+
+def _scanned_dep_graph(var, equations):
+    # the construction build_dep_graph replaced: every dequeue scans the
+    # pool for the first equation mentioning the variable
+    g = DepGraph(root=var, vertices={var})
+    pool = list(equations)
+    wl = [var]
+    while wl:
+        cur = wl.pop(0)
+        if cur in g.leaves:
+            continue
+        i = next((i for i, (l, r) in enumerate(pool) if cur in l | r), None)
+        if i is None:
+            if not any(s == cur for s, _ in g.edges):
+                g.mark_leaf(cur)
+            continue
+        lhs, rhs = pool.pop(i)
+        tr_i, tr_d = (lhs, rhs) if cur in lhs else (rhs, lhs)
+        for v in sorted(tr_d):
+            g.add_vertex(v)
+            g.add_edge(cur, v)
+            if v not in g.leaves:
+                wl.append(v)
+        if not tr_d:
+            for v in sorted(tr_i):
+                g.mark_leaf(v)
+    return g
+
+
+def test_dep_graph_matches_the_pool_scan():
+    rng = random.Random(37)
+    names = ["s", "t", "u", "v"]
+    cyclic = 0
+    for _ in range(400):
+        sides = [tuple(frozenset(rng.sample(names, rng.randint(0, 2)))
+                       for _ in range(2))
+                 for _ in range(rng.randint(1, 6))]
+        for var in names:
+            g = build_dep_graph(var, sides)
+            want = _scanned_dep_graph(var, sides)
+            assert (g.vertices, g.leaves, sorted(g.edges)) == \
+                (want.vertices, want.leaves, sorted(want.edges)), (var, sides)
+            assert cycle_count(g) == _recursive_cycle_count(g), (var, sides)
+            cyclic += cycle_count(g) > 0
+    assert cyclic > 100
+
+
+def test_long_chain_classifies_quickly():
+    # x_i = x_{i+1}.a, ..., x_n = b: the graph of x_i is the chain below
+    # it, so building all graphs is quadratic; scanning the pool and every
+    # edge made it cubic (12 s at this size)
+    n = 600
+    conj = [FEq((SVar(f"x{i}"),), (SVar(f"x{i + 1}"),) + word("a"))
+            for i in range(n)] + [FEq((SVar(f"x{n}"),), word("b"))]
+    f = engine.init_normalize(conj, "ab")
+    start = time.perf_counter()
+    assert classify_fragment(f).tag is FragmentTag.ACYCLIC
+    assert time.perf_counter() - start < 4.0
 
 
 def test_is_periodic_arith():

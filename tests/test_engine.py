@@ -16,6 +16,7 @@ from stringsat.engine import (BackLinkedTo, ClosedUnsat, EngineInternalError,
                               oa_unsat,
                               over_approx, residual_empty, solve_conjunction,
                               under_approx_check, unfold)
+from stringsat.regexes import compiled
 from stringsat.terms import (AAdd, AInt, ALen, AMod, AVar, Alias, CChar,
                              CharPrefix, EpsBind, Equation, FAtom, FEq, FIn,
                              Membership, NormalizedFormula, RCat, RStar,
@@ -24,6 +25,11 @@ from stringsat.terms import (AAdd, AInt, ALen, AMod, AVar, Alias, CChar,
                              normalized_to_formula, word)
 
 ROTATE_RE = RCat(RStar(RWord("ab")), RWord("a"))
+
+
+def member(var, regex, sigma=("a", "b")):
+    """A membership carrying its automaton, as init_normalize builds it."""
+    return Membership(var, regex, compiled(regex, sigma))
 
 
 def worked_example():
@@ -41,6 +47,46 @@ def test_init_pairs_variables_with_predicates():
     # the length constraint now speaks about the fresh length variable
     assert atom_eq(AMod(AVar("$n0"), AInt(2)), AInt(0)) in f0.arith
     assert atom_le(AInt(0), AVar("$n0")) in f0.arith
+
+
+def test_every_node_reads_the_automaton_init_normalize_set(monkeypatch):
+    # memberships on a variable and on a named term, and a regex two of
+    # them share; after init_normalize only the final model check (the
+    # reference evaluator) compiles anything
+    conj = [FEq((SVar("x"), SVar("y")), (SVar("y"), SVar("x"))),
+            FIn((SVar("x"),), ROTATE_RE),
+            FIn((SVar("y"), SVar("x")), ROTATE_RE),
+            FIn((SVar("y"),), RStar(RWord("ba")))]
+    phase, compiles = ["init"], []
+    real_init, real_check = engine.init_normalize, engine._oracle.eval_formula
+    real_compiled = engine._regexes.compiled
+
+    def init(*args):
+        f = real_init(*args)
+        phase[0] = "search"
+        return f
+
+    def model_check(*args):
+        phase[0] = "model check"
+        return real_check(*args)
+
+    def compiled_(r, sigma):
+        compiles.append(phase[0])
+        return real_compiled(r, sigma)
+
+    monkeypatch.setattr(engine, "init_normalize", init)
+    monkeypatch.setattr(engine._oracle, "eval_formula", model_check)
+    monkeypatch.setattr(engine._regexes, "compiled", compiled_)
+    ans = solve_conjunction(conj, "ab")
+    assert ans.verdict == "sat" and len(ans.tree.nodes) > 3
+    root = ans.tree.nodes[0].formula
+    assert compiles.count("init") == len(root.memberships) == 3
+    assert "search" not in compiles
+    for m in root.memberships:
+        assert m.dfa == real_compiled(m.regex, ("a", "b"))
+    for node in ans.tree.nodes:
+        for m, at_root in zip(node.formula.memberships, root.memberships):
+            assert m.dfa is at_root.dfa
 
 
 def test_init_on_variable_free_formula():
@@ -741,7 +787,7 @@ def test_back_link_needs_the_membership_variable_to_map_to_its_own():
     anc = NormalizedFormula(
         equations=(Equation((pred(0, 0),) + a + (pred(1, 1),),
                             (pred(1, 1),) + a + (pred(0, 0),)),),
-        memberships=(Membership("x", RStar(RWord("a"))),),
+        memberships=(member("x", RStar(RWord("a"))),),
         arith=nonneg, subterms=(Alias("x", "$u0"), Alias("y", "$u1")),
         lengths=(("$u0", "$n0"), ("$u1", "$n1")), alphabet=("a", "b"))
     leaf = anc.with_(
@@ -867,7 +913,7 @@ def test_extract_model_epsilon():
 
 def test_extract_model_witness_from_membership():
     f = NormalizedFormula(
-        memberships=(Membership("t", ROTATE_RE),),
+        memberships=(member("t", ROTATE_RE),),
         arith=(atom_eq(AVar("nt"), AInt(3)),),
         lengths=(("t", "nt"),),
         alphabet=("a", "b"))
@@ -906,7 +952,7 @@ def _random_subterm_dag(rng):
             subterms.append(Split(v, rng.choice(later), rng.choice(later)))
         else:
             subterms.append(Alias(v, rng.choice(later)))
-    memberships = tuple(Membership(rng.choice(names), rand_regex(rng, "ab", 2))
+    memberships = tuple(member(rng.choice(names), rand_regex(rng, "ab", 2))
                         for _ in range(rng.randint(0, 2)))
     return names, NormalizedFormula(
         memberships=memberships, arith=tuple(arith),

@@ -182,6 +182,75 @@ def test_joint_product_requires_consistent_word():
     assert not accepts(j, "ab")
 
 
+# --- canonical automata ------------------------------------------------------
+
+def _words_up_to(r, sigma: str, n: int) -> frozenset:
+    """The words of length at most n the derivative matcher accepts (one
+    derivative per trie edge)."""
+    out, todo = set(), [("", r)]
+    while todo:
+        w, d = todo.pop()
+        if _nullable(d):
+            out.add(w)
+        if len(w) < n:
+            todo += [(w + c, _deriv(d, c)) for c in sigma]
+    return frozenset(out)
+
+
+def _same_language_variant(rng, r, sigma: str):
+    """A different regex for r's language, built another way."""
+    pick = rng.randrange(5)
+    if pick == 0:
+        return RComp(RComp(r))
+    if pick == 1:
+        return RStar(RStar(r)) if isinstance(r, RStar) else RUnion(r, r)
+    if pick == 2:
+        return RCat(REps(), RCat(r, REps()))
+    if pick == 3:
+        return RInter(r, RComp(REmpty()))
+    return RUnion(RInter(r, RLit(sigma[0])), RInter(r, RComp(RLit(sigma[0]))))
+
+
+def test_equal_automata_exactly_for_equal_languages():
+    # two minimal automata with n1 and n2 states that differ have a
+    # distinguishing word of at most n1 + n2 - 2 letters, so up to that
+    # length enumeration decides language equality
+    rng = random.Random(59)
+    length = 6
+    seen = set()
+    for _ in range(400):
+        sigma = "ab"[:rng.randint(1, 2)]
+        r1 = rand_regex(rng, sigma, 3)
+        r2 = (_same_language_variant(rng, r1, sigma) if rng.random() < 0.4
+              else rand_regex(rng, sigma, 3))
+        d1, d2 = compile_regex(r1, sigma), compile_regex(r2, sigma)
+        if d1.n_states + d2.n_states - 2 > length:
+            continue
+        same = _words_up_to(r1, sigma, length) == \
+            _words_up_to(r2, sigma, length)
+        assert (d1 == d2) == same, (r1, r2)
+        seen.add(same)
+    assert seen == {True, False}
+
+
+def test_returned_automata_are_minimal_and_canonical():
+    rng = random.Random(61)
+    for _ in range(150):
+        sigma = "abc"[:rng.randint(1, 3)]
+        d1 = compile_regex(rand_regex(rng, sigma, 3), sigma)
+        d2 = compile_regex(rand_regex(rng, sigma, 3), sigma)
+        built = [d1, d2, product(d1, d2, lambda a, b: a != b),
+                 joint_product([(d1, d1.start, rng.randrange(d1.n_states)),
+                                (d2, d2.start, rng.randrange(d2.n_states))])]
+        for d in built:
+            assert d.start == 0
+            assert regexes._minimize(d) == d, d
+    # literal words too, and over an empty alphabet
+    assert regexes._minimize(compile_regex(RWord("aba"), "ab")) == \
+        compile_regex(RWord("aba"), "ab")
+    assert compile_regex(REps(), "").n_states == 1
+
+
 # --- residual state sets ----------------------------------------------------
 
 OPEN = ("var", "x")
@@ -356,7 +425,7 @@ def test_length_set_is_analysed_once_per_automaton(cold_cache, monkeypatch):
 
 def _moore_minimize(d: Dfa) -> Dfa:
     """Reference: drop unreachable states, refine by Moore signatures until
-    stable, number blocks by their first state."""
+    stable, number blocks breadth-first from the start in symbol order."""
     reach = {d.start}
     stack = [d.start]
     while stack:
@@ -382,13 +451,16 @@ def _moore_minimize(d: Dfa) -> Dfa:
     rep: dict = {}
     for q in range(n):
         rep.setdefault(block[q], q)
-    order = sorted(rep, key=lambda b: rep[b])
+    order = [block[remap[d.start]]]
+    for b in order:
+        for t in trans[rep[b]]:
+            if block[t] not in order:
+                order.append(block[t])
     renum = {b: i for i, b in enumerate(order)}
     return Dfa(d.alphabet,
                tuple(tuple(renum[block[t]] for t in trans[rep[b]])
                      for b in order),
-               renum[block[remap[d.start]]],
-               frozenset(renum[block[q]] for q in acc))
+               0, frozenset(renum[block[q]] for q in acc))
 
 
 def test_hopcroft_gives_the_moore_automaton():
