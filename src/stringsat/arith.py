@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .terms import (AAdd, AInt, ALen, AMax, AMin, AMod, ANeg, AScale, AVar,
                     ArithAtom, ArithExpr, NonConstantDivisorError, atom_le,
-                    atom_eq, eval_arith, eval_atom, vars_of_atoms)
+                    atom_eq, eval_arith, eval_atom, negate, vars_of_atoms)
 
 
 class ArithInternalError(Exception):
@@ -797,13 +797,6 @@ def arith_sat(atoms) -> Optional[Dict[str, int]]:
     return None
 
 
-def _negate(atom: ArithAtom) -> List[ArithAtom]:
-    if atom.kind == "le":
-        return [atom_le(AAdd(atom.rhs, AInt(1)), atom.lhs)]
-    return [atom_le(AAdd(atom.lhs, AInt(1)), atom.rhs),
-            atom_le(AAdd(atom.rhs, AInt(1)), atom.lhs)]
-
-
 class Hypothesis:
     """A conjunction prepared for repeated satisfiability queries.
 
@@ -984,4 +977,4 @@ def arith_implies(hyp, concl) -> bool:
         hyp = Hypothesis(hyp)
     open_atoms = [a for a in concl if a not in hyp.stated]
     return not any(hyp.consistent_with([neg])
-                   for atom in open_atoms for neg in _negate(atom))
+                   for atom in open_atoms for neg in negate(atom))

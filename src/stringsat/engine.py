@@ -23,14 +23,13 @@ from . import oracle as _oracle
 from . import regexes as _regexes
 from .classify import Fragment, FragmentTag, classify_fragment
 from .terms import (AAdd, AInt, AScale, AVar, Alias, ArithAtom, ArithExpr,
-                    Atom, CChar, CharPrefix, EngineInternalError, EpsBind,
+                    CChar, CharPrefix, EngineInternalError, EpsBind,
                     Equation, FAtom, FEq, FIn, FNot, Formula, Membership,
                     Model, NormalizedFormula, SPred, SVar, Split, Subterm,
                     arith_len_vars, atom_eq, atom_le, atom_lt, equation_size,
                     eval_atom, fold_balanced, formula_summary,
-                    normalized_to_formula, rename_atom_vars, rename_subterm,
-                    subst_len, term_subst, vars_of_atoms,
-                    _walker)
+                    normalized_to_formula, rename_atom_vars, subst_len,
+                    term_subst, vars_of_atoms, _walker)
 
 DEFAULT_BUDGET = 10000
 
@@ -142,35 +141,40 @@ class UnfoldChild:
     formula: NormalizedFormula
 
 
-def _subst_all(eqs: tuple, pattern: Atom, replacement: tuple) -> tuple:
-    return tuple(Equation(term_subst(e.lhs, pattern, replacement),
-                          term_subst(e.rhs, pattern, replacement))
-                 for e in eqs)
+def _define(f: NormalizedFormula, p: SPred, constraint: Subterm, rhs: tuple,
+            atoms: tuple, tail: Optional[SPred] = None) -> NormalizedFormula:
+    """The child in which the predicate ``p`` is the word ``rhs``.
+
+    ``p`` is replaced by ``rhs`` in every equation and ``constraint``, which
+    defines ``p.var``, is appended to the subterms, so no earlier
+    constraint changes and a name means one word in every node below.
+    ``atoms`` go after the arithmetic, and ``p``'s length pairing gives
+    way to that of ``tail`` (the fresh rest ``rhs`` ends with, if any,
+    whose index is then used).  ``p`` heads one side of the first
+    equation, and a non-empty ``rhs`` starts with the other side's head,
+    so the two heads are then equal and are consumed."""
+    eqs = tuple(Equation(term_subst(e.lhs, p, rhs), term_subst(e.rhs, p, rhs))
+                for e in f.equations)
+    if rhs:
+        eqs = (Equation(eqs[0].lhs[1:], eqs[0].rhs[1:]),) + eqs[1:]
+    lengths = tuple(q for q in f.lengths if q[0] != p.var)
+    if tail is not None:
+        lengths += ((tail.var, tail.length),)
+    return f.with_(equations=eqs, arith=f.arith + atoms,
+                   subterms=f.subterms + (constraint,), lengths=lengths,
+                   next_index=f.next_index + (tail is not None))
 
 
-def _drop_heads(eqs: tuple) -> tuple:
-    head = eqs[0]
-    if not head.lhs or not head.rhs or head.lhs[0] != head.rhs[0]:
-        raise EngineInternalError("head consumption on mismatched heads")
-    return (Equation(head.lhs[1:], head.rhs[1:]),) + eqs[1:]
+def _empty(f: NormalizedFormula, p: SPred) -> NormalizedFormula:
+    return _define(f, p, EpsBind(p.var), (),
+                   (atom_eq(AVar(p.length), AInt(0)),))
 
 
-def _without_length(lengths: tuple, var: str) -> tuple:
-    return tuple(p for p in lengths if p[0] != var)
-
-
-def _with_length(lengths: tuple, var: str, lenvar: str) -> tuple:
-    return _without_length(lengths, var) + ((var, lenvar),)
-
-
-def _eps_child(f: NormalizedFormula, preds: List[SPred]) -> NormalizedFormula:
-    eqs, ar, subs, lens = f.equations, f.arith, f.subterms, f.lengths
-    for p in preds:
-        eqs = _subst_all(eqs, p, ())
-        ar = ar + (atom_eq(AVar(p.length), AInt(0)),)
-        subs = subs + (EpsBind(p.var),)
-        lens = _without_length(lens, p.var)
-    return f.with_(equations=eqs, arith=ar, subterms=subs, lengths=lens)
+def _fresh(f: NormalizedFormula) -> SPred:
+    """The predicate a rule names a defined variable's rest by: the
+    formula's next free index, for the word and for its length."""
+    k = f.next_index
+    return SPred(f"$u{k}", f"$n{k}")
 
 
 def unfold(f: NormalizedFormula) -> List[UnfoldChild]:
@@ -178,7 +182,10 @@ def unfold(f: NormalizedFormula) -> List[UnfoldChild]:
 
     Children are returned in rule order; an empty list means the node is
     unsatisfiable on the spot (mismatched constant heads or a constant
-    remainder against the empty word).
+    remainder against the empty word).  A child either consumes equal
+    heads or defines one predicate (``_define``): as the empty word, as a
+    character followed by a fresh rest, as the other head, or as the other
+    head followed by a fresh rest.
     """
     if not f.equations:
         raise EngineInternalError("unfold on a formula without equations")
@@ -189,56 +196,36 @@ def unfold(f: NormalizedFormula) -> List[UnfoldChild]:
         return [UnfoldChild("drop", f.with_(equations=f.equations[1:]))]
 
     if not lhs or not rhs:
-        other = rhs if not lhs else lhs
-        preds = [a for a in other if isinstance(a, SPred)]
+        preds = dict.fromkeys(a for a in lhs + rhs if isinstance(a, SPred))
         if not preds:
             return []  # the empty word cannot equal a non-empty constant
-        seen: List[SPred] = []
         for p in preds:
-            if p not in seen:
-                seen.append(p)
-        return [UnfoldChild("eps-force", _eps_child(f, seen))]
+            f = _empty(f, p)
+        return [UnfoldChild("eps-force", f)]
 
     hl, hr = lhs[0], rhs[0]
     if isinstance(hl, SVar) or isinstance(hr, SVar):
         raise EngineInternalError("bare variable heads an equation")
-
+    if hl == hr:
+        rule = "const-succ" if isinstance(hl, CChar) else "match-var"
+        return [UnfoldChild(rule, f.with_(
+            equations=(Equation(lhs[1:], rhs[1:]),) + f.equations[1:]))]
     if isinstance(hl, CChar) and isinstance(hr, CChar):
-        if hl.char != hr.char:
-            return []
-        return [UnfoldChild("const-succ",
-                            f.with_(equations=_drop_heads(f.equations)))]
-
+        return []
     if isinstance(hl, SPred) and isinstance(hr, SPred):
         if hl.var == hr.var:
-            if hl.length != hr.length:
-                raise EngineInternalError(
-                    "one variable with two length names")
-            return [UnfoldChild("match-var",
-                                f.with_(equations=_drop_heads(f.equations)))]
+            raise EngineInternalError("one variable with two length names")
         return _big(f, hl, hr)
 
-    # one constant head, one predicate head
+    # one constant head, one predicate head: p is empty or c.tail
     c, p = (hl, hr) if isinstance(hl, CChar) else (hr, hl)
-    return _small(f, c, p)
-
-
-def _small(f: NormalizedFormula, c: CChar, p: SPred) -> List[UnfoldChild]:
-    base = UnfoldChild("small-base", _eps_child(f, [p]))
-
-    k = f.next_index
-    renamed, new_len = f"$u{k}", f"$n{k}"
-    eqs = _subst_all(f.equations, p, (c, SPred(p.var, new_len)))
-    eqs = _drop_heads(eqs)
-    subs = tuple(rename_subterm(s, {p.var: renamed}) for s in f.subterms)
-    subs = subs + (CharPrefix(renamed, c.char, p.var),)
-    ar = f.arith + (atom_eq(AVar(new_len), AAdd(AVar(p.length), AInt(-1))),
-                    atom_lt(AInt(0), AVar(p.length)),
-                    atom_le(AInt(0), AVar(new_len)))
-    ind = UnfoldChild("small-ind", f.with_(
-        equations=eqs, arith=ar, subterms=subs,
-        lengths=_with_length(f.lengths, p.var, new_len), next_index=k + 1))
-    return [base, ind]
+    t = _fresh(f)
+    ind = _define(f, p, CharPrefix(p.var, c.char, t.var), (c, t),
+                  (atom_eq(AVar(t.length), AAdd(AVar(p.length), AInt(-1))),
+                   atom_lt(AInt(0), AVar(p.length)),
+                   atom_le(AInt(0), AVar(t.length))), tail=t)
+    return [UnfoldChild("small-base", _empty(f, p)),
+            UnfoldChild("small-ind", ind)]
 
 
 def _big(f: NormalizedFormula, p1: SPred, p2: SPred) -> List[UnfoldChild]:
@@ -251,39 +238,23 @@ def _big(f: NormalizedFormula, p1: SPred, p2: SPred) -> List[UnfoldChild]:
     forever on equations shaped like x.w = w and a cyclic proof over them
     would be unsound.
     """
-    eps_l = UnfoldChild("big-eps-l", _eps_child(f, [p1]))
-    eps_r = UnfoldChild("big-eps-r", _eps_child(f, [p2]))
-    k = f.next_index  # both splits rename with the same fresh index
-
-    eqs = _subst_all(f.equations, p2, (p1,))
-    eqs = _drop_heads(eqs)
-    ident = UnfoldChild("big-identify", f.with_(
-        equations=eqs,
-        arith=f.arith + (atom_eq(AVar(p1.length), AVar(p2.length)),),
-        subterms=f.subterms + (Alias(p2.var, p1.var),),
-        lengths=_without_length(f.lengths, p2.var)))
+    t = _fresh(f)  # both splits name their rest by the same fresh index
 
     def split(longer: SPred, shorter: SPred) -> NormalizedFormula:
-        renamed, new_len = f"$u{k}", f"$n{k}"
-        tail = SPred(longer.var, new_len)
-        eqs = _subst_all(f.equations, longer, (shorter, tail))
-        eqs = _drop_heads(eqs)
-        subs = tuple(rename_subterm(s, {longer.var: renamed})
-                     for s in f.subterms)
-        subs = subs + (Split(renamed, shorter.var, longer.var),)
-        ar = f.arith + (
-            atom_eq(AVar(new_len),
-                    AAdd(AVar(longer.length),
-                         AScale(-1, AVar(shorter.length)))),
-            atom_le(AInt(1), AVar(new_len)),
-            atom_le(AInt(1), AVar(shorter.length)))
-        return f.with_(equations=eqs, arith=ar, subterms=subs,
-                       lengths=_with_length(f.lengths, longer.var, new_len),
-                       next_index=k + 1)
+        return _define(
+            f, longer, Split(longer.var, shorter.var, t.var), (shorter, t),
+            (atom_eq(AVar(t.length), AAdd(AVar(longer.length),
+                                          AScale(-1, AVar(shorter.length)))),
+             atom_le(AInt(1), AVar(t.length)),
+             atom_le(AInt(1), AVar(shorter.length))), tail=t)
 
-    left = UnfoldChild("big-left", split(p1, p2))    # p2 a proper prefix of p1
-    right = UnfoldChild("big-right", split(p2, p1))  # p1 a proper prefix of p2
-    return [eps_l, eps_r, ident, left, right]
+    ident = _define(f, p2, Alias(p2.var, p1.var), (p1,),
+                    (atom_eq(AVar(p1.length), AVar(p2.length)),))
+    return [UnfoldChild("big-eps-l", _empty(f, p1)),
+            UnfoldChild("big-eps-r", _empty(f, p2)),
+            UnfoldChild("big-identify", ident),
+            UnfoldChild("big-left", split(p1, p2)),   # p2 a proper prefix of p1
+            UnfoldChild("big-right", split(p2, p1))]  # p1 a proper prefix of p2
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +277,8 @@ def _length_of(segs: tuple, lens: Dict[str, str],
 
 
 def _set_component_atoms(expr, comp, fresh: str) -> tuple:
+    """The atoms putting expr in one component of a length set: equal to a
+    length, or in a progression off + period * fresh with fresh >= 0."""
     if isinstance(comp, int):
         return (atom_eq(expr, AInt(comp)),)
     off, period = comp
@@ -445,7 +418,8 @@ def under_approx_check(f: NormalizedFormula,
     one: a system its model (``Hypothesis.model``, an unbound variable
     reading 0) satisfies needs no solving.  A SAT verdict always carries a
     checked model.  Raises CapExceeded when the boundary choices number
-    more than _UA_COMBO_CAP.
+    more than _UA_COMBO_CAP, or when the model found would give a variable
+    more than _MODEL_WORD_CAP characters.
     """
     if not is_base(f):
         return UAResult("notbase")
@@ -538,16 +512,12 @@ def under_approx_check(f: NormalizedFormula,
             if lset.is_empty():
                 dead = True
                 break
-            comps: List[tuple] = []
-            for n in sorted(lset.finite):
-                comps.append((atom_eq(AVar(lens[v]), AInt(n)),))
-            for j, (off, period) in enumerate(lset.progressions):
-                kvar = f"$k_{v}_{j}"
-                comps.append((atom_eq(AVar(lens[v]),
-                                      AAdd(AInt(off),
-                                           AScale(period, AVar(kvar)))),
-                              atom_le(AInt(0), AVar(kvar))))
-            disjs.append(comps)
+            length = AVar(lens[v])
+            disjs.append(
+                [_set_component_atoms(length, n, "")
+                 for n in sorted(lset.finite)] +
+                [_set_component_atoms(length, prog, f"$k_{v}_{j}")
+                 for j, prog in enumerate(lset.progressions)])
         if dead:
             continue
 
@@ -568,18 +538,29 @@ def under_approx_check(f: NormalizedFormula,
     return UAResult("unsat", reason="no base model")
 
 
+# The longest word a model may give an open variable.  A witness search at
+# this length takes about 0.05 s; a longer one could outrun any time or
+# memory limit.
+_MODEL_WORD_CAP = 10000
+
+
 def _finish_model(f: NormalizedFormula, beta: Dict[str, int],
                   joints: Dict[str, _regexes.Dfa],
                   open_vars: List[str]) -> Model:
     """Words for every open variable at its length in beta (a witness of
     its joint membership automaton where it has one), then for every
     defined and every member variable by concatenating its pieces.  An
-    undefined variable without a length variable is the empty word."""
+    undefined variable without a length variable is the empty word.
+    Raises CapExceeded before building a word past _MODEL_WORD_CAP."""
     sigma = f.alphabet
     lens = f.length_map()
     values: Dict[str, str] = {}
     for v in open_vars:
         want = beta.get(lens[v], 0)
+        if want > _MODEL_WORD_CAP:
+            raise _arith.CapExceeded(f"model word of {want} characters "
+                                     f"over _MODEL_WORD_CAP = "
+                                     f"{_MODEL_WORD_CAP}")
         if v in joints:
             w = _regexes.witness_with_length(joints[v], lambda n: n == want,
                                              want)

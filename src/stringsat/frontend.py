@@ -23,7 +23,7 @@ from .terms import (AAdd, AInt, ALen, AMax, AMin, AMod, ANeg, AScale, AVar,
                     FOr, Formula, Model, RCat, RComp, RE, REps, RInter,
                     RStar, RUnion, RWord, SVar, Term, arith_len_vars,
                     atom_le, collect_vars, eval_arith, fold_balanced,
-                    formula_chars, to_dnf, word)
+                    formula_chars, negate, to_dnf, word)
 
 
 class ParseError(Exception):
@@ -440,11 +440,7 @@ def _divisor(n: tuple, ctx: _Ctx) -> AInt:
 
 def _expand_negations(f: Formula) -> Formula:
     if isinstance(f, FNot):
-        a = f.inner.atom
-        if a.kind == "le":
-            return FAtom(atom_le(AAdd(a.rhs, AInt(1)), a.lhs))
-        return FOr((FAtom(atom_le(AAdd(a.lhs, AInt(1)), a.rhs)),
-                    FAtom(atom_le(AAdd(a.rhs, AInt(1)), a.lhs))))
+        return FOr(tuple(map(FAtom, negate(f.inner.atom))))
     if isinstance(f, FAnd):
         return FAnd(tuple(_expand_negations(x) for x in f.items))
     if isinstance(f, FOr):

@@ -233,6 +233,13 @@ def atom_lt(a: ArithExpr, b: ArithExpr) -> ArithAtom:
     return ArithAtom("le", AAdd(a, AInt(1)), b)
 
 
+def negate(a: ArithAtom) -> tuple:
+    """Atoms whose disjunction is the negation of a over the integers."""
+    if a.kind == "le":
+        return (atom_lt(a.rhs, a.lhs),)
+    return (atom_lt(a.lhs, a.rhs), atom_lt(a.rhs, a.lhs))
+
+
 def collect_vars(e: ArithExpr, out: set) -> set:
     """Add the names of the integer variables in e to out; returns out."""
     if isinstance(e, AVar):
@@ -380,21 +387,6 @@ def subterm_vars(c: Subterm) -> tuple:
     if isinstance(c, Split):
         return (c.var, c.prefix, c.suffix)
     return (c.var, c.other)
-
-
-def rename_subterm(c: Subterm, mapping: dict) -> Subterm:
-    """The constraint with its variables renamed; the same object when the
-    mapping names none of them."""
-    if mapping.keys().isdisjoint(subterm_vars(c)):
-        return c
-    g = lambda v: mapping.get(v, v)
-    if isinstance(c, EpsBind):
-        return EpsBind(g(c.var))
-    if isinstance(c, CharPrefix):
-        return CharPrefix(g(c.var), c.char, g(c.tail))
-    if isinstance(c, Split):
-        return Split(g(c.var), g(c.prefix), g(c.suffix))
-    return Alias(g(c.var), g(c.other))
 
 
 # ---------------------------------------------------------------------------

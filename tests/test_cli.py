@@ -315,6 +315,22 @@ def test_membership_state_space_cap_answers_unknown(tmp_path):
         in dot.read_text()
 
 
+@pytest.mark.parametrize("text", [
+    '(declare-str x)(declare-chars "a")'
+    '(assert (= (str.len x) 1000000000000))',
+    '(declare-str x)(assert (str.in_re x (re.* (str.to_re "ab"))))'
+    '(assert (= (str.len x) 100000000))'])
+def test_huge_model_words_answer_unknown(tmp_path, text):
+    # a model whose word would pass the cap is given up before it is
+    # built: no memory error, no endless witness search
+    dot = tmp_path / "tree.dot"
+    start = time.perf_counter()
+    code, out, err = _run(tmp_path, text, ["--dot", str(dot)])
+    assert time.perf_counter() - start < 5
+    assert (code, out) == (EXIT_UNKNOWN, "unknown\n"), err
+    assert "over _MODEL_WORD_CAP = 10000" in dot.read_text()
+
+
 def test_each_formula_builds_its_walker_once(tmp_path, monkeypatch):
     # residual check, UA, OA and every back-link candidate read a node's
     # resolved membership pieces; one walker builds them on first use and

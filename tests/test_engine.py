@@ -18,9 +18,10 @@ from stringsat.engine import (BackLinkedTo, ClosedUnsat, EngineInternalError,
                               under_approx_check, unfold)
 from stringsat.regexes import compiled
 from stringsat.terms import (AAdd, AInt, ALen, AMod, AVar, Alias, CChar,
-                             CharPrefix, EpsBind, Equation, FAtom, FEq, FIn,
-                             Membership, NormalizedFormula, RCat, RStar,
-                             RWord, SPred, SVar, Split, atom_eq, atom_le,
+                             CharPrefix, EpsBind, Equation, FAnd, FAtom, FEq,
+                             FIn, Membership, NormalizedFormula, RCat, RStar,
+                             RUnion, RWord, SPred, SVar, Split, atom_eq,
+                             atom_le, vars_of_atoms,
                              _free_index, _walker, atom_lt, eval_arith,
                              normalized_to_formula, word)
 
@@ -113,11 +114,12 @@ def test_unfold_worked_example_first_step():
     assert base.equations == (Equation(word("ab"), word("ba")),)
     assert EpsBind("$u0") in base.subterms
     assert atom_eq(AVar("$n0"), AInt(0)) in base.arith
-    p1 = SPred("$u0", "$n1")
+    # the rest gets the fresh names; s's own constraint is untouched
+    p1 = SPred("$u1", "$n1")
     assert ind.equations == (Equation(word("ba") + (p1,),
                                       (p1,) + word("ba")),)
-    assert ind.subterms == (Alias("s", "$u1"), CharPrefix("$u1", "a", "$u0"))
-    assert ind.lengths == (("$u0", "$n1"),)
+    assert ind.subterms == (Alias("s", "$u0"), CharPrefix("$u0", "a", "$u1"))
+    assert ind.lengths == (("$u1", "$n1"),)
 
 
 def test_unfold_const_succ():
@@ -180,14 +182,14 @@ def test_unfold_big_cases():
     assert Alias("$u1", "$u0") in ident.subterms
     assert atom_eq(AVar("$n0"), AVar("$n1")) in ident.arith
     left = kids[3].formula
-    assert left.equations[0].lhs[0] == SPred("$u0", "$n2")
-    assert Split("$u2", "$u1", "$u0") in left.subterms
+    assert left.equations[0].lhs[0] == SPred("$u2", "$n2")
+    assert Split("$u0", "$u1", "$u2") in left.subterms
     # the split is strict: non-empty prefix, non-empty tail
     assert atom_le(AInt(1), AVar("$n2")) in left.arith
     assert atom_le(AInt(1), AVar("$n1")) in left.arith
     right = kids[4].formula
-    assert right.equations[0].rhs[0] == SPred("$u1", "$n2")
-    assert Split("$u2", "$u0", "$u1") in right.subterms
+    assert right.equations[0].rhs[0] == SPred("$u2", "$n2")
+    assert Split("$u1", "$u0", "$u2") in right.subterms
 
 
 def test_unfolding_carries_the_first_unused_index():
@@ -200,6 +202,29 @@ def test_unfolding_carries_the_first_unused_index():
             assert node.formula.next_index == _free_index(node.formula)
             checked += node.rule in ("small-ind", "big-left", "big-right")
     assert checked > 50
+
+
+def test_subterms_only_grow_and_fresh_names_pair_up():
+    # a child's subterm constraints begin with its parent's: each rule
+    # appends definitions and rewrites none, so a name means one word in
+    # every node below the one that introduced it; every generated
+    # $u<k> is paired with $n<k>
+    rng = random.Random(74)
+    problems = draw_one_cycle(rng, 40) + draw_acyclic(rng, 40)
+    problems += [_hard_instance(), worked_example()]
+    grown = 0
+    for conjs in problems:
+        for mode in (OA_LENGTHS_ONLY, OA_FULL):
+            tree = solve_conjunction(conjs, "ab", budget=100,
+                                     oa_mode=mode).tree
+            for n in tree.nodes[1:]:
+                before = tree.nodes[n.parent].formula.subterms
+                own = n.formula.subterms
+                assert own[:len(before)] == before, n.rule
+                grown += len(own) > len(before)
+                for u, length in n.formula.lengths:
+                    assert length == "$n" + u[len("$u"):], (u, length)
+    assert grown > 200, grown
 
 
 def test_unfold_covers_empty_prefix_models():
@@ -264,6 +289,35 @@ def _pi22():
     f0 = init_normalize(worked_example(), "ab")
     f12 = unfold(f0)[1].formula
     return unfold(f12)[1].formula
+
+
+def test_oa_disjunct_cap_drops_the_remaining_memberships():
+    # x and y each have 20 lengths: both would make 400 disjuncts, past
+    # the cap, so y and every later membership (z would fit) add nothing
+    some_as = RWord("a")
+    for n in range(2, 21):
+        some_as = RUnion(some_as, RWord("a" * n))
+    x, y, z = SVar("x"), SVar("y"), SVar("z")
+    conjs = [FIn((x,), some_as), FIn((y,), some_as), FIn((z,), RWord("a"))]
+    f = init_normalize(conjs, "a")
+    assert f.subterms == (Alias("x", "$u0"), Alias("y", "$u1"),
+                          Alias("z", "$u2"))
+    parts = engine._membership_parts(f, OA_FULL)
+    assert len(parts) == 20 and 20 * 20 > engine._OA_DISJUNCT_CAP
+    assert all(vars_of_atoms(p) == {"$n0"} for p in parts)
+    # the weakened abstraction stays sound, and UA still decides the root
+    for length, verdict in ((15, "sat"), (25, "unsat")):
+        atom = FAtom(atom_eq(ALen("y"), AInt(length)))
+        ans = solve_conjunction(conjs + [atom], "a")
+        assert ans.verdict == verdict
+        if verdict == "sat":
+            assert oracle.eval_formula(FAnd(tuple(conjs) + (atom,)),
+                                       ans.model, ("a",))
+        else:
+            # y's lengths never reach the abstraction, so it cannot refute
+            assert not oa_unsat(init_normalize(conjs + [atom], "a"))
+            assert ans.tree.nodes[0].status == \
+                ClosedUnsat("base: no base model")
 
 
 def test_under_approx_closes_by_arithmetic_core():
@@ -393,7 +447,10 @@ def test_lengths_only_trees_are_unchanged(monkeypatch):
     # lengths-only OA never runs the residual check; the digest of these
     # trees' DOT export was recorded before the check existed, and again
     # when back-links began to compare memberships by residual language
-    # (the hard instance's node 11, where x is b.z.$u0, no longer links)
+    # (the hard instance's node 11, where x is b.z.$u0, no longer links),
+    # and when unfolding began to give the fresh name to a defined
+    # variable's rest instead of renaming the variable (the digest with
+    # every $u<k> masked to $u did not change)
     def refuse(f):
         raise AssertionError("residual check in lengths-only mode")
 
@@ -410,7 +467,7 @@ def test_lengths_only_trees_are_unchanged(monkeypatch):
         sizes.append(len(ans.tree.nodes))
     assert sizes == [1, 7, 1, 1, 1, 5, 1, 1, 1, 5, 6,
                      1, 1, 1, 1, 1, 1, 6, 1, 1, 171, 5]
-    assert digest.hexdigest() == "0448a88111452cabfec0575cb34abf7a76f18de5"
+    assert digest.hexdigest() == "6d11e95359949628086fc574a1d4c5885c29622b"
 
 
 def test_a_capped_leaf_is_given_up_unless_closed_otherwise(monkeypatch):
