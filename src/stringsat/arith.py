@@ -33,7 +33,8 @@ from typing import Dict, List, Optional, Tuple
 
 from .terms import (AAdd, AInt, ALen, AMax, AMin, AMod, ANeg, AScale, AVar,
                     ArithAtom, ArithExpr, NonConstantDivisorError, atom_le,
-                    atom_eq, eval_arith, eval_atom, negate, vars_of_atoms)
+                    atom_eq, eval_arith, eval_atom, fold_balanced, negate,
+                    vars_of_atoms)
 
 
 class ArithInternalError(Exception):
@@ -978,3 +979,83 @@ def arith_implies(hyp, concl) -> bool:
     open_atoms = [a for a in concl if a not in hyp.stated]
     return not any(hyp.consistent_with([neg])
                    for atom in open_atoms for neg in negate(atom))
+
+
+def project(atoms, dead: set) -> Optional[tuple]:
+    """Atoms equivalent over the integers to ``atoms`` with the ``dead``
+    variables existentially quantified, or None where this elimination
+    is not exact.
+
+    Atoms without a dead variable come back as they are, in order; the
+    others must be linear (a dead variable inside mod/max/min gives None),
+    and what is left of them follows.  Variables are eliminated one at a
+    time, each time by the first of these rules that applies to some dead
+    variable, as in Pugh's Omega test: substitute it from an equality where
+    its coefficient is ±1; drop its rows when all of them bound it on one
+    side; combine each lower with each upper bound (Fourier–Motzkin) when
+    every lower or every upper coefficient is ±1, where the real shadow is
+    the integer one.  None when no rule applies: a dead variable with only
+    non-unit equalities, or with non-unit bounds on both sides."""
+    kept, rows = [], []
+    for a in atoms:
+        if dead.isdisjoint(vars_of_atoms((a,))):
+            kept.append(a)
+            continue
+        try:
+            lin = _mk_linatom(a.kind, a.lhs, a.rhs)
+        except ValueError:
+            return None
+        rows.append((lin.kind, lin.coeff_map(), lin.const))
+    while True:
+        left = sorted({v for _, cs, _ in rows for v in cs} & dead)
+        if not left:
+            break
+        rows = _eliminate_one(rows, left)
+        if rows is None:
+            return None
+    derived = {}
+    for kind, cs, k in rows:
+        if not cs and (k == 0 if kind == "eq" else k >= 0):
+            continue  # holds outright
+        parts = [AVar(v) if c == 1 else AScale(c, AVar(v))
+                 for v, c in sorted(cs.items())]
+        lhs = fold_balanced(AAdd, parts) if parts else AInt(0)
+        derived[ArithAtom(kind, lhs, AInt(k))] = None
+    return tuple(kept) + tuple(derived)
+
+
+def _eliminate_one(rows: list, candidates: list) -> Optional[list]:
+    """``rows`` (kind, coeffs, const) with one of the candidate variables
+    eliminated exactly by the first rule of ``project`` that applies to
+    any of them, or None."""
+    for v in candidates:
+        for kind, cs, k in rows:
+            if kind == "eq" and abs(cs.get(v, 0)) == 1:
+                c = cs[v]
+                expr = ({u: -cu * c for u, cu in cs.items() if u != v}, k * c)
+                # the equality itself becomes 0 = 0
+                return [(kind2, *_subst_into(cs2, k2, v, expr))
+                        for kind2, cs2, k2 in rows]
+    bounds = {}
+    for v in candidates:
+        occ = [r for r in rows if v in r[1]]
+        if all(kind == "le" for kind, _, _ in occ):
+            bounds[v] = ([r for r in occ if r[1][v] < 0],
+                         [r for r in occ if r[1][v] > 0])
+    for v, (lower, upper) in bounds.items():
+        if not lower or not upper:
+            return [r for r in rows if v not in r[1]]
+    for v, (lower, upper) in bounds.items():
+        if all(cs[v] == -1 for _, cs, _ in lower) or \
+                all(cs[v] == 1 for _, cs, _ in upper):
+            out = [r for r in rows if v not in r[1]]
+            for _, lc, lk in lower:
+                for _, uc, uk in upper:
+                    # b.v >= lower part and a.v <= upper part
+                    a, b = uc[v], -lc[v]
+                    cs = {u: b * uc.get(u, 0) + a * lc.get(u, 0)
+                          for u in lc.keys() | uc.keys() if u != v}
+                    out.append(("le", {u: c for u, c in cs.items() if c},
+                                b * uk + a * lk))
+            return out
+    return None

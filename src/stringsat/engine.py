@@ -659,39 +659,39 @@ def _memberships_entailed(leaf: NormalizedFormula, anc: NormalizedFormula,
     """Whether each leaf membership entails the ancestor's (unfolding never
     changes the list, so they pair up by index): the leaf's open variable
     maps to the ancestor's, and its residual language, renamed by the
-    character map, is included in the ancestor's."""
+    character map, is included in the ancestor's.  A variable the
+    equation map leaves untouched (neither a key nor a value) maps to
+    itself."""
     if leaf.memberships != anc.memberships:
         return False
+    targets = set(smap.values())
     for m, leaf_segs, anc_segs in zip(leaf.memberships, leaf.member_pieces,
                                       anc.member_pieces):
         got = [_residual(m.dfa, leaf_segs), _residual(m.dfa, anc_segs)]
         if None in got:
             return False
         (ql, vl), (qa, va) = got
-        # no None key: a fully known word pairs only with a known one
-        if smap.get(vl) != va or \
-                not _regexes.residual_included(m.dfa, ql, m.dfa, qa, cmap):
+        # a fully known word (None) pairs only with a known one
+        if vl in smap:
+            if smap[vl] != va:
+                return False
+        elif vl != va or vl in targets:
+            return False
+        if not _regexes.residual_included(m.dfa, ql, m.dfa, qa, cmap):
             return False
     return True
 
 
-def _measure(f: NormalizedFormula):
-    """Total notational length of the equations as an arithmetic term."""
-    total = AInt(0)
-    for a in f.equation_lengths:
-        total = AAdd(total, AAdd(a.lhs, a.rhs))
-    return total
-
-
 def _refuted(w: dict, shrink: ArithAtom, full_imap: dict,
-             anc: NormalizedFormula) -> bool:
+             concl: tuple) -> bool:
     """Whether the leaf model ``w`` (an unbound variable reads 0) shows a
-    candidate cannot link: the shrink fails under it, or an ancestor atom
-    fails under its renaming ``env[full_imap[v]] = w[v]``.  The renaming
-    is injective on the leaf's variables, so that assignment satisfies the
-    renamed leaf arithmetic, and a false ancestor atom refutes the
-    entailment.  Where two leaf variables would give one target different
-    values the renaming is no model and nothing is refuted."""
+    candidate cannot link: the shrink fails under it, or an atom of the
+    ancestor's conclusion ``concl`` fails under its renaming
+    ``env[full_imap[v]] = w[v]``.  The renaming is injective on the leaf's
+    variables, so that assignment satisfies the renamed leaf arithmetic,
+    and a false conclusion atom refutes the entailment.  Where two leaf
+    variables would give one target different values the renaming is no
+    model and nothing is refuted."""
     if not eval_atom(shrink, w):
         return True
     env: Dict[str, int] = defaultdict(int)
@@ -699,7 +699,7 @@ def _refuted(w: dict, shrink: ArithAtom, full_imap: dict,
         if target in env and env[target] != w[v]:
             return False
         env[target] = w[v]
-    return not all(eval_atom(a, env) for a in anc.arith)
+    return not all(eval_atom(a, env) for a in concl)
 
 
 def link_back(leaf: NormalizedFormula, ancestors: List[NormalizedFormula],
@@ -715,6 +715,13 @@ def link_back(leaf: NormalizedFormula, ancestors: List[NormalizedFormula],
     measures are expressible there).  Without the strict decrease the
     cyclic argument would admit loops that consume nothing.
 
+    The ancestor's arithmetic is read with its dead lengths projected out
+    (``NormalizedFormula.projected_arith``; all of it where that is not
+    exact).  A dead length occurs in no equation and no membership of the
+    ancestor, whose subterms the link discards and whose measure reads
+    only equation lengths, so where the projection holds the dead lengths
+    can be chosen to give the ancestor a model.
+
     Counter-models come before proofs.  ``hyp`` is the leaf's node
     hypothesis when the caller keeps one; its model (``Hypothesis.model``)
     satisfies the leaf's arithmetic, and a candidate it refutes
@@ -728,7 +735,7 @@ def link_back(leaf: NormalizedFormula, ancestors: List[NormalizedFormula],
     if not leaf.equations:
         return None
     w = hyp.model() if hyp is not None else None
-    leaf_measure = leaf_hyp = None
+    leaf_hyp = leaf_ivars = None
     for a_index, anc in enumerate(ancestors):
         if leaf.progress_steps <= anc.progress_steps:
             continue
@@ -738,9 +745,7 @@ def link_back(leaf: NormalizedFormula, ancestors: List[NormalizedFormula],
         smap, cmap, imap = got
         if not _memberships_entailed(leaf, anc, smap, cmap):
             continue
-        if leaf_measure is None:
-            leaf_measure = _measure(leaf)
-        shrink = atom_le(AAdd(leaf_measure, AInt(1)), _measure(anc))
+        shrink = atom_le(AAdd(leaf.measure, AInt(1)), anc.measure)
         # where both paths match level by level up to the root, rename along
         # them: the ancestor's dropped lengths meet the leaf path's own
         path = _unify_equations(zip([leaf] + ancestors, ancestors[a_index:]))
@@ -748,7 +753,8 @@ def link_back(leaf: NormalizedFormula, ancestors: List[NormalizedFormula],
         # extend the integer renaming: leaf variables that collide with a
         # target of the positional match must move out of the way
         targets = set(imap.values())
-        leaf_ivars = sorted(vars_of_atoms(leaf.arith))
+        if leaf_ivars is None:
+            leaf_ivars = sorted(vars_of_atoms(leaf.arith))
         full_imap = dict(imap)
         fresh_i = 0
         for v in leaf_ivars:
@@ -759,14 +765,15 @@ def link_back(leaf: NormalizedFormula, ancestors: List[NormalizedFormula],
                 fresh_i += 1
             else:
                 full_imap[v] = v
-        if w is not None and _refuted(w, shrink, full_imap, anc):
+        concl = anc.projected_arith
+        if w is not None and _refuted(w, shrink, full_imap, concl):
             continue
         if leaf_hyp is None:
             leaf_hyp = _arith.Hypothesis(leaf.arith)
         if not _arith.arith_implies(leaf_hyp, [shrink]):
             continue
         renamed = [rename_atom_vars(a, full_imap) for a in leaf.arith]
-        if _arith.arith_implies(renamed, list(anc.arith)):
+        if _arith.arith_implies(renamed, list(concl)):
             theta = Theta(tuple(sorted(smap.items())),
                           tuple(sorted(cmap.items())),
                           tuple(sorted(full_imap.items())))

@@ -459,6 +459,30 @@ class NormalizedFormula:
                      for eq in self.equations)
 
     @cached_property
+    def measure(self) -> ArithExpr:
+        """Total notational length of the equations as an arithmetic
+        term."""
+        total: ArithExpr = AInt(0)
+        for a in self.equation_lengths:
+            total = AAdd(total, AAdd(a.lhs, a.rhs))
+        return total
+
+    @cached_property
+    def projected_arith(self) -> tuple:
+        """``arith`` with its dead length variables eliminated exactly
+        (``arith.project``), or all of ``arith`` where that is not exact.
+        A variable of ``arith`` is dead when neither the equation lengths
+        nor the length of an open piece of a membership read it; nothing
+        but ``arith`` then constrains it."""
+        from .arith import project  # arith imports this module
+        live = vars_of_atoms(self.equation_lengths)
+        lens = self.length_map()
+        live.update(lens[s[1]] for segs in self.member_pieces for s in segs
+                    if not isinstance(s, str) and s[1] in lens)
+        got = project(self.arith, vars_of_atoms(self.arith) - live)
+        return self.arith if got is None else got
+
+    @cached_property
     def progress_steps(self) -> int:
         """The structural unfolding steps the subterms record."""
         return sum(1 for c in self.subterms

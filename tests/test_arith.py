@@ -754,3 +754,48 @@ def test_lower_with_caller_fresh_and_memo_matches_memo_path():
             assert got == want, batch
             assert got_fresh.issued == want_fresh.issued
             assert got_fresh.n == want_fresh.n
+
+
+D, D1, D2, M = AVar("d"), AVar("d1"), AVar("d2"), AVar("m")
+PARITY_N = atom_eq(AMod(N, AInt(2)), AInt(0))
+
+
+@pytest.mark.parametrize("atoms", [
+    # unit equalities, one after the other: n >= 2
+    [atom_eq(D1, AAdd(N, AInt(-1))), atom_eq(D2, AAdd(D1, AInt(-1))),
+     atom_le(AInt(0), D2)],
+    # bounded below only: no constraint is left
+    [atom_le(N, D), atom_le(AInt(3), D)],
+    # Fourier-Motzkin with every lower coefficient 1: 2n <= m
+    [atom_le(AScale(2, N), D), atom_le(D, M)],
+    # and with every upper coefficient 1: n <= 2m
+    [atom_le(N, AScale(2, D)), atom_le(D, M)],
+    # an atom without a dead variable stays as it is, mod and all
+    [PARITY_N, atom_eq(D, AAdd(N, AInt(1))), atom_le(D, AInt(4))],
+])
+def test_project_is_exists_dead(atoms):
+    dead = {"d", "d1", "d2"}
+    got = arith.project(atoms, dead)
+    assert got is not None and not vars_of_atoms(got) & dead
+    assert [a for a in atoms if not vars_of_atoms([a]) & dead] == \
+        [a for a in got if a in atoms]
+    live = sorted(vars_of_atoms(atoms) - dead)
+    gone = sorted(vars_of_atoms(atoms) & dead)
+    for vals in itertools.product(range(-4, 5), repeat=len(live)):
+        env = dict(zip(live, vals))
+        witnessed = any(
+            all(eval_atom(a, {**env, **dict(zip(gone, ds))}) for a in atoms)
+            for ds in itertools.product(range(-12, 13), repeat=len(gone)))
+        assert all(eval_atom(a, env) for a in got) == witnessed, env
+
+
+@pytest.mark.parametrize("atoms", [
+    # a dead variable inside mod
+    [atom_eq(AMod(D, AInt(2)), AInt(0)), atom_eq(D, N)],
+    # only a non-unit equality
+    [atom_eq(AScale(2, D), N)],
+    # non-unit bounds on both sides: n <= 2d <= m is not n <= m
+    [atom_le(N, AScale(2, D)), atom_le(AScale(2, D), M)],
+])
+def test_project_refuses_what_it_cannot_eliminate_exactly(atoms):
+    assert arith.project(atoms, {"d"}) is None

@@ -140,6 +140,28 @@ def test_negative_oracle_bound_is_an_error(tmp_path, capsys, text, code):
     assert main([str(path), "--oracle-check", "0"]) == code
 
 
+UNTOUCHED_MEMBER = """
+(declare-str x)
+(declare-str y)
+(declare-str z)
+(assert (= (str.++ x z "aa") (str.++ "ab" x)))
+(assert (= (mod (str.len x) 2) 1))
+(assert (str.in_re y (re.* (str.to_re "ab"))))
+"""
+
+
+def test_a_member_in_no_equation_does_not_block_back_links(tmp_path):
+    # x.z.aa = ab.x with |x| odd is unsat; y occurs in no equation, so a
+    # back-link maps it to itself and checks its membership as it stands
+    dot = tmp_path / "tree.dot"
+    code, out, err = _run(tmp_path, UNTOUCHED_MEMBER,
+                          ["--budget", "50", "--oracle-check", "7",
+                           "--dot", str(dot)])
+    assert (code, out) == (EXIT_UNSAT, "unsat\n"), err
+    assert "consistent with unsat" in err
+    assert "linked to" in dot.read_text()
+
+
 def test_reduce_to_single_flag(tmp_path):
     code, out, err = _run(tmp_path, SYSTEM,
                           ["--reduce-to-single", "--oracle-check", "3"])

@@ -23,6 +23,7 @@ from stringsat.terms import (AAdd, AInt, ALen, AMod, AVar, Alias, CChar,
                              RUnion, RWord, SPred, SVar, Split, atom_eq,
                              atom_le, vars_of_atoms,
                              _free_index, _walker, atom_lt, eval_arith,
+                             eval_atom,
                              normalized_to_formula, word)
 
 ROTATE_RE = RCat(RStar(RWord("ab")), RWord("a"))
@@ -450,7 +451,10 @@ def test_lengths_only_trees_are_unchanged(monkeypatch):
     # (the hard instance's node 11, where x is b.z.$u0, no longer links),
     # and when unfolding began to give the fresh name to a defined
     # variable's rest instead of renaming the variable (the digest with
-    # every $u<k> masked to $u did not change)
+    # every $u<k> masked to $u did not change), and when back-links began
+    # to read ancestor arithmetic with its dead lengths projected out (the
+    # hard instance grew from 171 to 174 nodes and from 2 to 4 back-links,
+    # still unknown)
     def refuse(f):
         raise AssertionError("residual check in lengths-only mode")
 
@@ -466,8 +470,8 @@ def test_lengths_only_trees_are_unchanged(monkeypatch):
         digest.update(export_tree(ans.tree).encode())
         sizes.append(len(ans.tree.nodes))
     assert sizes == [1, 7, 1, 1, 1, 5, 1, 1, 1, 5, 6,
-                     1, 1, 1, 1, 1, 1, 6, 1, 1, 171, 5]
-    assert digest.hexdigest() == "6d11e95359949628086fc574a1d4c5885c29622b"
+                     1, 1, 1, 1, 1, 1, 6, 1, 1, 174, 5]
+    assert digest.hexdigest() == "2a9a428e380f8046491d87ad0fbab8c3721a5510"
 
 
 def test_a_capped_leaf_is_given_up_unless_closed_otherwise(monkeypatch):
@@ -862,6 +866,52 @@ def test_back_link_needs_the_membership_variable_to_map_to_its_own():
                      [anc.with_(memberships=())]) is not None
 
 
+def test_an_untouched_member_variable_maps_to_itself_only_if_free():
+    # y = u1 in a* is in no leaf equation, so it may map to itself; but
+    # the leaf's u3 maps to the ancestor's u1, and the ancestor's y then
+    # stands for a word the leaf's membership says nothing about
+    def pred(i, n):
+        return SPred(f"$u{i}", f"$n{n}")
+
+    a = (CChar("a"),)
+    nonneg = tuple(atom_le(AInt(0), AVar(f"$n{i}")) for i in range(2))
+    anc = NormalizedFormula(
+        equations=(Equation((pred(0, 0),) + a + (pred(1, 1),),
+                            (pred(1, 1),) + a + (pred(0, 0),)),),
+        memberships=(member("y", RStar(RWord("a"))),),
+        arith=nonneg, subterms=(Alias("x", "$u0"), Alias("y", "$u1")),
+        lengths=(("$u0", "$n0"), ("$u1", "$n1")), alphabet=("a", "b"))
+    leaf = anc.with_(
+        equations=(Equation((pred(0, 0),) + a + (pred(3, 3),),
+                            (pred(3, 3),) + a + (pred(0, 0),)),),
+        arith=nonneg + (atom_eq(AVar("$n3"), AAdd(AVar("$n1"), AInt(-1))),
+                        atom_lt(AInt(0), AVar("$n1")),
+                        atom_le(AInt(0), AVar("$n3"))),
+        subterms=anc.subterms + (CharPrefix("$u4", "b", "$u3"),),
+        lengths=(("$u0", "$n0"), ("$u1", "$n1"), ("$u3", "$n3")))
+    assert link_back(leaf, [anc]) is None
+    assert link_back(leaf.with_(memberships=()),
+                     [anc.with_(memberships=())]) is not None
+
+
+def test_a_membership_length_is_never_projected_out():
+    # a.x = x.a with y in (aa)* and |y| = |x| + 1 is sat: x = a, y = aa.
+    # The first small-ind leaf, a.x' = x'.a, matches the root with y, in no
+    # equation, mapped to itself.  The membership reads |y|, so the root's
+    # |y| = |x| + 1 is not projected out, and the leaf's |y| = |x'| + 2
+    # does not entail it: no link, and the next leaf is the model
+    text = ('(declare-str x)(declare-str y)'
+            '(assert (= (str.++ "a" x) (str.++ x "a")))'
+            '(assert (str.in_re y (re.* (str.to_re "aa"))))'
+            '(assert (= (str.len y) (+ (str.len x) 1)))')
+    problem = frontend.parse_problem(text)
+    (conjs,) = problem.disjuncts()
+    ans = solve_conjunction(conjs, problem.alphabet())
+    assert ans.verdict == "sat" and not _links(ans.tree)
+    values = ans.model.string_map()
+    assert (values["x"], values["y"]) == ("a", "aa")
+
+
 def test_back_link_renames_lengths_along_both_paths():
     # s.ba = aa.s with s in a*.aa.ab and |s| mod 3 = 2 is unsat: s ends in
     # b, s.ba in a.  Each unfolding strips one a, and from depth 3 on the
@@ -882,6 +932,85 @@ def test_back_link_renames_lengths_along_both_paths():
     ints = leaf.status.theta.ints()
     assert [ints[f"$n{i}"] for i in range(3, 7)] == \
         [f"$n{i}" for i in range(4)]
+
+
+HEAD_CLASH = [  # bench/gen.py's head-clash templates, with C = b and D = a
+    ('(= (str.++ x "b" z) (str.++ z "a"))', '(>= (str.len z) 1)'),
+    ('(= (str.++ "b" z y) (str.++ y "a"))', None),
+    ('(= (str.++ x "b") (str.++ "a" y x))', '(= (mod (str.len y) 3) 0)'),
+    ('(= (str.++ y "b") (str.++ "b" z y))', '(= "b" (str.++ "a" z))'),
+]
+
+
+def _head_clash_problems():
+    """Each template in both orientations of its first equation."""
+    out = []
+    for asserts in HEAD_CLASH:
+        text = "(declare-str x)(declare-str y)(declare-str z)" + "".join(
+            f"(assert {a})" for a in asserts if a)
+        (conjs,) = frontend.parse_problem(text).disjuncts()
+        first, rest = conjs[0], list(conjs[1:])
+        out += [[first] + rest, [FEq(first.rhs, first.lhs)] + rest]
+    return out
+
+
+def test_back_links_read_exact_projections(monkeypatch):
+    # every ancestor arithmetic that link_back projects, over corpus draws,
+    # the head-clash templates and the hard instance: the projection
+    # follows from it, and each model of the projection in a small box
+    # extends to a model of it over the dead lengths
+    real_project = engine._arith.project
+    seen = {}
+
+    def recording(atoms, dead):
+        seen[tuple(atoms), frozenset(dead)] = real_project(atoms, dead)
+        return seen[tuple(atoms), frozenset(dead)]
+
+    monkeypatch.setattr(engine._arith, "project", recording)
+    rng = random.Random(31)
+    for conjs in draw_one_cycle(rng, 300) + draw_acyclic(rng, 100):
+        solve_conjunction(conjs, "ab")
+    for conjs in _head_clash_problems():
+        solve_conjunction(conjs, "ab", budget=40)
+    solve_conjunction(_hard_instance(), "ab", budget=100,
+                      oa_mode=OA_LENGTHS_ONLY)
+    projected = {key: got for key, got in seen.items()
+                 if got is not None and key[1] & vars_of_atoms(key[0])}
+    # the mod template's dead lengths sit in its mod atom
+    assert len(projected) >= 10 and None in seen.values()
+    for (atoms, dead), got in projected.items():
+        assert arith_implies(list(atoms), list(got))
+        live = sorted(vars_of_atoms(atoms) - dead)
+        for values in itertools.product(range(7), repeat=len(live)):
+            env = dict(zip(live, values))
+            if all(eval_atom(a, env) for a in got):
+                fixed = [atom_eq(AVar(v), AInt(k)) for v, k in env.items()]
+                assert arith_sat(list(atoms) + fixed) is not None, \
+                    (atoms, env)
+
+
+def test_head_clash_closes_by_proved_back_links(monkeypatch):
+    # b.z.x = x.a is unsat: by lengths z is empty, and b.x = x.a has one
+    # b more on the left.  It ran out of any budget while back-links read
+    # the lengths of the already defined x; with those projected out, a
+    # leaf links once the shrink and the entailment are proved
+    calls = []
+
+    def counting(hyp, concl):
+        calls.append((isinstance(hyp, Hypothesis), arith_implies(hyp, concl)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(engine._arith, "arith_implies", counting)
+    x, z = SVar("x"), SVar("z")
+    clash = FEq(word("b") + (z, x), (x,) + word("a"))
+    ans = solve_conjunction([clash], "ab", budget=10)
+    links = _links(ans.tree)
+    assert ans.verdict == "unsat" and links
+    # a proved entailment ends the search for its leaf, and a link needs
+    # one, after a proved shrink
+    assert calls.count((False, True)) == len(links)
+    assert calls.count((True, True)) >= len(links)
+    assert oracle.brute_force_solve(clash, "ab", oracle.Bound(6)) is None
 
 
 def test_solve_sat_with_model_checked_against_oracle():
