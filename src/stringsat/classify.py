@@ -4,7 +4,8 @@ cycle counting, and syntactic recognition of periodic length arithmetic.
 The solver is a decision procedure on two nested fragments:
 
 * acyclic   - linear formulas whose dependency graphs have no cycle
-* one-cycle - at most one cycle per graph and periodic length arithmetic
+* one-cycle - at most one cycle per graph, no variable more than twice in
+  one equation, and periodic length arithmetic
 
 Everything else is classified general; the solver still runs on it but
 only as a semi-decision procedure.
@@ -73,20 +74,17 @@ class DepGraph:
         return len(self.out.get(v, ()))
 
 
-def _first_nonlinear(equations: Iterable[Equation]) -> Optional[Equation]:
-    """The first equation mentioning a string variable twice (both sides
-    counted together), or None."""
+def _first_repeated(equations: Iterable[Equation],
+                    times: int) -> Optional[Tuple[Equation, str]]:
+    """The first equation with a string variable occurring more than
+    ``times`` times (both sides together), and that variable, or None."""
     for eq in equations:
-        names = [a.name if isinstance(a, SVar) else a.var
-                 for a in eq.lhs + eq.rhs if not isinstance(a, CChar)]
-        if len(set(names)) < len(names):
-            return eq
+        counts = Counter(a.name if isinstance(a, SVar) else a.var
+                         for a in eq.lhs + eq.rhs if not isinstance(a, CChar))
+        for v, n in counts.items():
+            if n > times:
+                return eq, v
     return None
-
-
-def is_linear(f: NormalizedFormula) -> bool:
-    """No equation mentions the same string variable twice."""
-    return _first_nonlinear(f.equations) is None
 
 
 # An equation as the dependency graphs see it: the string variables of
@@ -266,19 +264,23 @@ def classify_fragment(f: NormalizedFormula) -> Fragment:
     vars_in_eqs = sorted(set().union(*(lhs | rhs for lhs, rhs in sides)))
     graphs = {v: build_dep_graph(v, sides) for v in vars_in_eqs}
     cycles = {v: cycle_count(g) for v, g in graphs.items()}
-    nonlinear = _first_nonlinear(f.equations)
+    nonlinear = _first_repeated(f.equations, 1)
     acyclic = all(c == 0 for c in cycles.values())
     if nonlinear is None and acyclic:
         return Fragment(FragmentTag.ACYCLIC)
     reasons = []
     if nonlinear is not None:
-        reasons.append(f"non-linear equation: {equation_str(nonlinear)}")
+        reasons.append(f"non-linear equation: {equation_str(nonlinear[0])}")
     worst = max(cycles.values(), default=0)
     if worst > 0:
         v = next(v for v in vars_in_eqs if cycles[v] == worst)
         reasons.append(f"dependency graph of {v} has {worst} cycle(s)")
+    thrice = _first_repeated(f.equations, 2)
+    if thrice is not None:
+        reasons.append(f"{thrice[1]} occurs more than twice in "
+                       f"{equation_str(thrice[0])}")
     bad_atom = _first_nonperiodic(f.arith)
-    if worst <= 1 and bad_atom is None:
+    if worst <= 1 and thrice is None and bad_atom is None:
         return Fragment(FragmentTag.ONE_CYCLE, "; ".join(reasons))
     if bad_atom is not None:
         reasons.append(f"non-periodic arithmetic: {atom_repr(bad_atom)}")

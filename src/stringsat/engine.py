@@ -276,14 +276,16 @@ def _length_of(segs: tuple, lens: Dict[str, str],
     return fold_balanced(AAdd, parts)
 
 
-def _set_component_atoms(expr, comp, fresh: str) -> tuple:
-    """The atoms putting expr in one component of a length set: equal to a
-    length, or in a progression off + period * fresh with fresh >= 0."""
-    if isinstance(comp, int):
-        return (atom_eq(expr, AInt(comp)),)
-    off, period = comp
-    return (atom_eq(expr, AAdd(AInt(off), AScale(period, AVar(fresh)))),
-            atom_le(AInt(0), AVar(fresh)))
+def _set_components(expr, lset, fresh: str) -> List[tuple]:
+    """Per component of the length set, the atoms putting expr in it:
+    equal to a length, or in the j-th progression off + period * k with
+    k >= 0, where k is named fresh + j."""
+    comps = [(atom_eq(expr, AInt(n)),) for n in sorted(lset.finite)]
+    for j, (off, period) in enumerate(lset.progressions):
+        k = AVar(f"{fresh}{j}")
+        comps.append((atom_eq(expr, AAdd(AInt(off), AScale(period, k))),
+                      atom_le(AInt(0), k)))
+    return comps
 
 
 def residual_empty(f: NormalizedFormula) -> Optional[str]:
@@ -336,12 +338,8 @@ def _membership_parts(f: NormalizedFormula, mode: str) -> List[tuple]:
     lens = f.length_map()
     fresh = itertools.count(1)
     for i, (m, segs) in enumerate(zip(f.memberships, f.member_pieces)):
-        lset = _regexes.length_set(m.dfa)
-        expr = _length_of(segs, lens, fresh)
-        comps = [_set_component_atoms(expr, n, "")
-                 for n in sorted(lset.finite)]
-        comps += [_set_component_atoms(expr, prog, f"$k{i}_{j}")
-                  for j, prog in enumerate(lset.progressions)]
+        comps = _set_components(_length_of(segs, lens, fresh),
+                                _regexes.length_set(m.dfa), f"$k{i}_")
         if len(parts) * len(comps) > _OA_DISJUNCT_CAP:
             break  # weaken: remaining memberships contribute nothing
         parts = [p + c for p in parts for c in comps]
@@ -410,16 +408,18 @@ def under_approx_check(f: NormalizedFormula,
                        hyp: Optional[_arith.Hypothesis] = None) -> UAResult:
     """Decide a base leaf exactly.
 
-    Ground equations are compared character-wise.  Memberships are turned
-    into boundary-state choices over their DFAs; each choice constrains
-    every open variable's length to the semilinear length set of the joint
-    run of all its occurrences, and the arithmetic backend decides the
-    rest.  ``hyp`` is the leaf's node hypothesis when the caller keeps
-    one: a system its model (``Hypothesis.model``, an unbound variable
-    reading 0) satisfies needs no solving.  A SAT verdict always carries a
-    checked model.  Raises CapExceeded when the boundary choices number
-    more than _UA_COMBO_CAP, or when the model found would give a variable
-    more than _MODEL_WORD_CAP characters.
+    Ground equations are compared character-wise.  A depth-first search
+    gives each open membership piece a target, the state its run ends in:
+    in membership and piece order, lowest state first, only where the rest
+    of the membership can still accept, only while the variable's joint
+    automaton stays non-empty, and the same target for a variable met
+    again at the same source (the automaton is deterministic).  Each full
+    choice puts every open variable's length in its joint automaton's
+    length set, and the arithmetic backend decides the rest, trying first
+    the model of ``hyp``, the leaf's node hypothesis (an unbound variable
+    reads 0).  A SAT verdict carries a checked model.  Raises CapExceeded
+    past _UA_COMBO_CAP targets tried, or when a model word would be longer
+    than _MODEL_WORD_CAP characters.
     """
     if not is_base(f):
         return UAResult("notbase")
@@ -429,63 +429,22 @@ def under_approx_check(f: NormalizedFormula,
         if lw != rw:
             return UAResult("unsat", reason=f"ground mismatch: {lw!r} != {rw!r}")
 
-    sigma = f.alphabet
     lens = f.length_map()
-    open_vars: List[str] = sorted(
-        {v for v, _ in f.lengths}
-        - {c.var for c in f.subterms})
+    open_vars: List[str] = sorted({v for v, _ in f.lengths}
+                                  - {c.var for c in f.subterms})
     base_atoms = list(f.arith)
-    if not sigma:
+    if not f.alphabet:
         # no characters exist, so every open variable is the empty word
         base_atoms += [atom_eq(AVar(lens[v]), AInt(0)) for v in open_vars]
 
-    # memberships: fully determined members are checked outright; the rest
-    # produce (dfa, pieces) obligations
-    obligations: List[Tuple[_regexes.Dfa, tuple]] = []
+    # fully determined members first, then each membership on its own
     for m, segs in zip(f.memberships, f.member_pieces):
-        if all(isinstance(s, str) for s in segs):
-            w = "".join(segs)
-            if not _regexes.accepts(m.dfa, w):
-                return UAResult(
-                    "unsat", reason=f"membership fails on {m.var}={w!r}")
-        else:
-            obligations.append((m.dfa, segs))
-
-    def choice_lists() -> Optional[List[List[List[Tuple]]]]:
-        per_mem = []
-        total = 1
-        for dfa, segs in obligations:
-            opens = [s for s in segs if not isinstance(s, str)]
-            total *= max(dfa.n_states ** len(opens), 1)
-            if total > _UA_COMBO_CAP:
-                raise _arith.CapExceeded("membership state space over "
-                                  f"_UA_COMBO_CAP = {_UA_COMBO_CAP}")
-            choices = []
-            for mids in itertools.product(range(dfa.n_states),
-                                          repeat=len(opens)):
-                state = dfa.start
-                pairs = []
-                it = iter(mids)
-                ok = True
-                for s in segs:
-                    if isinstance(s, str):
-                        for ch in s:
-                            state = dfa.step(state, ch)
-                    else:
-                        nxt = next(it)
-                        pairs.append((s[1], (dfa, state, nxt)))
-                        state = nxt
-                if state not in dfa.accepting:
-                    ok = False
-                if ok:
-                    choices.append(pairs)
-            if not choices:
-                return None
-            per_mem.append(choices)
-        return per_mem
-
-    per_mem = choice_lists()
-    if per_mem is None:
+        w = "".join(segs) if all(isinstance(s, str) for s in segs) else None
+        if w is not None and not _regexes.accepts(m.dfa, w):
+            return UAResult(
+                "unsat", reason=f"membership fails on {m.var}={w!r}")
+    if any(m.dfa.accepting.isdisjoint(_regexes.residual_states(m.dfa, segs))
+           for m, segs in zip(f.memberships, f.member_pieces)):
         return UAResult("unsat", reason="membership admits no run")
 
     # the node model answers a system only if it satisfies the shared part
@@ -493,34 +452,10 @@ def under_approx_check(f: NormalizedFormula,
     if node_model is not None and \
             not all(eval_atom(a, node_model) for a in base_atoms):
         node_model = None
-    lset_cache: dict = {}
-    for combo in itertools.product(*per_mem):
-        by_var: Dict[str, List] = {}
-        for pairs in combo:
-            for v, spec in pairs:
-                by_var.setdefault(v, []).append(spec)
-        joints: Dict[str, _regexes.Dfa] = {}
-        disjs: List[List[tuple]] = []  # per variable, its length components
-        dead = False
-        for v, specs in sorted(by_var.items()):
-            key = tuple((id(d), p, q) for d, p, q in specs)
-            if key not in lset_cache:
-                joint = _regexes.joint_product(specs)
-                lset_cache[key] = (joint, _regexes.length_set(joint))
-            joint, lset = lset_cache[key]
-            joints[v] = joint
-            if lset.is_empty():
-                dead = True
-                break
-            length = AVar(lens[v])
-            disjs.append(
-                [_set_component_atoms(length, n, "")
-                 for n in sorted(lset.finite)] +
-                [_set_component_atoms(length, prog, f"$k_{v}_{j}")
-                 for j, prog in enumerate(lset.progressions)])
-        if dead:
-            continue
-
+    for joints in _boundary_choices(f):
+        disjs = [_set_components(AVar(lens[v]), _regexes.length_set(joint),
+                                 f"$k_{v}_")
+                 for v, joint in sorted(joints.items())]
         for chosen in itertools.product(*disjs):
             own = [a for grp in chosen for a in grp]
             system = base_atoms + own
@@ -536,6 +471,71 @@ def under_approx_check(f: NormalizedFormula,
             model = _finish_model(f, beta, joints, open_vars)
             return UAResult("sat", model=model)
     return UAResult("unsat", reason="no base model")
+
+
+def _boundary_choices(f: NormalizedFormula
+                      ) -> Iterator[Dict[str, _regexes.Dfa]]:
+    """Every full choice of the boundary search ``under_approx_check``
+    describes, as each open variable's joint automaton."""
+    # per open piece: automaton, variable, literal pieces before it, first
+    # of its membership?, targets the rest can accept from
+    slots: List[tuple] = []
+    for dfa, segs in zip((m.dfa for m in f.memberships), f.member_pieces):
+        opens = [i for i, s in enumerate(segs) if not isinstance(s, str)]
+        live, at = dfa.accepting, len(slots)
+        for k in reversed(range(len(opens))):
+            # the rest: the word up to the next open piece, then its rest
+            i = opens[k]
+            end = opens[k + 1] if k + 1 < len(opens) else len(segs) - 1
+            live = frozenset(q for q in range(dfa.n_states) if not
+                             live.isdisjoint(_regexes.residual_states(
+                                 dfa, segs[i + 1:end + 1], q)))
+            lead = segs[opens[k - 1] + 1 if k else 0:i]
+            slots.insert(at, (dfa, segs[i][1], lead, k == 0, live))
+    if not slots:
+        yield {}
+        return
+    runs: Dict[str, list] = {}  # per variable, its (dfa, source, target)s
+    joints: dict = {}  # runs, by automaton identity -> their joint
+
+    def key(specs: list) -> tuple:
+        return tuple((id(d), p, q) for d, p, q in specs)
+
+    def frame(j: int, q: Optional[int]) -> tuple:
+        # source, targets, whether kept, runs before: slot j after target q
+        dfa, v, lead, first, _ = slots[j]
+        (state,) = _regexes.residual_states(dfa, lead, None if first else q)
+        before = runs.get(v, [])
+        known = [t for d, p, t in before if d is dfa and p == state]
+        return state, iter(known or range(dfa.n_states)), bool(known), before
+
+    stack = [frame(0, None)]
+    tries = 0
+    while stack:
+        dfa, v, _, _, live = slots[len(stack) - 1]
+        source, targets, kept, before = stack[-1]
+        runs[v] = before  # take back this slot's last target
+        q = next(targets, None)
+        if q is None:
+            stack.pop()
+            continue
+        tries += 1
+        if tries > _UA_COMBO_CAP:
+            raise _arith.CapExceeded("membership state space over "
+                                     f"_UA_COMBO_CAP = {_UA_COMBO_CAP}")
+        if q not in live:
+            continue
+        specs = before if kept else before + [(dfa, source, q)]
+        k = key(specs)
+        if k not in joints:
+            joints[k] = _regexes.joint_product(specs)
+        if not joints[k].accepting:
+            continue
+        runs[v] = specs
+        if len(stack) < len(slots):
+            stack.append(frame(len(stack), q))
+        else:
+            yield {u: joints[key(s)] for u, s in runs.items() if s}
 
 
 # The longest word a model may give an open variable.  A witness search at

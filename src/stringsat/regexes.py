@@ -302,9 +302,9 @@ def _closure(d: Dfa, states: frozenset) -> frozenset:
     return frozenset(seen)
 
 
-def residual_states(d: Dfa, pieces: Iterable) -> frozenset:
-    """The states d can reach from its start on a word the pieces spell
-    out in order.
+def residual_states(d: Dfa, pieces: Iterable, start=None) -> frozenset:
+    """The states d can reach from ``start`` (its own start when None) on
+    a word the pieces spell out in order.
 
     A str piece is a known word and steps the set character by character
     (a character outside the alphabet leaves no run).  Any other piece is
@@ -312,7 +312,7 @@ def residual_states(d: Dfa, pieces: Iterable) -> frozenset:
     exact when the unknown pieces are independent words; a caller whose
     pieces repeat one word gets a superset, so a set without an accepting
     state still proves that no word of that shape is in the language."""
-    cur = frozenset((d.start,))
+    cur = frozenset((d.start if start is None else start,))
     for piece in pieces:
         if isinstance(piece, str):
             for ch in piece:
@@ -375,9 +375,6 @@ class SemilinearLengthSet:
             return True
         return any(n >= off and (n - off) % p == 0
                    for off, p in self.progressions)
-
-    def is_empty(self) -> bool:
-        return not self.finite and not self.progressions
 
 
 def _normalize_length_set(prefix_flags: list, cycle_flags: list,

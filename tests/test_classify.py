@@ -5,8 +5,8 @@ from collections import Counter
 from corpus import draw_acyclic
 from stringsat import engine
 from stringsat.classify import (DepGraph, FragmentTag, _first_nonperiodic,
-                                build_dep_graph, classify_fragment,
-                                cycle_count, is_linear, side_vars)
+                                _first_repeated, build_dep_graph,
+                                classify_fragment, cycle_count, side_vars)
 from stringsat.terms import (AAdd, AInt, ALen, AMax, AMod, ANeg, AVar, CChar,
                              Equation, FAtom, FEq, FIn, NormalizedFormula,
                              RCat, RStar, RWord, SVar, atom_eq, atom_le, word)
@@ -17,12 +17,22 @@ def _nf(*eqs, arith=()):
 
 
 def test_is_linear():
-    assert is_linear(_nf(Equation((SVar("s"),), (SVar("t"), SVar("u")))))
+    assert _first_repeated(
+        [Equation((SVar("s"),), (SVar("t"), SVar("u")))], 1) is None
     rotation = Equation(word("ab") + (SVar("s"),), (SVar("s"),) + word("ba"))
-    assert not is_linear(_nf(rotation))
+    assert _first_repeated([rotation], 1) == (rotation, "s")
     # per-equation check: s in two different equations is fine
-    assert is_linear(_nf(Equation((SVar("s"),), (SVar("t"),)),
-                         Equation((SVar("s"),), (SVar("u"),))))
+    assert _first_repeated([Equation((SVar("s"),), (SVar("t"),)),
+                            Equation((SVar("s"),), (SVar("u"),))], 1) is None
+
+
+def test_first_repeated_more_than_twice():
+    rotation = Equation(word("ab") + (SVar("s"),), (SVar("s"),) + word("ba"))
+    assert _first_repeated([rotation], 2) is None
+    # the first equation past the bound, and its first variable past it
+    cube = Equation((SVar("t"), SVar("s"), SVar("s"), SVar("s")),
+                    (SVar("t"), SVar("t")))
+    assert _first_repeated([rotation, cube], 2) == (cube, "t")
 
 
 def test_dep_graph_fan_out():
@@ -202,6 +212,19 @@ def test_classify_worked_example_is_one_cycle():
     frag = classify_fragment(nf)
     assert frag.tag is FragmentTag.ONE_CYCLE
     assert frag.witness
+
+
+def test_a_variable_three_times_in_one_equation_is_general():
+    # x.x.x = y.ab has one cycle in x's graph and no arithmetic, but the
+    # one-cycle fragment allows at most two occurrences per equation
+    x, y = SVar("x"), SVar("y")
+    nf = engine.init_normalize([FEq((x, x, x), (y,) + word("ab"))], "ab")
+    frag = classify_fragment(nf)
+    assert frag.tag is FragmentTag.GENERAL
+    assert "$u0 occurs more than twice in" in frag.witness
+    # twice on one side is still one-cycle
+    nf = engine.init_normalize([FEq((x, x), (y,) + word("ab"))], "ab")
+    assert classify_fragment(nf).tag is FragmentTag.ONE_CYCLE
 
 
 def test_classify_linear_acyclic():

@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 
 from corpus import draw_acyclic, draw_one_cycle, rand_regex
-from stringsat import terms
+from stringsat import engine, terms
 from stringsat.cli import (EXIT_ERROR, EXIT_SAT, EXIT_UNKNOWN, EXIT_UNSAT,
                            RunConfig, config_from_args, main, run)
 from stringsat.frontend import MAX_NESTING, Problem, render_problem
@@ -326,9 +326,11 @@ CAPPED = """
 """
 
 
-def test_membership_state_space_cap_answers_unknown(tmp_path):
-    # base leaves past the UA boundary-choice cap are given up: the search
-    # goes on, and the answer is unknown, not an error
+def test_membership_state_space_cap_answers_unknown(tmp_path, monkeypatch):
+    # base leaves whose boundary search tries more targets than the UA cap
+    # allows are given up: the search goes on, and the answer is unknown,
+    # not an error
+    monkeypatch.setattr(engine, "_UA_COMBO_CAP", 1)
     dot = tmp_path / "tree.dot"
     code, out, err = _run(tmp_path, CAPPED,
                           ["--budget", "20", "--dot", str(dot)])

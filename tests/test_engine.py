@@ -8,7 +8,7 @@ from corpus import (draw_acyclic, draw_one_cycle, gen_small_normalized,
                     rand_regex, rand_tame_regex)
 from stringsat import engine, frontend, oracle
 from stringsat.arith import Hypothesis, arith_implies, arith_sat
-from stringsat.classify import is_linear
+from stringsat.classify import _first_repeated
 from stringsat.engine import (BackLinkedTo, ClosedUnsat, EngineInternalError,
                               GaveUp, OA_FULL, OA_LENGTHS_ONLY, Open,
                               UnfoldChild, _length_of, export_tree,
@@ -19,8 +19,8 @@ from stringsat.engine import (BackLinkedTo, ClosedUnsat, EngineInternalError,
 from stringsat.regexes import compiled
 from stringsat.terms import (AAdd, AInt, ALen, AMod, AVar, Alias, CChar,
                              CharPrefix, EpsBind, Equation, FAnd, FAtom, FEq,
-                             FIn, Membership, NormalizedFormula, RCat, RStar,
-                             RUnion, RWord, SPred, SVar, Split, atom_eq,
+                             FIn, Membership, Model, NormalizedFormula, RCat,
+                             RStar, RUnion, RWord, SPred, SVar, Split, atom_eq,
                              atom_le, vars_of_atoms,
                              _free_index, _walker, atom_lt, eval_arith,
                              eval_atom,
@@ -1072,9 +1072,9 @@ def test_unfolding_preserves_linearity_on_acyclic_formulas():
         nf = init_normalize(conjs, "ab")
         if not nf.equations:
             continue
-        assert is_linear(nf)
+        assert _first_repeated(nf.equations, 1) is None
         for kid in unfold(nf):
-            assert is_linear(kid.formula), kid.rule
+            assert _first_repeated(kid.formula.equations, 1) is None, kid.rule
 
 
 def _ua_model(f):
@@ -1162,6 +1162,35 @@ def test_ua_models_of_random_subterm_dags():
         assert oracle.eval_formula(normalized_to_formula(f), ua.model,
                                    f.alphabet)
     assert sat >= 100
+
+
+def test_ua_verdicts_of_random_subterm_dags_match_exhaustive_search():
+    # every open length is at most 3, so trying each word of length 0..3
+    # for each open variable, and building every other variable from its
+    # pieces, decides the leaf
+    words = [""] + ["".join(w) for n in (1, 2, 3)
+                    for w in itertools.product("ab", repeat=n)]
+    rng = random.Random(43)
+    seen = {"sat": 0, "unsat": 0}
+    while sum(seen.values()) < 120:
+        names, f = _random_subterm_dag(rng)
+        if not 2 <= len(f.lengths) <= 3:
+            continue
+        pieces, formula = _walker(f), normalized_to_formula(f)
+        found = False
+        for choice in itertools.product(words, repeat=len(f.lengths)):
+            own = {v: w for (v, _), w in zip(f.lengths, choice)}
+            strings = {v: "".join(p if isinstance(p, str) else own[p[1]]
+                                  for p in pieces(v)) for v in names}
+            ints = {n: len(own[v]) for v, n in f.lengths}
+            if oracle.eval_formula(formula, Model.make(strings, ints),
+                                   f.alphabet):
+                found = True
+                break
+        got = under_approx_check(f).status
+        assert got == ("sat" if found else "unsat"), f
+        seen[got] += 1
+    assert seen["unsat"] >= 30, seen
 
 
 def test_export_tree_single_node():

@@ -6,11 +6,11 @@ import pytest
 
 from corpus import rand_regex
 from stringsat import regexes
-from stringsat.regexes import (Dfa, LiteralOutsideAlphabetError, accepts,
-                               compile_regex, compiled, joint_product,
-                               length_set, lengths_reachable, product,
-                               residual_included, residual_states,
-                               witness_with_length)
+from stringsat.regexes import (Dfa, LiteralOutsideAlphabetError,
+                               SemilinearLengthSet, accepts, compile_regex,
+                               compiled, joint_product, length_set,
+                               lengths_reachable, product, residual_included,
+                               residual_states, witness_with_length)
 from stringsat.terms import (RCat, RComp, REmpty, REps, RInter, RLit, RStar,
                              RUnion, RWord)
 
@@ -77,7 +77,7 @@ def test_compile_rotation_regex():
 
 def test_complement_intersection_is_empty():
     d = compile_regex(RInter(ROTATE, RComp(ROTATE)), "ab")
-    assert length_set(d).is_empty()
+    assert length_set(d) == SemilinearLengthSet(frozenset(), ())
 
 
 def test_literal_outside_alphabet():
@@ -94,7 +94,8 @@ def test_length_set_examples():
     ls = length_set(compile_regex(ROTATE, "ab"))
     assert ls.finite == frozenset()
     assert ls.progressions == ((1, 2),)
-    assert length_set(compile_regex(REmpty(), "ab")).is_empty()
+    assert length_set(compile_regex(REmpty(), "ab")) == \
+        SemilinearLengthSet(frozenset(), ())
     ls = length_set(compile_regex(RWord("abc"), "abc"))
     assert ls.finite == frozenset({3}) and ls.progressions == ()
 

@@ -16,7 +16,9 @@ import importlib.util
 import json
 import os
 
-from stringsat import engine, frontend
+import pytest
+
+from stringsat import engine, frontend, oracle
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 BENCH = os.path.join(os.path.dirname(HERE), "bench")
@@ -56,15 +58,18 @@ def _solve(text: str, budget: int) -> list:
     return [verdict, unfoldings, nodes]
 
 
+def _budgets() -> dict:
+    with open(os.path.join(BENCH, "workloads.json"), encoding="utf-8") as fh:
+        return {name: w["budget"]
+                for name, w in json.load(fh)["workloads"].items()}
+
+
 def trees() -> dict:
     """Per problem id (it names the workload): [verdict, unfoldings,
     nodes]."""
     gen = _gen()
-    with open(os.path.join(BENCH, "workloads.json"), encoding="utf-8") as fh:
-        budgets = {name: w["budget"]
-                   for name, w in json.load(fh)["workloads"].items()}
     return {pid: _solve(text, budget)
-            for name, budget in budgets.items()
+            for name, budget in _budgets().items()
             for pid, text in gen.corpus(name, SEED)[:PER_WORKLOAD]}
 
 
@@ -76,6 +81,33 @@ def test_trees_match_the_fixture():
     diff = {pid: (row, want[pid]) for pid, row in got.items()
             if row != want[pid]}
     assert not diff, diff
+
+
+# Memberships problems whose base leaves have more tuples of boundary
+# states than _UA_COMBO_CAP allows targets; the boundary search, which
+# tries far fewer, decides each of them.
+@pytest.mark.parametrize("seed, pid, verdict", [
+    (1, "memberships-1126", "unsat"), (2, "memberships-284", "unsat"),
+    (2, "memberships-422", "unsat"), (2, "memberships-916", "unsat"),
+    (2, "memberships-1101", "sat"), (2, "memberships-1176", "unsat")])
+def test_memberships_with_many_boundary_choices_are_decided(seed, pid,
+                                                            verdict):
+    problem = frontend.parse_problem(
+        dict(_gen().corpus("memberships", seed))[pid])
+    sigma, formula = problem.alphabet(), problem.formula()
+    got = "unsat"
+    for disjunct in problem.disjuncts():
+        ans = engine.solve_conjunction(disjunct, sigma,
+                                       budget=_budgets()["memberships"])
+        assert ans.verdict != "unknown"
+        if ans.verdict == "sat":
+            got = "sat"
+            assert oracle.eval_formula(formula, ans.model, sigma)
+            break
+    assert got == verdict
+    if got == "unsat":
+        assert oracle.brute_force_solve(formula, sigma,
+                                        oracle.Bound(3, 3)) is None
 
 
 if __name__ == "__main__":
