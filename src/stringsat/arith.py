@@ -640,10 +640,18 @@ def _bb_solve(ineqs: List[Tuple[dict, int]],
             var = next(v for v in free if point[v].denominator != 1)
             cut = math.floor(point[var])
         down, up = min(cut, box), max(cut + 1, -box)
+        arms = []
         if down >= -box:
-            stack.append(sys_ineqs + [({var: 1}, down)])
+            arms.append(({var: 1}, down))
         if up <= box:
-            stack.append(sys_ineqs + [({var: -1}, -up)])
+            arms.append(({var: -1}, -up))
+        # pop the arm toward zero first, where the L1-minimal LP point
+        # leans; taking the up arm first climbs forever on
+        # 1 <= a - b - 3q <= 2, a = 3k over the non-negatives, whose
+        # model k = 1, b = 1, q = 0 lies below
+        if point[var] >= 0:
+            arms.reverse()
+        stack += [sys_ineqs + [row] for row in arms]
     return None
 
 

@@ -15,21 +15,21 @@ from __future__ import annotations
 
 import itertools
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from . import arith as _arith
 from . import oracle as _oracle
 from . import regexes as _regexes
 from .classify import Fragment, FragmentTag, classify_fragment
-from .terms import (AAdd, AInt, AScale, AVar, Alias, ArithAtom, ArithExpr,
-                    CChar, CharPrefix, EngineInternalError, EpsBind,
-                    Equation, FAtom, FEq, FIn, FNot, Formula, Membership,
-                    Model, NormalizedFormula, SPred, SVar, Split, Subterm,
+from .terms import (AAdd, AInt, AScale, AVar, Alias, ArithAtom, CChar,
+                    CharPrefix, EngineInternalError, EpsBind, Equation,
+                    FAtom, FEq, FIn, FNot, Formula, Membership, Model,
+                    NormalizedFormula, SPred, SVar, Split, Subterm,
                     arith_len_vars, atom_eq, atom_le, atom_lt, equation_size,
-                    eval_atom, fold_balanced, formula_summary,
+                    eval_atom, formula_summary, length_expr,
                     normalized_to_formula, rename_atom_vars, subst_len,
-                    term_subst, vars_of_atoms, _walker)
+                    subterm_str, subterm_vars, term_subst, vars_of_atoms)
 
 DEFAULT_BUDGET = 10000
 
@@ -45,16 +45,16 @@ def init_normalize(conjuncts: Iterable[Formula],
                    alphabet: Iterable[str]) -> NormalizedFormula:
     """Build the normalized formula for a conjunction of parsed leaves.
 
-    Every string variable is replaced inside the equations by a fresh
-    predicate instance naming its length; the old name survives as an
-    alias in the subterm part and in memberships.  Length expressions in
-    the arithmetic are reduced to the fresh length variables.  Each
-    membership carries its regex's automaton, which every node of the
-    tree reads.
+    Every string variable is replaced inside the equations and the
+    membership terms by a fresh predicate instance naming its length; the
+    old name survives as an alias in the subterm part and as the
+    membership's variable.  Length expressions in the arithmetic are
+    reduced to the fresh length variables.  Each membership carries its
+    regex's automaton, which every node of the tree reads.
     """
     sigma = tuple(sorted(set(alphabet)))
     raw_eqs: List[Equation] = []
-    memberships: List[Membership] = []
+    memberships: List[tuple] = []  # (variable, regex, automaton)
     atoms: List[ArithAtom] = []
     aux = 0
     for leaf in conjuncts:
@@ -69,8 +69,8 @@ def init_normalize(conjuncts: Iterable[Formula],
                 name = f"$m{aux}"
                 aux += 1
                 raw_eqs.append(Equation((SVar(name),), t))
-            memberships.append(Membership(
-                name, leaf.regex, _regexes.compiled(leaf.regex, sigma)))
+            memberships.append(
+                (name, leaf.regex, _regexes.compiled(leaf.regex, sigma)))
         elif isinstance(leaf, FAtom):
             atoms.append(leaf.atom)
         elif isinstance(leaf, FNot):
@@ -89,8 +89,8 @@ def init_normalize(conjuncts: Iterable[Formula],
         for a in eq.lhs + eq.rhs:
             if isinstance(a, SVar):
                 note(a.name)
-    for m in memberships:
-        note(m.var)
+    for name, _, _ in memberships:
+        note(name)
     for a in atoms:
         for v in sorted(arith_len_vars(a.lhs) | arith_len_vars(a.rhs)):
             note(v)
@@ -126,7 +126,9 @@ def init_normalize(conjuncts: Iterable[Formula],
     # cannot collide with user identifiers.  $u/$n names are numbered by
     # variable, and every $m name's variable is among them.
     return NormalizedFormula(
-        equations=tuple(eqs), memberships=tuple(memberships),
+        equations=tuple(eqs),
+        memberships=tuple(Membership(v, r, (pred_of[v],), dfa)
+                          for v, r, dfa in memberships),
         arith=tuple(fixed_atoms), subterms=tuple(subterms),
         lengths=tuple(lengths), alphabet=sigma, next_index=len(ordered))
 
@@ -145,22 +147,24 @@ def _define(f: NormalizedFormula, p: SPred, constraint: Subterm, rhs: tuple,
             atoms: tuple, tail: Optional[SPred] = None) -> NormalizedFormula:
     """The child in which the predicate ``p`` is the word ``rhs``.
 
-    ``p`` is replaced by ``rhs`` in every equation and ``constraint``, which
-    defines ``p.var``, is appended to the subterms, so no earlier
-    constraint changes and a name means one word in every node below.
-    ``atoms`` go after the arithmetic, and ``p``'s length pairing gives
-    way to that of ``tail`` (the fresh rest ``rhs`` ends with, if any,
-    whose index is then used).  ``p`` heads one side of the first
-    equation, and a non-empty ``rhs`` starts with the other side's head,
-    so the two heads are then equal and are consumed."""
+    ``p`` is replaced by ``rhs`` in every equation and membership term,
+    and ``constraint``, which defines ``p.var``, is appended to the
+    subterms, so no earlier constraint changes and a name means one word
+    in every node below.  ``atoms`` go after the arithmetic, and ``p``'s
+    length pairing gives way to that of ``tail`` (the fresh rest ``rhs``
+    ends with, if any, whose index is then used).  ``p`` heads one side
+    of the first equation, and a non-empty ``rhs`` starts with the other
+    side's head, so the two heads are then equal and are consumed."""
     eqs = tuple(Equation(term_subst(e.lhs, p, rhs), term_subst(e.rhs, p, rhs))
                 for e in f.equations)
     if rhs:
         eqs = (Equation(eqs[0].lhs[1:], eqs[0].rhs[1:]),) + eqs[1:]
+    members = tuple(replace(m, term=term_subst(m.term, p, rhs))
+                    if p in m.term else m for m in f.memberships)
     lengths = tuple(q for q in f.lengths if q[0] != p.var)
     if tail is not None:
         lengths += ((tail.var, tail.length),)
-    return f.with_(equations=eqs, arith=f.arith + atoms,
+    return f.with_(equations=eqs, memberships=members, arith=f.arith + atoms,
                    subterms=f.subterms + (constraint,), lengths=lengths,
                    next_index=f.next_index + (tail is not None))
 
@@ -261,21 +265,6 @@ def _big(f: NormalizedFormula, p1: SPred, p2: SPred) -> List[UnfoldChild]:
 # Over-approximation
 # ---------------------------------------------------------------------------
 
-def _length_of(segs: tuple, lens: Dict[str, str],
-               fresh: Iterator[int]) -> ArithExpr:
-    """|segs| over the length variables, as a balanced sum: the count of
-    its literal characters plus the length variable of each open piece.
-    An open variable without one gets a fresh $L variable numbered from
-    fresh."""
-    parts: List[ArithExpr] = [
-        AInt(sum(len(s) for s in segs if isinstance(s, str)))]
-    for s in segs:
-        if not isinstance(s, str):
-            name = lens[s[1]] if s[1] in lens else f"$L{next(fresh)}_{s[1]}"
-            parts.append(AVar(name))
-    return fold_balanced(AAdd, parts)
-
-
 def _set_components(expr, lset, fresh: str) -> List[tuple]:
     """Per component of the length set, the atoms putting expr in it:
     equal to a length, or in the j-th progression off + period * k with
@@ -289,18 +278,17 @@ def _set_components(expr, lset, fresh: str) -> List[tuple]:
 
 
 def residual_empty(f: NormalizedFormula) -> Optional[str]:
-    """The first member variable whose membership no word of its resolved
-    pieces can meet, or None.
+    """The first member variable whose membership no word of its term can
+    meet, or None.
 
-    Each membership's automaton runs over the pieces its variable
-    resolves to (``f.member_pieces``, by ``regexes.residual_states``):
-    literals step the state set, an open variable takes its reachability
-    closure.  Occurrences of
-    one variable are treated independently, which only loses precision,
-    so an accepting state missing from the final set proves the leaf has
-    no model."""
-    for m, segs in zip(f.memberships, f.member_pieces):
-        if not _regexes.residual_states(m.dfa, segs) & m.dfa.accepting:
+    Each membership's automaton runs over its term (by
+    ``regexes.residual_states``): characters step the state set, an open
+    predicate takes its reachability closure.  Occurrences of one
+    variable are treated independently, which only loses precision, so
+    an accepting state missing from the final set proves the leaf has no
+    model."""
+    for m in f.memberships:
+        if not _regexes.residual_states(m.dfa, m.term) & m.dfa.accepting:
             return m.var
     return None
 
@@ -335,10 +323,8 @@ def _membership_parts(f: NormalizedFormula, mode: str) -> List[tuple]:
     parts: List[tuple] = [()]
     if mode == OA_LENGTHS_ONLY:
         return parts
-    lens = f.length_map()
-    fresh = itertools.count(1)
-    for i, (m, segs) in enumerate(zip(f.memberships, f.member_pieces)):
-        comps = _set_components(_length_of(segs, lens, fresh),
+    for i, m in enumerate(f.memberships):
+        comps = _set_components(length_expr(m.term),
                                 _regexes.length_set(m.dfa), f"$k{i}_")
         if len(parts) * len(comps) > _OA_DISJUNCT_CAP:
             break  # weaken: remaining memberships contribute nothing
@@ -409,12 +395,12 @@ def under_approx_check(f: NormalizedFormula,
     """Decide a base leaf exactly.
 
     Ground equations are compared character-wise.  A depth-first search
-    gives each open membership piece a target, the state its run ends in:
-    in membership and piece order, lowest state first, only where the rest
-    of the membership can still accept, only while the variable's joint
-    automaton stays non-empty, and the same target for a variable met
-    again at the same source (the automaton is deterministic).  Each full
-    choice puts every open variable's length in its joint automaton's
+    gives each predicate of a membership term a target, the state its run
+    ends in: in membership and term order, lowest state first, only where
+    the rest of the membership can still accept, only while the variable's
+    joint automaton stays non-empty, and the same target for a variable
+    met again at the same source (the automaton is deterministic).  Each
+    full choice puts every open variable's length in its joint automaton's
     length set, and the arithmetic backend decides the rest, trying first
     the model of ``hyp``, the leaf's node hypothesis (an unbound variable
     reads 0).  A SAT verdict carries a checked model.  Raises CapExceeded
@@ -438,13 +424,14 @@ def under_approx_check(f: NormalizedFormula,
         base_atoms += [atom_eq(AVar(lens[v]), AInt(0)) for v in open_vars]
 
     # fully determined members first, then each membership on its own
-    for m, segs in zip(f.memberships, f.member_pieces):
-        w = "".join(segs) if all(isinstance(s, str) for s in segs) else None
-        if w is not None and not _regexes.accepts(m.dfa, w):
-            return UAResult(
-                "unsat", reason=f"membership fails on {m.var}={w!r}")
-    if any(m.dfa.accepting.isdisjoint(_regexes.residual_states(m.dfa, segs))
-           for m, segs in zip(f.memberships, f.member_pieces)):
+    for m in f.memberships:
+        if all(isinstance(a, CChar) for a in m.term):
+            w = "".join(a.char for a in m.term)
+            if not _regexes.accepts(m.dfa, w):
+                return UAResult(
+                    "unsat", reason=f"membership fails on {m.var}={w!r}")
+    if any(m.dfa.accepting.isdisjoint(
+            _regexes.residual_states(m.dfa, m.term)) for m in f.memberships):
         return UAResult("unsat", reason="membership admits no run")
 
     # the node model answers a system only if it satisfies the shared part
@@ -477,21 +464,22 @@ def _boundary_choices(f: NormalizedFormula
                       ) -> Iterator[Dict[str, _regexes.Dfa]]:
     """Every full choice of the boundary search ``under_approx_check``
     describes, as each open variable's joint automaton."""
-    # per open piece: automaton, variable, literal pieces before it, first
-    # of its membership?, targets the rest can accept from
+    # per predicate of a term: automaton, variable, characters before it,
+    # first of its term?, targets the rest can accept from
     slots: List[tuple] = []
-    for dfa, segs in zip((m.dfa for m in f.memberships), f.member_pieces):
-        opens = [i for i, s in enumerate(segs) if not isinstance(s, str)]
+    for m in f.memberships:
+        dfa, term = m.dfa, m.term
+        opens = [i for i, a in enumerate(term) if not isinstance(a, CChar)]
         live, at = dfa.accepting, len(slots)
         for k in reversed(range(len(opens))):
-            # the rest: the word up to the next open piece, then its rest
+            # the rest: the word up to the next predicate, then its rest
             i = opens[k]
-            end = opens[k + 1] if k + 1 < len(opens) else len(segs) - 1
+            end = opens[k + 1] if k + 1 < len(opens) else len(term) - 1
             live = frozenset(q for q in range(dfa.n_states) if not
                              live.isdisjoint(_regexes.residual_states(
-                                 dfa, segs[i + 1:end + 1], q)))
-            lead = segs[opens[k - 1] + 1 if k else 0:i]
-            slots.insert(at, (dfa, segs[i][1], lead, k == 0, live))
+                                 dfa, term[i + 1:end + 1], q)))
+            lead = term[opens[k - 1] + 1 if k else 0:i]
+            slots.insert(at, (dfa, term[i].var, lead, k == 0, live))
     if not slots:
         yield {}
         return
@@ -549,9 +537,12 @@ def _finish_model(f: NormalizedFormula, beta: Dict[str, int],
                   open_vars: List[str]) -> Model:
     """Words for every open variable at its length in beta (a witness of
     its joint membership automaton where it has one), then for every
-    defined and every member variable by concatenating its pieces.  An
+    defined variable in one reverse pass over the subterms: each name a
+    constraint reads is defined only by a later one, or never.  An
     undefined variable without a length variable is the empty word.
-    Raises CapExceeded before building a word past _MODEL_WORD_CAP."""
+    Raises CapExceeded before building a word past _MODEL_WORD_CAP, and
+    EngineInternalError on a name defined twice or read before its
+    definition (as in a cycle)."""
     sigma = f.alphabet
     lens = f.length_map()
     values: Dict[str, str] = {}
@@ -572,12 +563,18 @@ def _finish_model(f: NormalizedFormula, beta: Dict[str, int],
                 raise EngineInternalError("unsatisfiable open length")
         values[v] = w
 
-    pieces = _walker(f)
-    for v in [c.var for c in f.subterms] + \
-            [m.var for m in f.memberships]:
-        values[v] = "".join(s if isinstance(s, str)
-                            else values.setdefault(s[1], "")
-                            for s in pieces(v))
+    defined = {c.var for c in f.subterms}
+    for c in reversed(f.subterms):
+        if c.var in values:
+            raise EngineInternalError(f"variable defined twice: {c.var}")
+        read = subterm_vars(c)[1:]
+        if any(v in defined and v not in values for v in read):
+            raise EngineInternalError(
+                f"cyclic subterm constraints: {subterm_str(c)} reads a name "
+                "defined before it")
+        words = [values.setdefault(v, "") for v in read]
+        values[c.var] = "".join(
+            [c.char] + words if isinstance(c, CharPrefix) else words)
 
     ints = dict(beta)
     for v, n in f.lengths:
@@ -643,31 +640,33 @@ def _unify_equations(pairs: Iterable[tuple]):
     return smap, cmap, imap
 
 
-def _residual(dfa: _regexes.Dfa, segs: tuple):
-    """(residual state, open variable or None) of pieces that are a literal
-    prefix then at most one open variable; None for any other shape."""
-    prefix = segs[:1] if segs and isinstance(segs[0], str) else ()
-    rest = segs[len(prefix):]
-    states = _regexes.residual_states(dfa, prefix)
+def _residual(m: Membership):
+    """(residual state, open variable or None) of a membership whose term
+    is characters then at most one predicate; None for any other shape."""
+    k = next((i for i, a in enumerate(m.term) if not isinstance(a, CChar)),
+             len(m.term))
+    rest = m.term[k:]
+    states = _regexes.residual_states(m.dfa, m.term[:k])
     if len(rest) > 1 or len(states) != 1:
         return None
-    return next(iter(states)), rest[0][1] if rest else None
+    return next(iter(states)), rest[0].var if rest else None
 
 
 def _memberships_entailed(leaf: NormalizedFormula, anc: NormalizedFormula,
                           smap: dict, cmap: dict) -> bool:
-    """Whether each leaf membership entails the ancestor's (unfolding never
-    changes the list, so they pair up by index): the leaf's open variable
-    maps to the ancestor's, and its residual language, renamed by the
-    character map, is included in the ancestor's.  A variable the
-    equation map leaves untouched (neither a key nor a value) maps to
-    itself."""
-    if leaf.memberships != anc.memberships:
+    """Whether each leaf membership entails the ancestor's (unfolding only
+    rewrites their terms, so they pair up by index, on the same variable
+    and regex): the leaf's open variable maps to the ancestor's, and its
+    residual language, renamed by the character map, is included in the
+    ancestor's.  A variable the equation map leaves untouched (neither a
+    key nor a value) maps to itself."""
+    if len(leaf.memberships) != len(anc.memberships):
         return False
     targets = set(smap.values())
-    for m, leaf_segs, anc_segs in zip(leaf.memberships, leaf.member_pieces,
-                                      anc.member_pieces):
-        got = [_residual(m.dfa, leaf_segs), _residual(m.dfa, anc_segs)]
+    for ml, ma in zip(leaf.memberships, anc.memberships):
+        if (ml.var, ml.regex) != (ma.var, ma.regex):
+            return False
+        got = [_residual(ml), _residual(ma)]
         if None in got:
             return False
         (ql, vl), (qa, va) = got
@@ -677,7 +676,7 @@ def _memberships_entailed(leaf: NormalizedFormula, anc: NormalizedFormula,
                 return False
         elif vl != va or vl in targets:
             return False
-        if not _regexes.residual_included(m.dfa, ql, m.dfa, qa, cmap):
+        if not _regexes.residual_included(ml.dfa, ql, ma.dfa, qa, cmap):
             return False
     return True
 

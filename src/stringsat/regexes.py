@@ -26,8 +26,8 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Dict, Iterable, Optional
 
-from .terms import (RE, RCat, RComp, REmpty, REps, RInter, RLit, RStar,
-                    RUnion, RWord, regex_chars)
+from .terms import (RE, CChar, RCat, RComp, REmpty, REps, RInter, RLit,
+                    RStar, RUnion, RWord, regex_chars)
 
 
 class LiteralOutsideAlphabetError(Exception):
@@ -302,24 +302,23 @@ def _closure(d: Dfa, states: frozenset) -> frozenset:
     return frozenset(seen)
 
 
-def residual_states(d: Dfa, pieces: Iterable, start=None) -> frozenset:
+def residual_states(d: Dfa, term: Iterable, start=None) -> frozenset:
     """The states d can reach from ``start`` (its own start when None) on
-    a word the pieces spell out in order.
+    a word the term's atoms spell out in order.
 
-    A str piece is a known word and steps the set character by character
-    (a character outside the alphabet leaves no run).  Any other piece is
-    an unknown word and takes the set's reachability closure.  The set is
-    exact when the unknown pieces are independent words; a caller whose
-    pieces repeat one word gets a superset, so a set without an accepting
-    state still proves that no word of that shape is in the language."""
+    A ``CChar`` is a known character and steps the set (a character
+    outside the alphabet leaves no run).  Any other atom is an unknown
+    word and takes the set's reachability closure.  The set is exact when
+    the unknown atoms are independent words; a caller whose term repeats
+    one word gets a superset, so a set without an accepting state still
+    proves that no word of that shape is in the language."""
     cur = frozenset((d.start if start is None else start,))
-    for piece in pieces:
-        if isinstance(piece, str):
-            for ch in piece:
-                i = d.index.get(ch)
-                if i is None:
-                    return frozenset()
-                cur = frozenset(d.transitions[q][i] for q in cur)
+    for atom in term:
+        if isinstance(atom, CChar):
+            i = d.index.get(atom.char)
+            if i is None:
+                return frozenset()
+            cur = frozenset(d.transitions[q][i] for q in cur)
         else:
             cur = _closure(d, cur)
     return cur

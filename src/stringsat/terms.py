@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Dict, Iterable, List, Optional, Union
+from typing import Dict, Iterable, List, Optional, Union
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +378,10 @@ class Alias:
 Subterm = Union[EpsBind, CharPrefix, Split, Alias]
 
 
+class EngineInternalError(Exception):
+    """Invariant violation inside the solver; never a verdict."""
+
+
 def subterm_vars(c: Subterm) -> tuple:
     """Every variable the constraint names, the defined one first."""
     if isinstance(c, EpsBind):
@@ -397,10 +401,15 @@ def subterm_vars(c: Subterm) -> tuple:
 class Membership:
     var: str
     regex: RE
+    # The word var stands for: characters and the predicates of the
+    # variables still undefined.  ``engine.init_normalize`` sets it to the
+    # variable's own predicate, and each unfolding substitutes a defined
+    # predicate's word into it as into the equations (``engine._define``).
+    term: Term
     # The regex's automaton over the problem alphabet (a ``regexes.Dfa``),
-    # set once per tree by ``engine.init_normalize``: unfolding never
-    # changes the memberships, so every node reads the same object.
-    # Equality, hashing and repr ignore it.
+    # set once per tree by ``engine.init_normalize``: unfolding rewrites
+    # only the term, so every node reads the same object.  Equality,
+    # hashing and repr ignore it.
     dfa: object = field(default=None, compare=False, repr=False)
 
 
@@ -445,14 +454,6 @@ class NormalizedFormula:
     # fields, so equality, hashing and with_ see only the parts above.
 
     @cached_property
-    def member_pieces(self) -> tuple:
-        """The pieces of each membership's variable, in membership order,
-        from one ``_walker``.  Only these are kept: the walker's memo
-        holds every variable down the path, each as a flattened copy."""
-        pieces = _walker(self)
-        return tuple(pieces(m.var) for m in self.memberships)
-
-    @cached_property
     def equation_lengths(self) -> tuple:
         """One length equality |lhs| = |rhs| per equation, in order."""
         return tuple(atom_eq(length_expr(eq.lhs), length_expr(eq.rhs))
@@ -472,13 +473,12 @@ class NormalizedFormula:
         """``arith`` with its dead length variables eliminated exactly
         (``arith.project``), or all of ``arith`` where that is not exact.
         A variable of ``arith`` is dead when neither the equation lengths
-        nor the length of an open piece of a membership read it; nothing
-        but ``arith`` then constrains it."""
+        nor the length of a predicate in a membership's term read it;
+        nothing but ``arith`` then constrains it."""
         from .arith import project  # arith imports this module
         live = vars_of_atoms(self.equation_lengths)
-        lens = self.length_map()
-        live.update(lens[s[1]] for segs in self.member_pieces for s in segs
-                    if not isinstance(s, str) and s[1] in lens)
+        live.update(a.length for m in self.memberships for a in m.term
+                    if isinstance(a, SPred))
         got = project(self.arith, vars_of_atoms(self.arith) - live)
         return self.arith if got is None else got
 
@@ -507,63 +507,6 @@ def _free_index(f: NormalizedFormula) -> int:
         names.update(pair)
     found = [int(m.group(1)) for m in map(_INDEXED.match, names) if m]
     return max(found, default=-1) + 1
-
-
-# ---------------------------------------------------------------------------
-# The subterm walker: every word the unfolding recorded, flattened
-# ---------------------------------------------------------------------------
-
-class EngineInternalError(Exception):
-    """Invariant violation inside the solver; never a verdict."""
-
-
-def _definitions(f: NormalizedFormula) -> Dict[str, Subterm]:
-    defs: Dict[str, Subterm] = {}
-    for c in f.subterms:
-        if c.var in defs:
-            raise EngineInternalError(f"variable defined twice: {c.var}")
-        defs[c.var] = c
-    return defs
-
-
-def _walker(f: NormalizedFormula) -> Callable[[str], tuple]:
-    """Flatten variables through the subterm constraints.
-
-    The returned function maps a variable to its pieces: literal strings
-    (adjacent ones merged) and ("var", v) for each variable with no
-    definition.  Results are memoized for the lifetime of the walker."""
-    defs = _definitions(f)
-    memo: Dict[str, Optional[tuple]] = {}
-
-    def pieces(v: str) -> tuple:
-        if v in memo:
-            got = memo[v]
-            if got is None:
-                raise EngineInternalError("cyclic subterm constraints")
-            return got
-        memo[v] = None  # on the current path
-        d = defs.get(v)
-        if d is None:
-            out: tuple = (("var", v),)
-        elif isinstance(d, EpsBind):
-            out = ()
-        elif isinstance(d, CharPrefix):
-            out = _concat((d.char,), pieces(d.tail))
-        elif isinstance(d, Split):
-            out = _concat(pieces(d.prefix), pieces(d.suffix))
-        else:
-            out = pieces(d.other)
-        memo[v] = out
-        return out
-
-    return pieces
-
-
-def _concat(left: tuple, right: tuple) -> tuple:
-    if left and right and isinstance(left[-1], str) \
-            and isinstance(right[0], str):
-        return left[:-1] + (left[-1] + right[0],) + right[1:]
-    return left + right
 
 
 # ---------------------------------------------------------------------------

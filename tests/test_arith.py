@@ -449,6 +449,27 @@ def test_agreement_with_enumeration():
     assert checked == 500
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+def test_branch_and_bound_takes_the_arm_toward_zero_first(monkeypatch, sign):
+    # 1 <= a - b - 3q <= 2 with a = 3k, every variable on one side of
+    # zero: the model k = 1, b = 1 lies next to the LP point, while the
+    # arm away from zero climbs without end (past any node cap when it
+    # is taken first, as the positive orientation once did)
+    monkeypatch.setattr(arith, "_BB_NODE_CAP", 1000)
+
+    def v(name):
+        return AScale(sign, AVar(name))
+
+    diff = AAdd(a_sub(v("a"), v("b")), AScale(-3, v("q")))
+    atoms = [atom_le(AInt(1), diff), atom_le(diff, AInt(2)),
+             atom_eq(v("a"), AScale(3, v("k")))]
+    atoms += [atom_le(AInt(0), v(name)) for name in "abqk"]
+    model = arith_sat(atoms)
+    assert model is not None and all(eval_atom(a, model) for a in atoms)
+    assert {n: sign * model[n] for n in "abqk"} == \
+        {"a": 3, "b": 1, "q": 0, "k": 1}
+
+
 def test_quick_unsat_never_refutes_a_satisfiable_system():
     # bounded systems over inputs named like the "$s<n>" variables that
     # equality elimination issues; equalities without a unit coefficient

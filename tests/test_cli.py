@@ -1,7 +1,6 @@
 import io
 import random
 import time
-from collections import Counter
 
 import pytest
 
@@ -355,21 +354,28 @@ def test_huge_model_words_answer_unknown(tmp_path, text):
     assert "over _MODEL_WORD_CAP = 10000" in dot.read_text()
 
 
-def test_each_formula_builds_its_walker_once(tmp_path, monkeypatch):
-    # residual check, UA, OA and every back-link candidate read a node's
-    # resolved membership pieces; one walker builds them on first use and
-    # the formula keeps them
-    built = []
-    real = terms._definitions
+def test_unfolding_rebuilds_only_the_memberships_it_rewrites(tmp_path,
+                                                            monkeypatch):
+    # nothing resolves a membership through the subterms: each unfolding
+    # substitutes the defined predicate into the terms that contain it,
+    # and a child shares every other membership with its parent
+    real, seen = engine._define, {"shared": 0, "rewritten": 0}
 
-    def counting(f):
-        built.append(f)  # keeps f alive, so ids stay distinct
-        return real(f)
+    def checking(f, p, constraint, rhs, *rest, **kw):
+        child = real(f, p, constraint, rhs, *rest, **kw)
+        for old, new in zip(f.memberships, child.memberships):
+            if p in old.term:
+                assert new.term == terms.term_subst(old.term, p, rhs)
+                seen["rewritten"] += 1
+            else:
+                assert new is old
+                seen["shared"] += 1
+        return child
 
-    monkeypatch.setattr(terms, "_definitions", counting)
+    monkeypatch.setattr(engine, "_define", checking)
     code, out, err = _run(tmp_path, CAPPED, ["--budget", "100"])
     assert (code, out) == (EXIT_UNKNOWN, "unknown\n"), err
-    assert built and max(Counter(map(id, built)).values()) == 1
+    assert seen["rewritten"] > 100 and seen["shared"] > 0, seen
 
 
 # --- fixed-seed fuzz: every input ends in a documented exit code -----------

@@ -11,7 +11,7 @@ from stringsat.arith import Hypothesis, arith_implies, arith_sat
 from stringsat.classify import _first_repeated
 from stringsat.engine import (BackLinkedTo, ClosedUnsat, EngineInternalError,
                               GaveUp, OA_FULL, OA_LENGTHS_ONLY, Open,
-                              UnfoldChild, _length_of, export_tree,
+                              UnfoldChild, export_tree,
                               init_normalize, link_back, node_hypothesis,
                               oa_unsat,
                               over_approx, residual_empty, solve_conjunction,
@@ -22,16 +22,45 @@ from stringsat.terms import (AAdd, AInt, ALen, AMod, AVar, Alias, CChar,
                              FIn, Membership, Model, NormalizedFormula, RCat,
                              RStar, RUnion, RWord, SPred, SVar, Split, atom_eq,
                              atom_le, vars_of_atoms,
-                             _free_index, _walker, atom_lt, eval_arith,
-                             eval_atom,
-                             normalized_to_formula, word)
+                             _free_index, atom_lt, eval_arith,
+                             eval_atom, length_expr,
+                             normalized_to_formula, subterm_vars, word)
 
 ROTATE_RE = RCat(RStar(RWord("ab")), RWord("a"))
 
 
-def member(var, regex, sigma=("a", "b")):
-    """A membership carrying its automaton, as init_normalize builds it."""
-    return Membership(var, regex, compiled(regex, sigma))
+def resolve(f, var):
+    """The word var stands for in f, read from scratch through f's subterm
+    constraints: characters and the predicates of the undefined variables,
+    each with its length variable from f.lengths.  The reference for the
+    membership terms that unfolding rewrites."""
+    defs = {c.var: c for c in f.subterms}
+    lens = f.length_map()
+
+    def walk(v, path):
+        if v in path:
+            raise ValueError("cyclic subterm constraints")
+        d, path = defs.get(v), path | {v}
+        if d is None:
+            return (SPred(v, lens[v]),)
+        if isinstance(d, EpsBind):
+            return ()
+        if isinstance(d, CharPrefix):
+            return word(d.char) + walk(d.tail, path)
+        if isinstance(d, Split):
+            return walk(d.prefix, path) + walk(d.suffix, path)
+        return walk(d.other, path)
+
+    return walk(var, frozenset())
+
+
+def with_members(f, *pairs, sigma=("a", "b")):
+    """f with a membership per (variable, regex), each carrying its
+    automaton as init_normalize builds it and its term as resolved in
+    f."""
+    return f.with_(memberships=tuple(
+        Membership(v, r, resolve(f, v), compiled(r, sigma))
+        for v, r in pairs))
 
 
 def worked_example():
@@ -45,7 +74,7 @@ def test_init_pairs_variables_with_predicates():
     p = SPred("$u0", "$n0")
     assert f0.equations == (Equation(word("ab") + (p,), (p,) + word("ba")),)
     assert f0.subterms == (Alias("s", "$u0"),)
-    assert f0.memberships == (Membership("s", ROTATE_RE),)
+    assert f0.memberships == (Membership("s", ROTATE_RE, (p,)),)
     # the length constraint now speaks about the fresh length variable
     assert atom_eq(AMod(AVar("$n0"), AInt(2)), AInt(0)) in f0.arith
     assert atom_le(AInt(0), AVar("$n0")) in f0.arith
@@ -848,7 +877,6 @@ def test_back_link_needs_the_membership_variable_to_map_to_its_own():
     anc = NormalizedFormula(
         equations=(Equation((pred(0, 0),) + a + (pred(1, 1),),
                             (pred(1, 1),) + a + (pred(0, 0),)),),
-        memberships=(member("x", RStar(RWord("a"))),),
         arith=nonneg, subterms=(Alias("x", "$u0"), Alias("y", "$u1")),
         lengths=(("$u0", "$n0"), ("$u1", "$n1")), alphabet=("a", "b"))
     leaf = anc.with_(
@@ -860,10 +888,11 @@ def test_back_link_needs_the_membership_variable_to_map_to_its_own():
         subterms=(Alias("x", "$u0"), Alias("y", "$u3"),
                   CharPrefix("$u3", "a", "$u1")),
         lengths=(("$u0", "$n0"), ("$u1", "$n3")))
-    assert link_back(leaf, [anc]) is None
+    x_in_a_star = ("x", RStar(RWord("a")))
+    assert link_back(with_members(leaf, x_in_a_star),
+                     [with_members(anc, x_in_a_star)]) is None
     # without the membership the same pair links
-    assert link_back(leaf.with_(memberships=()),
-                     [anc.with_(memberships=())]) is not None
+    assert link_back(leaf, [anc]) is not None
 
 
 def test_an_untouched_member_variable_maps_to_itself_only_if_free():
@@ -878,7 +907,6 @@ def test_an_untouched_member_variable_maps_to_itself_only_if_free():
     anc = NormalizedFormula(
         equations=(Equation((pred(0, 0),) + a + (pred(1, 1),),
                             (pred(1, 1),) + a + (pred(0, 0),)),),
-        memberships=(member("y", RStar(RWord("a"))),),
         arith=nonneg, subterms=(Alias("x", "$u0"), Alias("y", "$u1")),
         lengths=(("$u0", "$n0"), ("$u1", "$n1")), alphabet=("a", "b"))
     leaf = anc.with_(
@@ -889,9 +917,10 @@ def test_an_untouched_member_variable_maps_to_itself_only_if_free():
                         atom_le(AInt(0), AVar("$n3"))),
         subterms=anc.subterms + (CharPrefix("$u4", "b", "$u3"),),
         lengths=(("$u0", "$n0"), ("$u1", "$n1"), ("$u3", "$n3")))
-    assert link_back(leaf, [anc]) is None
-    assert link_back(leaf.with_(memberships=()),
-                     [anc.with_(memberships=())]) is not None
+    y_in_a_star = ("y", RStar(RWord("a")))
+    assert link_back(with_members(leaf, y_in_a_star),
+                     [with_members(anc, y_in_a_star)]) is None
+    assert link_back(leaf, [anc]) is not None
 
 
 def test_a_membership_length_is_never_projected_out():
@@ -1013,6 +1042,56 @@ def test_head_clash_closes_by_proved_back_links(monkeypatch):
     assert oracle.brute_force_solve(clash, "ab", oracle.Bound(6)) is None
 
 
+def test_membership_terms_are_the_resolved_words():
+    # unfolding rewrites each membership's term as it defines predicates;
+    # on every node the term is the word its variable resolves to through
+    # the node's subterms, and the subterms are in definition order: no
+    # name is defined twice, and each name a constraint reads is defined
+    # only by a later constraint, or never
+    rng = random.Random(75)
+    problems = draw_one_cycle(rng, 150) + _acyclic_with_membership(rng, 150)
+    problems += [_hard_instance(), worked_example()]
+    trees = [solve_conjunction(conjs, "ab", budget=100, oa_mode=mode).tree
+             for conjs in problems for mode in (OA_LENGTHS_ONLY, OA_FULL)]
+    trees += [solve_conjunction(conjs, "ab", budget=40).tree
+              for conjs in _head_clash_problems()]
+    rewritten = 0
+    for tree in trees:
+        root = tree.nodes[0].formula
+        for n in tree.nodes:
+            f = n.formula
+            for m in f.memberships:
+                assert m.term == resolve(f, m.var), (f, m)
+            rewritten += f.memberships != root.memberships
+            defined = [c.var for c in f.subterms]
+            assert len(set(defined)) == len(defined), f
+            for i, c in enumerate(f.subterms):
+                assert not set(subterm_vars(c)[1:]) & set(defined[:i + 1]), f
+    assert rewritten > 500, rewritten
+
+
+def test_an_acyclic_system_with_a_climbing_length_abstraction_is_unsat():
+    # fragments workload, seed 3, problem 1048.  After five unfoldings a
+    # leaf's length abstraction asks branch and bound for
+    # 1 <= 3k - n3 - 3q <= 2 over the non-negatives, where always taking
+    # the up arm first climbed without end
+    text = ('(declare-str w)(declare-str y)(declare-str z)(declare-str u)'
+            '(declare-str v)(declare-chars "abc")'
+            '(assert (= (str.++ "bab" w "c" y "c") "babacbc"))'
+            '(assert (= (str.++ y "bb" z) (str.++ "b" u "b" v)))'
+            '(assert (= (mod (str.len v) 3) 2))'
+            '(assert (str.in_re z (re.* (re.++ (str.to_re "c") '
+            '(str.to_re "bb")))))')
+    problem = frontend.parse_problem(text)
+    sigma = problem.alphabet()
+    (conjs,) = problem.disjuncts()
+    ans = solve_conjunction(conjs, sigma)
+    assert (ans.verdict, ans.unfoldings, len(ans.tree.nodes)) == \
+        ("unsat", 20, 36)
+    assert oracle.brute_force_solve(problem.formula(), sigma,
+                                    oracle.Bound(3)) is None
+
+
 def test_solve_sat_with_model_checked_against_oracle():
     conjs = [FEq(word("ab") + (SVar("s"),), (SVar("s"),) + word("ba"))]
     ans = solve_conjunction(conjs, "ab")
@@ -1098,11 +1177,9 @@ def test_extract_model_epsilon():
 
 
 def test_extract_model_witness_from_membership():
-    f = NormalizedFormula(
-        memberships=(member("t", ROTATE_RE),),
-        arith=(atom_eq(AVar("nt"), AInt(3)),),
-        lengths=(("t", "nt"),),
-        alphabet=("a", "b"))
+    f = with_members(NormalizedFormula(
+        arith=(atom_eq(AVar("nt"), AInt(3)),), lengths=(("t", "nt"),),
+        alphabet=("a", "b")), ("t", ROTATE_RE))
     got = _ua_model(f)
     assert got.string_map()["t"] == "aba"
     assert got.int_map()["nt"] == 3
@@ -1113,12 +1190,18 @@ def test_extract_model_rejects_cycles():
                           alphabet=("a",))
     with pytest.raises(EngineInternalError, match="cyclic"):
         under_approx_check(f)
+    # the model builder's one reverse pass also refuses a second definition
+    twice = f.with_(subterms=(EpsBind("s"), EpsBind("s")))
+    with pytest.raises(EngineInternalError, match="defined twice"):
+        under_approx_check(twice)
 
 
 def _random_subterm_dag(rng):
     """Subterm constraints over x0..xk where each definition only uses
-    variables of higher index; undefined variables get length variables
-    bounded by small constants, and up to two variables a membership."""
+    variables of higher index, listed in definition order (each name a
+    constraint reads is defined by a later one, or never); undefined
+    variables get length variables bounded by small constants, and up to
+    two variables a membership."""
     names = [f"x{i}" for i in range(rng.randint(1, 7))]
     subterms, lengths, arith = [], [], []
     for i in reversed(range(len(names))):
@@ -1138,11 +1221,11 @@ def _random_subterm_dag(rng):
             subterms.append(Split(v, rng.choice(later), rng.choice(later)))
         else:
             subterms.append(Alias(v, rng.choice(later)))
-    memberships = tuple(member(rng.choice(names), rand_regex(rng, "ab", 2))
-                        for _ in range(rng.randint(0, 2)))
-    return names, NormalizedFormula(
-        memberships=memberships, arith=tuple(arith),
-        subterms=tuple(subterms), lengths=tuple(lengths), alphabet=("a", "b"))
+    members = [(rng.choice(names), rand_regex(rng, "ab", 2))
+               for _ in range(rng.randint(0, 2))]
+    return names, with_members(NormalizedFormula(
+        arith=tuple(arith), subterms=tuple(reversed(subterms)),
+        lengths=tuple(lengths), alphabet=("a", "b")), *members)
 
 
 def test_ua_models_of_random_subterm_dags():
@@ -1155,9 +1238,8 @@ def test_ua_models_of_random_subterm_dags():
             continue
         sat += 1
         words, ints = ua.model.string_map(), ua.model.int_map()
-        pieces = _walker(f)
         for v in names:
-            expr = _length_of(pieces(v), f.length_map(), itertools.count(1))
+            expr = length_expr(resolve(f, v))
             assert eval_arith(expr, ints) == len(words[v]), (f, v)
         assert oracle.eval_formula(normalized_to_formula(f), ua.model,
                                    f.alphabet)
@@ -1176,12 +1258,14 @@ def test_ua_verdicts_of_random_subterm_dags_match_exhaustive_search():
         names, f = _random_subterm_dag(rng)
         if not 2 <= len(f.lengths) <= 3:
             continue
-        pieces, formula = _walker(f), normalized_to_formula(f)
+        terms = {v: resolve(f, v) for v in names}
+        formula = normalized_to_formula(f)
         found = False
         for choice in itertools.product(words, repeat=len(f.lengths)):
             own = {v: w for (v, _), w in zip(f.lengths, choice)}
-            strings = {v: "".join(p if isinstance(p, str) else own[p[1]]
-                                  for p in pieces(v)) for v in names}
+            strings = {v: "".join(a.char if isinstance(a, CChar)
+                                  else own[a.var] for a in terms[v])
+                       for v in names}
             ints = {n: len(own[v]) for v, n in f.lengths}
             if oracle.eval_formula(formula, Model.make(strings, ints),
                                    f.alphabet):

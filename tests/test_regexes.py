@@ -12,7 +12,7 @@ from stringsat.regexes import (Dfa, LiteralOutsideAlphabetError,
                                lengths_reachable, product, residual_included,
                                residual_states, witness_with_length)
 from stringsat.terms import (RCat, RComp, REmpty, REps, RInter, RLit, RStar,
-                             RUnion, RWord)
+                             RUnion, RWord, SPred, word)
 
 ROTATE = RCat(RStar(RWord("ab")), RWord("a"))  # (ab)*.a
 
@@ -254,12 +254,17 @@ def test_returned_automata_are_minimal_and_canonical():
 
 # --- residual state sets ----------------------------------------------------
 
-OPEN = ("var", "x")
+OPEN = SPred("x", "n")
+
+
+def _term(pieces) -> tuple:
+    """The term of known words (str) and open pieces, in order."""
+    return sum((word(p) if isinstance(p, str) else (p,) for p in pieces), ())
 
 
 def _residual_accepts(r, sigma: str, pieces) -> bool:
     d = compile_regex(r, sigma)
-    return bool(residual_states(d, pieces) & d.accepting)
+    return bool(residual_states(d, _term(pieces)) & d.accepting)
 
 
 def test_residual_steps_literals_and_closes_over_open_pieces():
@@ -274,7 +279,8 @@ def test_residual_steps_literals_and_closes_over_open_pieces():
     assert _residual_accepts(a_star_ba, "ab", ["a", OPEN, "a"])
     assert not _residual_accepts(a_star_ba, "ab", [OPEN, "b"])
     # a character outside the automaton's alphabet leaves no run
-    assert residual_states(compile_regex(ROTATE, "ab"), ["c"]) == frozenset()
+    assert residual_states(compile_regex(ROTATE, "ab"), word("c")) == \
+        frozenset()
 
 
 def _instances(pieces, sigma: str, n: int):
@@ -306,8 +312,8 @@ def test_residual_is_exact_for_distinct_open_pieces():
             continue
         want = any(_accepts_by_derivative(r, w)
                    for w in _instances(pieces, sigma, d.n_states - 1))
-        assert bool(residual_states(d, pieces) & d.accepting) == want, \
-            (r, pieces)
+        assert bool(residual_states(d, _term(pieces)) & d.accepting) == \
+            want, (r, pieces)
         checked += 1
 
 
