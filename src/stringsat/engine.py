@@ -27,7 +27,7 @@ from .terms import (AAdd, AInt, AScale, AVar, Alias, ArithAtom, CChar,
                     FAtom, FEq, FIn, FNot, Formula, Membership, Model,
                     NormalizedFormula, SPred, SVar, Split, Subterm,
                     arith_len_vars, atom_eq, atom_le, atom_lt, equation_size,
-                    eval_atom, formula_summary, length_expr,
+                    eval_atom, formula_summary, length_components,
                     normalized_to_formula, rename_atom_vars, subst_len,
                     subterm_str, subterm_vars, term_subst, vars_of_atoms)
 
@@ -127,8 +127,8 @@ def init_normalize(conjuncts: Iterable[Formula],
     # variable, and every $m name's variable is among them.
     return NormalizedFormula(
         equations=tuple(eqs),
-        memberships=tuple(Membership(v, r, (pred_of[v],), dfa)
-                          for v, r, dfa in memberships),
+        memberships=tuple(Membership(v, r, (pred_of[v],), dfa, f"$k{i}_")
+                          for i, (v, r, dfa) in enumerate(memberships)),
         arith=tuple(fixed_atoms), subterms=tuple(subterms),
         lengths=tuple(lengths), alphabet=sigma, next_index=len(ordered))
 
@@ -265,18 +265,6 @@ def _big(f: NormalizedFormula, p1: SPred, p2: SPred) -> List[UnfoldChild]:
 # Over-approximation
 # ---------------------------------------------------------------------------
 
-def _set_components(expr, lset, fresh: str) -> List[tuple]:
-    """Per component of the length set, the atoms putting expr in it:
-    equal to a length, or in the j-th progression off + period * k with
-    k >= 0, where k is named fresh + j."""
-    comps = [(atom_eq(expr, AInt(n)),) for n in sorted(lset.finite)]
-    for j, (off, period) in enumerate(lset.progressions):
-        k = AVar(f"{fresh}{j}")
-        comps.append((atom_eq(expr, AAdd(AInt(off), AScale(period, k))),
-                      atom_le(AInt(0), k)))
-    return comps
-
-
 def residual_empty(f: NormalizedFormula) -> Optional[str]:
     """The first member variable whose membership no word of its term can
     meet, or None.
@@ -301,11 +289,14 @@ def over_approx(f: NormalizedFormula,
     """Length abstraction of the formula as a disjunction of atom lists.
 
     Every word equation becomes an equality of lengths.  In full mode each
-    membership additionally pins the member's length inside the semilinear
-    length set of its regex (analysed once per cached automaton); that
-    strengthening stays sound because any string model's lengths satisfy
-    it.  A membership with an empty length set leaves no disjunct; the
-    search closes such leaves earlier, by their empty residual.
+    membership additionally pins the length of its term inside the
+    semilinear length set of its regex, one choice per component of
+    ``Membership.components`` (``terms.length_components``: runs as
+    intervals, a period-1 progression as a lower bound, all lengths as no
+    atom); that strengthening stays sound because any string model's
+    lengths satisfy it.  A membership with an empty length set leaves no
+    disjunct; the search closes such leaves earlier, by their empty
+    residual.
 
     Every disjunct has the same layout: one length equality per equation,
     in order, then ``f.arith`` as it is, then the disjunct's own
@@ -318,14 +309,14 @@ def over_approx(f: NormalizedFormula,
 
 def _membership_parts(f: NormalizedFormula, mode: str) -> List[tuple]:
     """The membership atoms of each length-abstraction disjunct, in order:
-    one empty part in lengths-only mode or without memberships, none when
-    a membership's length set is empty."""
+    one choice among each membership's components, so one empty part in
+    lengths-only mode or without memberships, and none when a
+    membership's length set is empty."""
     parts: List[tuple] = [()]
     if mode == OA_LENGTHS_ONLY:
         return parts
-    for i, m in enumerate(f.memberships):
-        comps = _set_components(length_expr(m.term),
-                                _regexes.length_set(m.dfa), f"$k{i}_")
+    for m in f.memberships:
+        comps = m.components
         if len(parts) * len(comps) > _OA_DISJUNCT_CAP:
             break  # weaken: remaining memberships contribute nothing
         parts = [p + c for p in parts for c in comps]
@@ -440,8 +431,8 @@ def under_approx_check(f: NormalizedFormula,
             not all(eval_atom(a, node_model) for a in base_atoms):
         node_model = None
     for joints in _boundary_choices(f):
-        disjs = [_set_components(AVar(lens[v]), _regexes.length_set(joint),
-                                 f"$k_{v}_")
+        disjs = [length_components(AVar(lens[v]), _regexes.length_set(joint),
+                                   f"$k_{v}_")
                  for v, joint in sorted(joints.items())]
         for chosen in itertools.product(*disjs):
             own = [a for grp in chosen for a in grp]

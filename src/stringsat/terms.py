@@ -411,6 +411,20 @@ class Membership:
     # only the term, so every node reads the same object.  Equality,
     # hashing and repr ignore it.
     dfa: object = field(default=None, compare=False, repr=False)
+    # The prefix of the fresh multipliers ``components`` names, one per
+    # membership of a formula (``engine.init_normalize`` numbers it by
+    # position).  Equality, hashing and repr ignore it.
+    fresh: str = field(default="$k_", compare=False, repr=False)
+
+    @cached_property
+    def components(self) -> tuple:
+        """The length abstraction's choices for this membership: one
+        tuple of atoms per component of the automaton's length set,
+        putting the term's length in it (``length_components``).  Built
+        on first use and kept on the object, so a child reads its
+        parent's for every membership its unfolding does not rewrite."""
+        return length_components(length_expr(self.term), self.dfa.lengths,
+                                 self.fresh)
 
 
 @dataclass(frozen=True)
@@ -548,6 +562,35 @@ def length_expr(term: Term) -> ArithExpr:
     parts: List[ArithExpr] = [atom_length(a) for a in term
                               if not isinstance(a, CChar)]
     return fold_balanced(AAdd, [AInt(len(term) - len(parts))] + parts)
+
+
+def length_components(expr: ArithExpr, lset, fresh: str) -> tuple:
+    """A semilinear length set (``regexes.SemilinearLengthSet``) in as few
+    components as it allows, finite part first, each the atoms putting
+    expr in it: a maximal run lo..hi of finite lengths as ``expr = lo``
+    or ``lo <= expr <= hi``; a progression of period 1 from off as
+    ``off <= expr``, or no atom when off is 0; the j-th progression of a
+    longer period as off + period * k with k >= 0, where k is named
+    fresh + j.  Dropping the whole of N is exact because node arithmetic
+    states every live length non-negative (``engine.init_normalize`` and
+    each unfolding rule bound the lengths they introduce)."""
+    runs: List[List[int]] = []
+    for n in sorted(lset.finite):
+        if runs and runs[-1][1] == n - 1:
+            runs[-1][1] = n
+        else:
+            runs.append([n, n])
+    comps = [(atom_eq(expr, AInt(lo)),) if lo == hi else
+             (atom_le(AInt(lo), expr), atom_le(expr, AInt(hi)))
+             for lo, hi in runs]
+    for j, (off, period) in enumerate(lset.progressions):
+        if period == 1:
+            comps.append((atom_le(AInt(off), expr),) if off else ())
+        else:
+            k = AVar(f"{fresh}{j}")
+            comps.append((atom_eq(expr, AAdd(AInt(off), AScale(period, k))),
+                          atom_le(AInt(0), k)))
+    return tuple(comps)
 
 
 def term_subst(term: Term, pattern: Atom, replacement: Term) -> Term:

@@ -378,6 +378,33 @@ def test_unfolding_rebuilds_only_the_memberships_it_rewrites(tmp_path,
     assert seen["rewritten"] > 100 and seen["shared"] > 0, seen
 
 
+def test_unfolding_shares_the_length_components_it_does_not_rewrite(
+        tmp_path, monkeypatch):
+    # a membership keeps its length-abstraction components once built: a
+    # child reads its parent's object for every membership the unfolding
+    # leaves alone, and builds new ones for each it rewrites
+    real, seen = engine._define, {"shared": 0, "rebuilt": 0}
+
+    def checking(f, p, constraint, rhs, *rest, **kw):
+        child = real(f, p, constraint, rhs, *rest, **kw)
+        for i, (old, new) in enumerate(zip(f.memberships,
+                                           child.memberships)):
+            if p in old.term:
+                assert new.components is not old.components
+                assert new.components == terms.length_components(
+                    terms.length_expr(new.term), new.dfa.lengths, f"$k{i}_")
+                seen["rebuilt"] += 1
+            else:
+                assert new.components is old.components
+                seen["shared"] += 1
+        return child
+
+    monkeypatch.setattr(engine, "_define", checking)
+    code, out, err = _run(tmp_path, CAPPED, ["--budget", "100"])
+    assert (code, out) == (EXIT_UNKNOWN, "unknown\n"), err
+    assert seen["rebuilt"] > 100 and seen["shared"] > 0, seen
+
+
 # --- fixed-seed fuzz: every input ends in a documented exit code -----------
 
 def _problem_text(conjs) -> str:

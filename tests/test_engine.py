@@ -16,14 +16,15 @@ from stringsat.engine import (BackLinkedTo, ClosedUnsat, EngineInternalError,
                               oa_unsat,
                               over_approx, residual_empty, solve_conjunction,
                               under_approx_check, unfold)
-from stringsat.regexes import compiled
-from stringsat.terms import (AAdd, AInt, ALen, AMod, AVar, Alias, CChar,
-                             CharPrefix, EpsBind, Equation, FAnd, FAtom, FEq,
-                             FIn, Membership, Model, NormalizedFormula, RCat,
-                             RStar, RUnion, RWord, SPred, SVar, Split, atom_eq,
-                             atom_le, vars_of_atoms,
+from stringsat.regexes import compiled, length_set, lengths_reachable
+from stringsat.terms import (AAdd, AInt, ALen, AMod, AScale, AVar, Alias,
+                             CChar, CharPrefix, EpsBind, Equation, FAnd,
+                             FAtom, FEq, FIn, Membership, Model,
+                             NormalizedFormula, RCat, RStar, RUnion, RWord,
+                             SPred, SVar, Split, atom_eq, atom_le,
+                             vars_of_atoms,
                              _free_index, atom_lt, eval_arith,
-                             eval_atom, length_expr,
+                             eval_atom, length_components, length_expr,
                              normalized_to_formula, subterm_vars, word)
 
 ROTATE_RE = RCat(RStar(RWord("ab")), RWord("a"))
@@ -56,11 +57,11 @@ def resolve(f, var):
 
 def with_members(f, *pairs, sigma=("a", "b")):
     """f with a membership per (variable, regex), each carrying its
-    automaton as init_normalize builds it and its term as resolved in
-    f."""
+    automaton and fresh prefix as init_normalize builds them and its term
+    as resolved in f."""
     return f.with_(memberships=tuple(
-        Membership(v, r, resolve(f, v), compiled(r, sigma))
-        for v, r in pairs))
+        Membership(v, r, resolve(f, v), compiled(r, sigma), f"$k{i}_")
+        for i, (v, r) in enumerate(pairs)))
 
 
 def worked_example():
@@ -322,10 +323,11 @@ def _pi22():
 
 
 def test_oa_disjunct_cap_drops_the_remaining_memberships():
-    # x and y each have 20 lengths: both would make 400 disjuncts, past
-    # the cap, so y and every later membership (z would fit) add nothing
-    some_as = RWord("a")
-    for n in range(2, 21):
+    # x and y each have 20 lengths, no two consecutive, so each length is
+    # its own component: both would make 400 disjuncts, past the cap, so
+    # y and every later membership (z would fit) add nothing
+    some_as = RWord("aa")
+    for n in range(4, 41, 2):
         some_as = RUnion(some_as, RWord("a" * n))
     x, y, z = SVar("x"), SVar("y"), SVar("z")
     conjs = [FIn((x,), some_as), FIn((y,), some_as), FIn((z,), RWord("a"))]
@@ -336,7 +338,7 @@ def test_oa_disjunct_cap_drops_the_remaining_memberships():
     assert len(parts) == 20 and 20 * 20 > engine._OA_DISJUNCT_CAP
     assert all(vars_of_atoms(p) == {"$n0"} for p in parts)
     # the weakened abstraction stays sound, and UA still decides the root
-    for length, verdict in ((15, "sat"), (25, "unsat")):
+    for length, verdict in ((16, "sat"), (50, "unsat")):
         atom = FAtom(atom_eq(ALen("y"), AInt(length)))
         ans = solve_conjunction(conjs + [atom], "a")
         assert ans.verdict == verdict
@@ -348,6 +350,54 @@ def test_oa_disjunct_cap_drops_the_remaining_memberships():
             assert not oa_unsat(init_normalize(conjs + [atom], "a"))
             assert ans.tree.nodes[0].status == \
                 ClosedUnsat("base: no base model")
+
+
+def _length_set_regexes():
+    """The random regexes, each with its alphabet, of the frontier-stepping
+    check in test_regexes and of acceptance test 7."""
+    out = []
+    for seed, count in ((11, 120), (93, 200)):
+        rng = random.Random(seed)
+        for _ in range(count):
+            sigma = "abc"[:rng.randint(1, 3)]
+            out.append((rand_regex(rng, sigma, 4), sigma))
+    return out
+
+
+def test_length_components_are_exact():
+    # a length in 0..40 meets some component iff the automaton accepts a
+    # word of that length, found by plain frontier stepping
+    n = AVar("n")
+    for r, sigma in _length_set_regexes():
+        d = compiled(r, sigma)
+        comps = length_components(n, length_set(d), "$k")
+        reach = lengths_reachable(d, 40)
+        for value in range(41):
+            pin = atom_eq(n, AInt(value))
+            got = any(arith_sat([pin, *c]) is not None for c in comps)
+            assert got == (value in reach), (r, value, comps)
+
+
+def test_length_components_are_runs_and_drop_all_lengths():
+    n, k = AVar("n"), AVar("$k0")
+
+    def comps(r):
+        return length_components(n, length_set(compiled(r, "a")), "$k")
+
+    a = RWord("a")
+    assert comps(RStar(a)) == ((),)
+    one_to_three = RUnion(a, RUnion(RWord("aa"), RWord("aaa")))
+    assert comps(one_to_three) == ((atom_le(AInt(1), n),
+                                    atom_le(n, AInt(3))),)
+    # lengths 1, 2, 4 and every length from 6 on: a run, a single length
+    # and a progression of period 1, lowest first
+    gappy = RUnion(RUnion(a, RWord("aa")),
+                   RUnion(RWord("aaaa"), RCat(RWord("a" * 6), RStar(a))))
+    assert comps(gappy) == ((atom_le(AInt(1), n), atom_le(n, AInt(2))),
+                            (atom_eq(n, AInt(4)),), (atom_le(AInt(6), n),))
+    # a longer period keeps its fresh multiplier
+    assert comps(RStar(RWord("aa"))) == \
+        ((atom_eq(n, AAdd(AInt(0), AScale(2, k))), atom_le(AInt(0), k)),)
 
 
 def test_under_approx_closes_by_arithmetic_core():
@@ -1016,6 +1066,25 @@ def test_back_links_read_exact_projections(monkeypatch):
                 fixed = [atom_eq(AVar(v), AInt(k)) for v, k in env.items()]
                 assert arith_sat(list(atoms) + fixed) is not None, \
                     (atoms, env)
+
+
+def test_every_live_length_is_stated_non_negative():
+    # the length components drop the whole of N on the strength of this:
+    # each node's arithmetic entails 0 <= n for every length it pairs
+    rng = random.Random(61)
+    problems = [(c, engine.DEFAULT_BUDGET) for c in draw_one_cycle(rng, 100)
+                + _acyclic_with_membership(rng, 100)]
+    problems += [(c, 40) for c in _head_clash_problems()]
+    checked = 0
+    for conjs, budget in problems:
+        for node in solve_conjunction(conjs, "ab", budget=budget).tree.nodes:
+            f = node.formula
+            hyp = Hypothesis(f.arith)
+            for _, length in f.lengths:
+                assert arith_implies(hyp, [atom_le(AInt(0), AVar(length))]), \
+                    (f, length)
+                checked += 1
+    assert checked > 1000, checked
 
 
 def test_head_clash_closes_by_proved_back_links(monkeypatch):
