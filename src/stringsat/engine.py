@@ -22,14 +22,14 @@ from . import arith as _arith
 from . import oracle as _oracle
 from . import regexes as _regexes
 from .classify import Fragment, FragmentTag, classify_fragment
-from .terms import (AAdd, AInt, AScale, AVar, Alias, ArithAtom, CChar,
-                    CharPrefix, EngineInternalError, EpsBind, Equation,
-                    FAtom, FEq, FIn, FNot, Formula, Membership, Model,
-                    NormalizedFormula, SPred, SVar, Split, Subterm,
-                    arith_len_vars, atom_eq, atom_le, atom_lt, equation_size,
-                    eval_atom, formula_summary, length_components,
-                    normalized_to_formula, rename_atom_vars, subst_len,
-                    subterm_str, subterm_vars, term_subst, vars_of_atoms)
+from .terms import (AAdd, AInt, AScale, AVar, ArithAtom, CChar, Define,
+                    EngineInternalError, Equation, FAtom, FEq, FIn, FNot,
+                    Formula, Membership, Model, NormalizedFormula, SPred,
+                    SVar, arith_len_vars, atom_eq, atom_le, atom_lt,
+                    equation_size, eval_atom, formula_summary,
+                    length_components, normalized_to_formula,
+                    rename_atom_vars, subst_len, subterm_str, subterm_vars,
+                    term_subst, vars_of_atoms)
 
 DEFAULT_BUDGET = 10000
 
@@ -47,7 +47,7 @@ def init_normalize(conjuncts: Iterable[Formula],
 
     Every string variable is replaced inside the equations and the
     membership terms by a fresh predicate instance naming its length; the
-    old name survives as an alias in the subterm part and as the
+    old name survives as a definition by the predicate's name and as the
     membership's variable.  Length expressions in the arithmetic are
     reduced to the fresh length variables.  Each membership carries its
     regex's automaton, which every node of the tree reads.
@@ -96,12 +96,12 @@ def init_normalize(conjuncts: Iterable[Formula],
             note(v)
 
     pred_of: Dict[str, SPred] = {}
-    subterms: List[Subterm] = []
+    subterms: List[Define] = []
     lengths: List[Tuple[str, str]] = []
     for i, v in enumerate(ordered):
         u, n = f"$u{i}", f"$n{i}"
         pred_of[v] = SPred(u, n)
-        subterms.append(Alias(v, u))
+        subterms.append(Define(v, (SVar(u),)))
         lengths.append((u, n))
         atoms.append(atom_le(AInt(0), AVar(n)))
 
@@ -143,18 +143,18 @@ class UnfoldChild:
     formula: NormalizedFormula
 
 
-def _define(f: NormalizedFormula, p: SPred, constraint: Subterm, rhs: tuple,
-            atoms: tuple, tail: Optional[SPred] = None) -> NormalizedFormula:
+def _define(f: NormalizedFormula, p: SPred, rhs: tuple,
+            atoms: tuple) -> NormalizedFormula:
     """The child in which the predicate ``p`` is the word ``rhs``.
 
     ``p`` is replaced by ``rhs`` in every equation and membership term,
-    and ``constraint``, which defines ``p.var``, is appended to the
-    subterms, so no earlier constraint changes and a name means one word
-    in every node below.  ``atoms`` go after the arithmetic, and ``p``'s
-    length pairing gives way to that of ``tail`` (the fresh rest ``rhs``
-    ends with, if any, whose index is then used).  ``p`` heads one side
-    of the first equation, and a non-empty ``rhs`` starts with the other
-    side's head, so the two heads are then equal and are consumed."""
+    and ``rhs``, its predicates written as names, is appended to the
+    subterms as ``p.var``'s definition, so no earlier one changes and a
+    name means one word in every node below.  ``atoms`` go after the
+    arithmetic.  ``p``'s length pairing goes; a fresh rest ``rhs`` ends
+    with (``_fresh(f)``) gets its own, and its index is then used.  ``p``
+    heads one side of the first equation, and a non-empty ``rhs`` starts
+    with the other side's head, so the two heads are consumed."""
     eqs = tuple(Equation(term_subst(e.lhs, p, rhs), term_subst(e.rhs, p, rhs))
                 for e in f.equations)
     if rhs:
@@ -162,16 +162,17 @@ def _define(f: NormalizedFormula, p: SPred, constraint: Subterm, rhs: tuple,
     members = tuple(replace(m, term=term_subst(m.term, p, rhs))
                     if p in m.term else m for m in f.memberships)
     lengths = tuple(q for q in f.lengths if q[0] != p.var)
-    if tail is not None:
-        lengths += ((tail.var, tail.length),)
+    rest = rhs[-1:] == (_fresh(f),)
+    if rest:
+        lengths += ((rhs[-1].var, rhs[-1].length),)
+    word = tuple(SVar(a.var) if isinstance(a, SPred) else a for a in rhs)
     return f.with_(equations=eqs, memberships=members, arith=f.arith + atoms,
-                   subterms=f.subterms + (constraint,), lengths=lengths,
-                   next_index=f.next_index + (tail is not None))
+                   subterms=f.subterms + (Define(p.var, word),),
+                   lengths=lengths, next_index=f.next_index + rest)
 
 
 def _empty(f: NormalizedFormula, p: SPred) -> NormalizedFormula:
-    return _define(f, p, EpsBind(p.var), (),
-                   (atom_eq(AVar(p.length), AInt(0)),))
+    return _define(f, p, (), (atom_eq(AVar(p.length), AInt(0)),))
 
 
 def _fresh(f: NormalizedFormula) -> SPred:
@@ -187,10 +188,9 @@ def unfold(f: NormalizedFormula) -> List[UnfoldChild]:
     Children are returned in rule order; an empty list means the node is
     unsatisfiable on the spot (mismatched constant heads or a constant
     remainder against the empty word).  A child either consumes equal
-    heads or defines one predicate (``_define``): as the empty word, as a
-    character followed by a fresh rest, as the other head, or as the other
-    head followed by a fresh rest.
-    """
+    heads or defines one predicate (``_define``) as the empty word, a
+    character and a fresh rest, the other head, or the other head and a
+    fresh rest."""
     if not f.equations:
         raise EngineInternalError("unfold on a formula without equations")
     eq = f.equations[0]
@@ -224,10 +224,10 @@ def unfold(f: NormalizedFormula) -> List[UnfoldChild]:
     # one constant head, one predicate head: p is empty or c.tail
     c, p = (hl, hr) if isinstance(hl, CChar) else (hr, hl)
     t = _fresh(f)
-    ind = _define(f, p, CharPrefix(p.var, c.char, t.var), (c, t),
+    ind = _define(f, p, (c, t),
                   (atom_eq(AVar(t.length), AAdd(AVar(p.length), AInt(-1))),
                    atom_lt(AInt(0), AVar(p.length)),
-                   atom_le(AInt(0), AVar(t.length))), tail=t)
+                   atom_le(AInt(0), AVar(t.length))))
     return [UnfoldChild("small-base", _empty(f, p)),
             UnfoldChild("small-ind", ind)]
 
@@ -246,14 +246,13 @@ def _big(f: NormalizedFormula, p1: SPred, p2: SPred) -> List[UnfoldChild]:
 
     def split(longer: SPred, shorter: SPred) -> NormalizedFormula:
         return _define(
-            f, longer, Split(longer.var, shorter.var, t.var), (shorter, t),
+            f, longer, (shorter, t),
             (atom_eq(AVar(t.length), AAdd(AVar(longer.length),
                                           AScale(-1, AVar(shorter.length)))),
              atom_le(AInt(1), AVar(t.length)),
-             atom_le(AInt(1), AVar(shorter.length))), tail=t)
+             atom_le(AInt(1), AVar(shorter.length))))
 
-    ident = _define(f, p2, Alias(p2.var, p1.var), (p1,),
-                    (atom_eq(AVar(p1.length), AVar(p2.length)),))
+    ident = _define(f, p2, (p1,), (atom_eq(AVar(p1.length), AVar(p2.length)),))
     return [UnfoldChild("big-eps-l", _empty(f, p1)),
             UnfoldChild("big-eps-r", _empty(f, p2)),
             UnfoldChild("big-identify", ident),
@@ -528,12 +527,12 @@ def _finish_model(f: NormalizedFormula, beta: Dict[str, int],
                   open_vars: List[str]) -> Model:
     """Words for every open variable at its length in beta (a witness of
     its joint membership automaton where it has one), then for every
-    defined variable in one reverse pass over the subterms: each name a
-    constraint reads is defined only by a later one, or never.  An
-    undefined variable without a length variable is the empty word.
-    Raises CapExceeded before building a word past _MODEL_WORD_CAP, and
-    EngineInternalError on a name defined twice or read before its
-    definition (as in a cycle)."""
+    defined variable in one reverse pass over the subterms, joining its
+    definition's word: each name a definition reads is defined only by a
+    later one, or never.  An undefined variable without a length variable
+    is the empty word.  Raises CapExceeded before building a word past
+    _MODEL_WORD_CAP, and EngineInternalError on a name defined twice or
+    read before its definition (as in a cycle)."""
     sigma = f.alphabet
     lens = f.length_map()
     values: Dict[str, str] = {}
@@ -563,9 +562,9 @@ def _finish_model(f: NormalizedFormula, beta: Dict[str, int],
             raise EngineInternalError(
                 f"cyclic subterm constraints: {subterm_str(c)} reads a name "
                 "defined before it")
-        words = [values.setdefault(v, "") for v in read]
-        values[c.var] = "".join(
-            [c.char] + words if isinstance(c, CharPrefix) else words)
+        values[c.var] = "".join(a.char if isinstance(a, CChar)
+                                else values.setdefault(a.name, "")
+                                for a in c.term)
 
     ints = dict(beta)
     for v, n in f.lengths:

@@ -339,58 +339,28 @@ def eval_atom(a: ArithAtom, env: dict) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Subterm constraints (bookkeeping equalities used for model construction)
+# Definitions (the bookkeeping equalities a model is built from)
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class EpsBind:
-    """var = empty word."""
+class Define:
+    """var = term: the word an unfolding rule substitutes for var's
+    predicate, each predicate in it written as its ``SVar``.  The root
+    defines each input variable as its predicate's name; a rule defines
+    a name as the empty word, as a character and a fresh rest, as another
+    name, or as another name and a fresh rest."""
 
     var: str
-
-
-@dataclass(frozen=True)
-class CharPrefix:
-    """var = char . tail"""
-
-    var: str
-    char: str
-    tail: str
-
-
-@dataclass(frozen=True)
-class Split:
-    """var = prefix . suffix"""
-
-    var: str
-    prefix: str
-    suffix: str
-
-
-@dataclass(frozen=True)
-class Alias:
-    """var = other"""
-
-    var: str
-    other: str
-
-
-Subterm = Union[EpsBind, CharPrefix, Split, Alias]
+    term: Term
 
 
 class EngineInternalError(Exception):
     """Invariant violation inside the solver; never a verdict."""
 
 
-def subterm_vars(c: Subterm) -> tuple:
-    """Every variable the constraint names, the defined one first."""
-    if isinstance(c, EpsBind):
-        return (c.var,)
-    if isinstance(c, CharPrefix):
-        return (c.var, c.tail)
-    if isinstance(c, Split):
-        return (c.var, c.prefix, c.suffix)
-    return (c.var, c.other)
+def subterm_vars(c: Define) -> tuple:
+    """Every variable the definition names, the defined one first."""
+    return (c.var,) + tuple(a.name for a in c.term if isinstance(a, SVar))
 
 
 # ---------------------------------------------------------------------------
@@ -498,9 +468,9 @@ class NormalizedFormula:
 
     @cached_property
     def progress_steps(self) -> int:
-        """The structural unfolding steps the subterms record."""
-        return sum(1 for c in self.subterms
-                   if isinstance(c, (CharPrefix, Split)))
+        """The structural unfolding steps the subterms record: the
+        definitions as a head and a rest."""
+        return sum(1 for c in self.subterms if len(c.term) == 2)
 
 
 _INDEXED = re.compile(r"^\$[a-z]+(\d+)$")
@@ -743,8 +713,8 @@ def formula_chars(f: Formula) -> frozenset:
 
 def normalized_to_formula(f: NormalizedFormula) -> Formula:
     """The normalized four-part conjunction as an input-level formula, for
-    evaluation against a model.  Subterm constraints become word equations
-    and each variable/length pairing becomes an explicit length atom."""
+    evaluation against a model.  Each definition becomes the word equation
+    it records and each variable/length pairing an explicit length atom."""
     items: list = []
     for eq in f.equations:
         items.append(FEq(eq.lhs, eq.rhs))
@@ -753,14 +723,7 @@ def normalized_to_formula(f: NormalizedFormula) -> Formula:
     for a in f.arith:
         items.append(FAtom(a))
     for c in f.subterms:
-        if isinstance(c, EpsBind):
-            items.append(FEq((SVar(c.var),), ()))
-        elif isinstance(c, CharPrefix):
-            items.append(FEq((SVar(c.var),), (CChar(c.char), SVar(c.tail))))
-        elif isinstance(c, Split):
-            items.append(FEq((SVar(c.var),), (SVar(c.prefix), SVar(c.suffix))))
-        else:
-            items.append(FEq((SVar(c.var),), (SVar(c.other),)))
+        items.append(FEq((SVar(c.var),), c.term))
     for var, lenvar in f.lengths:
         items.append(FAtom(ArithAtom("eq", AVar(lenvar), ALen(var))))
     return FAnd(tuple(items))
@@ -855,14 +818,8 @@ def atom_repr(a: ArithAtom) -> str:
     return f"{arith_str(a.lhs)} {op} {arith_str(a.rhs)}"
 
 
-def subterm_str(c: Subterm) -> str:
-    if isinstance(c, EpsBind):
-        return f"{c.var} = eps"
-    if isinstance(c, CharPrefix):
-        return f"{c.var} = {c.char}.{c.tail}"
-    if isinstance(c, Split):
-        return f"{c.var} = {c.prefix}.{c.suffix}"
-    return f"{c.var} = {c.other}"
+def subterm_str(c: Define) -> str:
+    return f"{c.var} = {term_str(c.term)}"
 
 
 def formula_summary(f: NormalizedFormula) -> str:

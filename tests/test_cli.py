@@ -358,11 +358,14 @@ def test_unfolding_rebuilds_only_the_memberships_it_rewrites(tmp_path,
                                                             monkeypatch):
     # nothing resolves a membership through the subterms: each unfolding
     # substitutes the defined predicate into the terms that contain it,
-    # and a child shares every other membership with its parent
-    real, seen = engine._define, {"shared": 0, "rewritten": 0}
+    # and a child shares every other membership with its parent; the
+    # definition it appends is the word it substitutes, and only a word
+    # ending in the fresh rest pairs that rest with its length
+    real = engine._define
+    seen = {"shared": 0, "rewritten": 0, "rest": 0, "no rest": 0}
 
-    def checking(f, p, constraint, rhs, *rest, **kw):
-        child = real(f, p, constraint, rhs, *rest, **kw)
+    def checking(f, p, rhs, atoms):
+        child = real(f, p, rhs, atoms)
         for old, new in zip(f.memberships, child.memberships):
             if p in old.term:
                 assert new.term == terms.term_subst(old.term, p, rhs)
@@ -370,12 +373,22 @@ def test_unfolding_rebuilds_only_the_memberships_it_rewrites(tmp_path,
             else:
                 assert new is old
                 seen["shared"] += 1
+        named = tuple(SVar(a.var) if isinstance(a, terms.SPred) else a
+                      for a in rhs)
+        assert child.subterms == f.subterms + (terms.Define(p.var, named),)
+        fresh = engine._fresh(f)
+        rest = rhs[-1:] == (fresh,)
+        assert child.next_index == f.next_index + rest
+        assert ((fresh.var, fresh.length) in child.lengths) == rest
+        assert (fresh.var, fresh.length) not in f.lengths
+        seen["rest" if rest else "no rest"] += 1
         return child
 
     monkeypatch.setattr(engine, "_define", checking)
     code, out, err = _run(tmp_path, CAPPED, ["--budget", "100"])
     assert (code, out) == (EXIT_UNKNOWN, "unknown\n"), err
     assert seen["rewritten"] > 100 and seen["shared"] > 0, seen
+    assert seen["rest"] > 0 and seen["no rest"] > 0, seen
 
 
 def test_unfolding_shares_the_length_components_it_does_not_rewrite(
@@ -385,8 +398,8 @@ def test_unfolding_shares_the_length_components_it_does_not_rewrite(
     # leaves alone, and builds new ones for each it rewrites
     real, seen = engine._define, {"shared": 0, "rebuilt": 0}
 
-    def checking(f, p, constraint, rhs, *rest, **kw):
-        child = real(f, p, constraint, rhs, *rest, **kw)
+    def checking(f, p, rhs, atoms):
+        child = real(f, p, rhs, atoms)
         for i, (old, new) in enumerate(zip(f.memberships,
                                            child.memberships)):
             if p in old.term:

@@ -17,11 +17,11 @@ from stringsat.engine import (BackLinkedTo, ClosedUnsat, EngineInternalError,
                               over_approx, residual_empty, solve_conjunction,
                               under_approx_check, unfold)
 from stringsat.regexes import compiled, length_set, lengths_reachable
-from stringsat.terms import (AAdd, AInt, ALen, AMod, AScale, AVar, Alias,
-                             CChar, CharPrefix, EpsBind, Equation, FAnd,
-                             FAtom, FEq, FIn, Membership, Model,
-                             NormalizedFormula, RCat, RStar, RUnion, RWord,
-                             SPred, SVar, Split, atom_eq, atom_le,
+from stringsat.terms import (AAdd, AInt, ALen, AMod, AScale, AVar, CChar,
+                             Define, Equation, FAnd, FAtom, FEq, FIn,
+                             Membership, Model, NormalizedFormula, RCat,
+                             RStar, RUnion, RWord, SPred, SVar, atom_eq,
+                             atom_le,
                              vars_of_atoms,
                              _free_index, atom_lt, eval_arith,
                              eval_atom, length_components, length_expr,
@@ -31,8 +31,8 @@ ROTATE_RE = RCat(RStar(RWord("ab")), RWord("a"))
 
 
 def resolve(f, var):
-    """The word var stands for in f, read from scratch through f's subterm
-    constraints: characters and the predicates of the undefined variables,
+    """The word var stands for in f, read from scratch through f's
+    definitions: characters and the predicates of the undefined variables,
     each with its length variable from f.lengths.  The reference for the
     membership terms that unfolding rewrites."""
     defs = {c.var: c for c in f.subterms}
@@ -44,13 +44,8 @@ def resolve(f, var):
         d, path = defs.get(v), path | {v}
         if d is None:
             return (SPred(v, lens[v]),)
-        if isinstance(d, EpsBind):
-            return ()
-        if isinstance(d, CharPrefix):
-            return word(d.char) + walk(d.tail, path)
-        if isinstance(d, Split):
-            return walk(d.prefix, path) + walk(d.suffix, path)
-        return walk(d.other, path)
+        return tuple(b for a in d.term for b in (
+            walk(a.name, path) if isinstance(a, SVar) else (a,)))
 
     return walk(var, frozenset())
 
@@ -74,7 +69,7 @@ def test_init_pairs_variables_with_predicates():
     f0 = init_normalize(worked_example(), "ab")
     p = SPred("$u0", "$n0")
     assert f0.equations == (Equation(word("ab") + (p,), (p,) + word("ba")),)
-    assert f0.subterms == (Alias("s", "$u0"),)
+    assert f0.subterms == (Define("s", (SVar("$u0"),)),)
     assert f0.memberships == (Membership("s", ROTATE_RE, (p,)),)
     # the length constraint now speaks about the fresh length variable
     assert atom_eq(AMod(AVar("$n0"), AInt(2)), AInt(0)) in f0.arith
@@ -143,13 +138,14 @@ def test_unfold_worked_example_first_step():
     assert [k.rule for k in kids] == ["small-base", "small-ind"]
     base, ind = kids[0].formula, kids[1].formula
     assert base.equations == (Equation(word("ab"), word("ba")),)
-    assert EpsBind("$u0") in base.subterms
+    assert Define("$u0", ()) in base.subterms
     assert atom_eq(AVar("$n0"), AInt(0)) in base.arith
     # the rest gets the fresh names; s's own constraint is untouched
     p1 = SPred("$u1", "$n1")
     assert ind.equations == (Equation(word("ba") + (p1,),
                                       (p1,) + word("ba")),)
-    assert ind.subterms == (Alias("s", "$u0"), CharPrefix("$u0", "a", "$u1"))
+    assert ind.subterms == (Define("s", (SVar("$u0"),)),
+                            Define("$u0", (CChar("a"), SVar("$u1"))))
     assert ind.lengths == (("$u1", "$n1"),)
 
 
@@ -207,20 +203,20 @@ def test_unfold_big_cases():
                                       "big-right"]
     eps_l = kids[0].formula
     assert eps_l.equations == (Equation((CChar("a"),), (p2, CChar("b"))),)
-    assert EpsBind("$u0") in eps_l.subterms
+    assert Define("$u0", ()) in eps_l.subterms
     ident = kids[2].formula
     assert ident.equations == (Equation((CChar("a"),), (CChar("b"),)),)
-    assert Alias("$u1", "$u0") in ident.subterms
+    assert Define("$u1", (SVar("$u0"),)) in ident.subterms
     assert atom_eq(AVar("$n0"), AVar("$n1")) in ident.arith
     left = kids[3].formula
     assert left.equations[0].lhs[0] == SPred("$u2", "$n2")
-    assert Split("$u0", "$u1", "$u2") in left.subterms
+    assert Define("$u0", (SVar("$u1"), SVar("$u2"))) in left.subterms
     # the split is strict: non-empty prefix, non-empty tail
     assert atom_le(AInt(1), AVar("$n2")) in left.arith
     assert atom_le(AInt(1), AVar("$n1")) in left.arith
     right = kids[4].formula
     assert right.equations[0].rhs[0] == SPred("$u2", "$n2")
-    assert Split("$u1", "$u0", "$u2") in right.subterms
+    assert Define("$u1", (SVar("$u0"), SVar("$u2"))) in right.subterms
 
 
 def test_unfolding_carries_the_first_unused_index():
@@ -332,8 +328,9 @@ def test_oa_disjunct_cap_drops_the_remaining_memberships():
     x, y, z = SVar("x"), SVar("y"), SVar("z")
     conjs = [FIn((x,), some_as), FIn((y,), some_as), FIn((z,), RWord("a"))]
     f = init_normalize(conjs, "a")
-    assert f.subterms == (Alias("x", "$u0"), Alias("y", "$u1"),
-                          Alias("z", "$u2"))
+    assert f.subterms == (Define("x", (SVar("$u0"),)),
+                          Define("y", (SVar("$u1"),)),
+                          Define("z", (SVar("$u2"),)))
     parts = engine._membership_parts(f, OA_FULL)
     assert len(parts) == 20 and 20 * 20 > engine._OA_DISJUNCT_CAP
     assert all(vars_of_atoms(p) == {"$n0"} for p in parts)
@@ -421,7 +418,7 @@ def test_under_approx_not_base_with_predicates():
 def test_under_approx_sat_with_model():
     f = NormalizedFormula(
         equations=(Equation((), ()),),
-        subterms=(Alias("s", "u"), EpsBind("u")),
+        subterms=(Define("s", (SVar("u"),)), Define("u", ())),
         alphabet=("a", "b"))
     got = under_approx_check(f)
     assert got.status == "sat"
@@ -927,7 +924,8 @@ def test_back_link_needs_the_membership_variable_to_map_to_its_own():
     anc = NormalizedFormula(
         equations=(Equation((pred(0, 0),) + a + (pred(1, 1),),
                             (pred(1, 1),) + a + (pred(0, 0),)),),
-        arith=nonneg, subterms=(Alias("x", "$u0"), Alias("y", "$u1")),
+        arith=nonneg, subterms=(Define("x", (SVar("$u0"),)),
+                                Define("y", (SVar("$u1"),))),
         lengths=(("$u0", "$n0"), ("$u1", "$n1")), alphabet=("a", "b"))
     leaf = anc.with_(
         equations=(Equation((pred(1, 3),) + a + (pred(0, 0),),
@@ -935,8 +933,8 @@ def test_back_link_needs_the_membership_variable_to_map_to_its_own():
         arith=nonneg + (atom_eq(AVar("$n3"), AAdd(AVar("$n1"), AInt(-1))),
                         atom_lt(AInt(0), AVar("$n1")),
                         atom_le(AInt(0), AVar("$n3"))),
-        subterms=(Alias("x", "$u0"), Alias("y", "$u3"),
-                  CharPrefix("$u3", "a", "$u1")),
+        subterms=(Define("x", (SVar("$u0"),)), Define("y", (SVar("$u3"),)),
+                  Define("$u3", (CChar("a"), SVar("$u1")))),
         lengths=(("$u0", "$n0"), ("$u1", "$n3")))
     x_in_a_star = ("x", RStar(RWord("a")))
     assert link_back(with_members(leaf, x_in_a_star),
@@ -957,7 +955,8 @@ def test_an_untouched_member_variable_maps_to_itself_only_if_free():
     anc = NormalizedFormula(
         equations=(Equation((pred(0, 0),) + a + (pred(1, 1),),
                             (pred(1, 1),) + a + (pred(0, 0),)),),
-        arith=nonneg, subterms=(Alias("x", "$u0"), Alias("y", "$u1")),
+        arith=nonneg, subterms=(Define("x", (SVar("$u0"),)),
+                                Define("y", (SVar("$u1"),))),
         lengths=(("$u0", "$n0"), ("$u1", "$n1")), alphabet=("a", "b"))
     leaf = anc.with_(
         equations=(Equation((pred(0, 0),) + a + (pred(3, 3),),
@@ -965,7 +964,7 @@ def test_an_untouched_member_variable_maps_to_itself_only_if_free():
         arith=nonneg + (atom_eq(AVar("$n3"), AAdd(AVar("$n1"), AInt(-1))),
                         atom_lt(AInt(0), AVar("$n1")),
                         atom_le(AInt(0), AVar("$n3"))),
-        subterms=anc.subterms + (CharPrefix("$u4", "b", "$u3"),),
+        subterms=anc.subterms + (Define("$u4", (CChar("b"), SVar("$u3"))),),
         lengths=(("$u0", "$n0"), ("$u1", "$n1"), ("$u3", "$n3")))
     y_in_a_star = ("y", RStar(RWord("a")))
     assert link_back(with_members(leaf, y_in_a_star),
@@ -1234,14 +1233,14 @@ def _ua_model(f):
 
 def test_extract_model_resolves_chains():
     f = NormalizedFormula(
-        subterms=(Alias("s", "u1"), CharPrefix("u1", "a", "u"),
-                  EpsBind("u")),
+        subterms=(Define("s", (SVar("u1"),)),
+                  Define("u1", (CChar("a"), SVar("u"))), Define("u", ())),
         alphabet=("a", "b"))
     assert _ua_model(f).string_map()["s"] == "a"
 
 
 def test_extract_model_epsilon():
-    f = NormalizedFormula(subterms=(EpsBind("s"),), alphabet=("a",))
+    f = NormalizedFormula(subterms=(Define("s", ()),), alphabet=("a",))
     assert _ua_model(f).string_map()["s"] == ""
 
 
@@ -1255,20 +1254,21 @@ def test_extract_model_witness_from_membership():
 
 
 def test_extract_model_rejects_cycles():
-    f = NormalizedFormula(subterms=(Alias("s", "t"), Alias("t", "s")),
+    f = NormalizedFormula(subterms=(Define("s", (SVar("t"),)),
+                                    Define("t", (SVar("s"),))),
                           alphabet=("a",))
     with pytest.raises(EngineInternalError, match="cyclic"):
         under_approx_check(f)
     # the model builder's one reverse pass also refuses a second definition
-    twice = f.with_(subterms=(EpsBind("s"), EpsBind("s")))
+    twice = f.with_(subterms=(Define("s", ()), Define("s", ())))
     with pytest.raises(EngineInternalError, match="defined twice"):
         under_approx_check(twice)
 
 
 def _random_subterm_dag(rng):
-    """Subterm constraints over x0..xk where each definition only uses
-    variables of higher index, listed in definition order (each name a
-    constraint reads is defined by a later one, or never); undefined
+    """Definitions over x0..xk where each one only uses variables of
+    higher index, listed in definition order (each name a definition
+    reads is defined by a later one, or never); undefined
     variables get length variables bounded by small constants, and up to
     two variables a membership."""
     names = [f"x{i}" for i in range(rng.randint(1, 7))]
@@ -1283,13 +1283,15 @@ def _random_subterm_dag(rng):
             arith += [atom_le(AInt(0), AVar(n)),
                       atom_le(AVar(n), AInt(rng.randint(0, 3)))]
         elif kind == "eps":
-            subterms.append(EpsBind(v))
+            subterms.append(Define(v, ()))
         elif kind == "char":
-            subterms.append(CharPrefix(v, rng.choice("ab"), rng.choice(later)))
+            subterms.append(Define(v, (CChar(rng.choice("ab")),
+                                       SVar(rng.choice(later)))))
         elif kind == "split":
-            subterms.append(Split(v, rng.choice(later), rng.choice(later)))
+            subterms.append(Define(v, (SVar(rng.choice(later)),
+                                       SVar(rng.choice(later)))))
         else:
-            subterms.append(Alias(v, rng.choice(later)))
+            subterms.append(Define(v, (SVar(rng.choice(later)),)))
     members = [(rng.choice(names), rand_regex(rng, "ab", 2))
                for _ in range(rng.randint(0, 2))]
     return names, with_members(NormalizedFormula(

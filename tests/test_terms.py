@@ -2,8 +2,9 @@ import random
 
 from hypothesis import given, strategies as st
 
-from stringsat.terms import (AAdd, AInt, CChar, Equation, SPred, SVar,
-                             equation_size, length_expr, term_subst, word)
+from stringsat.terms import (AAdd, AInt, CChar, Define, Equation,
+                             NormalizedFormula, SPred, SVar, equation_size,
+                             formula_summary, length_expr, term_subst, word)
 from stringsat.arith import _lin
 
 
@@ -30,6 +31,16 @@ def test_equation_size_mirror_symmetry():
         cut = rng.randint(0, len(atoms))
         eq = Equation(tuple(atoms[:cut]), tuple(atoms[cut:]))
         assert equation_size(eq) == equation_size(Equation(eq.rhs, eq.lhs))
+
+
+def test_definitions_print_as_the_words_they_substitute():
+    # the four shapes a rule defines a name by; the two of a head and a
+    # rest are the structural steps
+    f = NormalizedFormula(subterms=(
+        Define("x", ()), Define("y", (CChar("a"), SVar("t"))),
+        Define("z", (SVar("p"), SVar("s"))), Define("w", (SVar("v"),))))
+    assert formula_summary(f) == "x = eps /\\ y = a.t /\\ z = p.s /\\ w = v"
+    assert f.progress_steps == 2
 
 
 def test_length_expr_cases():

@@ -2,19 +2,27 @@
 
 The first problems of each ``bench/gen.py`` workload at the build seed are
 solved as the benchmark solves them, at the workload's budget, and their
-verdict, unfoldings and node count must equal the recorded fixture.  A
-change that alters trees on purpose re-records it with::
+verdict, unfoldings and node count must equal the recorded fixture, and
+the DOT export of their trees a recorded digest.  A change that alters
+trees on purpose re-records the fixture with::
 
     PYTHONPATH=src python tests/test_trees.py
+
+and a change that must not alter them compares every problem of a seed,
+one JSON line per problem, between two checkouts with::
+
+    PYTHONPATH=src python tests/test_trees.py --rows SEED
 
 The benchmark's files are only read.
 """
 
 from __future__ import annotations
 
+import hashlib
 import importlib.util
 import json
 import os
+import sys
 
 import pytest
 
@@ -35,17 +43,19 @@ def _gen():
     return module
 
 
-def _solve(text: str, budget: int) -> list:
+def _solve(text: str, budget: int) -> tuple:
     """[verdict, unfoldings, nodes] the way the benchmark's passes solve:
     disjuncts in order, sat wins, unknown taints unsat, and an exception
-    is an error verdict."""
+    is an error verdict; then the answer of each disjunct solved."""
     unfoldings = nodes = 0
+    answers = []
     try:
         problem = frontend.parse_problem(text)
         sigma = problem.alphabet()
         verdict = "unsat"
         for disjunct in problem.disjuncts():
             ans = engine.solve_conjunction(disjunct, sigma, budget=budget)
+            answers.append(ans)
             unfoldings += ans.unfoldings
             nodes += len(ans.tree.nodes)
             if ans.verdict == "sat":
@@ -55,7 +65,7 @@ def _solve(text: str, budget: int) -> list:
                 verdict = "unknown"
     except Exception as e:  # noqa: BLE001 - recorded like the benchmark
         verdict = f"error: {type(e).__name__}"
-    return [verdict, unfoldings, nodes]
+    return [verdict, unfoldings, nodes], answers
 
 
 def _budgets() -> dict:
@@ -64,13 +74,19 @@ def _budgets() -> dict:
                 for name, w in json.load(fh)["workloads"].items()}
 
 
+def _solved(seed: int = SEED, per_workload: int = PER_WORKLOAD):
+    """(problem id, row, answers) of each workload's first problems at
+    seed, in corpus order; every problem when per_workload is None."""
+    gen = _gen()
+    for name, budget in _budgets().items():
+        for pid, text in gen.corpus(name, seed)[:per_workload]:
+            yield (pid,) + _solve(text, budget)
+
+
 def trees() -> dict:
     """Per problem id (it names the workload): [verdict, unfoldings,
     nodes]."""
-    gen = _gen()
-    return {pid: _solve(text, budget)
-            for name, budget in _budgets().items()
-            for pid, text in gen.corpus(name, SEED)[:PER_WORKLOAD]}
+    return {pid: row for pid, row, _ in _solved()}
 
 
 def test_trees_match_the_fixture():
@@ -81,6 +97,21 @@ def test_trees_match_the_fixture():
     diff = {pid: (row, want[pid]) for pid, row in got.items()
             if row != want[pid]}
     assert not diff, diff
+
+
+def test_full_mode_dot_exports_are_unchanged():
+    # the fixture's problems, their trees' full DOT text in corpus order
+    digest = hashlib.sha1()
+    nodes = sat = links = 0
+    for _, _, answers in _solved():
+        for ans in answers:
+            digest.update(engine.export_tree(ans.tree).encode())
+            nodes += len(ans.tree.nodes)
+            for n in ans.tree.nodes:
+                sat += isinstance(n.status, engine.SatLeaf)
+                links += isinstance(n.status, engine.BackLinkedTo)
+    assert (nodes, sat, links) == (1352, 60, 5)
+    assert digest.hexdigest() == "f46a518401f069f2c0df7e4064761c3f46a11319"
 
 
 # Memberships problems whose base leaves have more tuples of boundary
@@ -110,7 +141,25 @@ def test_memberships_with_many_boundary_choices_are_decided(seed, pid,
                                         oracle.Bound(3, 3)) is None
 
 
+def dump_rows(seed: int) -> None:
+    """Print one JSON line per problem of every workload at seed: its
+    row, the SHA-1 of each solved disjunct's DOT export, and the model of
+    a sat answer."""
+    for pid, (verdict, unfoldings, nodes), answers in _solved(seed, None):
+        model = answers[-1].model if verdict == "sat" else None
+        print(json.dumps({
+            "id": pid, "verdict": verdict, "unfoldings": unfoldings,
+            "nodes": nodes,
+            "dot": [hashlib.sha1(engine.export_tree(a.tree).encode())
+                    .hexdigest() for a in answers],
+            "model": None if model is None else [model.strings,
+                                                 model.ints]}))
+
+
 if __name__ == "__main__":
+    if sys.argv[1:2] == ["--rows"]:
+        dump_rows(int(sys.argv[2]))
+        sys.exit(0)
     # one problem a line, so that a re-recorded fixture diffs by problem
     rows = [f"  {json.dumps(pid)}: {json.dumps(row)}"
             for pid, row in trees().items()]
