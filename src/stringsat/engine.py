@@ -3,12 +3,14 @@
 One solve call owns one tree.  Each iteration prunes leaves a membership
 can no longer accept (empty residual), decides base leaves exactly
 (under-approximation), prunes leaves whose length abstraction is already
-unsatisfiable (over-approximation), tries to close the remaining open
-leaves against an ancestor up the same path (cyclic back-link), and
-otherwise expands the deepest open leaf with the head-directed unfolding
-rules.  SAT answers carry a model; UNSAT answers carry the closed tree.
-A leaf a resource cap stops is given up, and a tree closed with one
-answers unknown.
+unsatisfiable (over-approximation), answers sat at an open leaf where
+the lengths of its node model give one (the length probe, full mode
+only), tries to close the remaining open leaves against an ancestor up
+the same path (cyclic back-link), and otherwise expands the deepest open
+leaf with the head-directed unfolding rules.  SAT answers carry a model
+of the input's variables; UNSAT answers carry the closed tree.  A leaf a
+resource cap stops is given up, and a tree closed with one answers
+unknown.
 """
 
 from __future__ import annotations
@@ -406,12 +408,10 @@ def under_approx_check(f: NormalizedFormula,
             return UAResult("unsat", reason=f"ground mismatch: {lw!r} != {rw!r}")
 
     lens = f.length_map()
-    open_vars: List[str] = sorted({v for v, _ in f.lengths}
-                                  - {c.var for c in f.subterms})
     base_atoms = list(f.arith)
     if not f.alphabet:
         # no characters exist, so every open variable is the empty word
-        base_atoms += [atom_eq(AVar(lens[v]), AInt(0)) for v in open_vars]
+        base_atoms += [atom_eq(AVar(lens[v]), AInt(0)) for v in _open_vars(f)]
 
     # fully determined members first, then each membership on its own
     for m in f.memberships:
@@ -445,7 +445,10 @@ def under_approx_check(f: NormalizedFormula,
                 beta = _arith.arith_sat(system)
                 if beta is None:
                     continue
-            model = _finish_model(f, beta, joints, open_vars)
+            model = _finish_model(f, beta, _witness_words(f, beta, joints))
+            if model is None:
+                raise EngineInternalError(
+                    "constructed model fails the leaf formula")
             return UAResult("sat", model=model)
     return UAResult("unsat", reason="no base model")
 
@@ -522,21 +525,19 @@ def _boundary_choices(f: NormalizedFormula
 _MODEL_WORD_CAP = 10000
 
 
-def _finish_model(f: NormalizedFormula, beta: Dict[str, int],
-                  joints: Dict[str, _regexes.Dfa],
-                  open_vars: List[str]) -> Model:
-    """Words for every open variable at its length in beta (a witness of
-    its joint membership automaton where it has one), then for every
-    defined variable in one reverse pass over the subterms, joining its
-    definition's word: each name a definition reads is defined only by a
-    later one, or never.  An undefined variable without a length variable
-    is the empty word.  Raises CapExceeded before building a word past
-    _MODEL_WORD_CAP, and EngineInternalError on a name defined twice or
-    read before its definition (as in a cycle)."""
-    sigma = f.alphabet
+def _open_vars(f: NormalizedFormula) -> List[str]:
+    """The variables a leaf pairs with a length and does not define."""
+    return sorted({v for v, _ in f.lengths} - {c.var for c in f.subterms})
+
+
+def _witness_words(f: NormalizedFormula, beta: Dict[str, int],
+                   joints: Dict[str, _regexes.Dfa]) -> Dict[str, str]:
+    """Each open variable's word at its length in beta: a witness of its
+    joint automaton where it has one, else the first letter repeated.
+    Raises CapExceeded before building a word past _MODEL_WORD_CAP."""
     lens = f.length_map()
-    values: Dict[str, str] = {}
-    for v in open_vars:
+    words: Dict[str, str] = {}
+    for v in _open_vars(f):
         want = beta.get(lens[v], 0)
         if want > _MODEL_WORD_CAP:
             raise _arith.CapExceeded(f"model word of {want} characters "
@@ -548,11 +549,23 @@ def _finish_model(f: NormalizedFormula, beta: Dict[str, int],
             if w is None:
                 raise EngineInternalError("length-set witness missing")
         else:
-            w = (sigma[0] * want) if sigma else ""
-            if len(w) != want:
-                raise EngineInternalError("unsatisfiable open length")
-        values[v] = w
+            w = f.alphabet[0] * want if want else ""
+        words[v] = w
+    return words
 
+
+def _finish_model(f: NormalizedFormula, beta: Dict[str, int],
+                  words: Dict[str, str]) -> Optional[Model]:
+    """The leaf model that extends the open variables' ``words``, or None
+    when the evaluator rejects it on the leaf formula.  Every defined
+    variable gets its word in one reverse pass over the subterms, joining
+    its definition's word: each name a definition reads is defined only
+    by a later one, or never.  An undefined variable without a length
+    variable is the empty word.  Each variable of the arithmetic takes its
+    value in ``beta`` (an unbound one reads 0), and each paired length
+    its word's.  Raises EngineInternalError on a name defined twice or
+    read before its definition (as in a cycle)."""
+    values = dict(words)
     defined = {c.var for c in f.subterms}
     for c in reversed(f.subterms):
         if c.var in values:
@@ -566,13 +579,61 @@ def _finish_model(f: NormalizedFormula, beta: Dict[str, int],
                                 else values.setdefault(a.name, "")
                                 for a in c.term)
 
-    ints = dict(beta)
+    ints = {v: beta.get(v, 0) for v in vars_of_atoms(f.arith)}
     for v, n in f.lengths:
         ints.setdefault(n, len(values.get(v, "")))
     model = Model.make(values, ints)
-    if not _oracle.eval_formula(normalized_to_formula(f), model, sigma):
-        raise EngineInternalError("constructed model fails the leaf formula")
+    if not _oracle.eval_formula(normalized_to_formula(f), model, f.alphabet):
+        return None
     return model
+
+
+def length_probe(f: NormalizedFormula,
+                 hyp: _arith.Hypothesis) -> Optional[Model]:
+    """A model of an open leaf at its node model's lengths, or None.
+
+    Each character position of an open variable is a class, and so is
+    each letter; the equations merge the classes they align (union-find).
+    A class with two letters, or sides of unequal length, ends the probe,
+    and a class with none takes the alphabet's first letter.  Only a
+    model the evaluator accepts is kept (``_finish_model``), so the probe
+    never closes a leaf.  It declines when the lengths sum past
+    _MODEL_WORD_CAP."""
+    beta = hyp.model()
+    if beta is None or not f.alphabet:
+        return None
+    lens = f.length_map()
+    want = {v: beta.get(lens[v], 0) for v in _open_vars(f)}
+    if sum(want.values()) > _MODEL_WORD_CAP:
+        return None
+    up: dict = {}  # a position (var, i) to its class; letters are roots
+
+    def find(x):
+        while x in up:
+            up[x] = up.get(up[x], up[x])  # path halving
+            x = up[x]
+        return x
+
+    def cells(term: tuple) -> list:
+        return [c for a in term for c in (
+            (a.char,) if isinstance(a, CChar)
+            else [(a.var, i) for i in range(want[a.var])])]
+
+    for eq in f.equations:
+        lhs, rhs = cells(eq.lhs), cells(eq.rhs)
+        if len(lhs) != len(rhs):
+            return None
+        for pair in zip(lhs, rhs):
+            # a position's class joins a letter's, never the other way
+            a, b = sorted(map(find, pair), key=lambda r: isinstance(r, str))
+            if a != b:
+                if isinstance(a, str):
+                    return None  # two letters in one class
+                up[a] = b
+    fill = f.alphabet[0]
+    words = {v: "".join(r if isinstance(r := find((v, i)), str) else fill
+                        for i in range(n)) for v, n in want.items()}
+    return _finish_model(f, beta, words)
 
 
 # ---------------------------------------------------------------------------
@@ -793,6 +854,7 @@ class BackLinkedTo:
 @dataclass(frozen=True)
 class SatLeaf:
     model: Model
+    how: str  # "base" (under-approximation) | "length probe"
 
 
 @dataclass(frozen=True)
@@ -870,6 +932,14 @@ def solve_conjunction(conjuncts: Iterable[Formula], alphabet: Iterable[str],
     # with it.
     stack: List[Tuple[TreeNode, _arith.Hypothesis]] = []
     unchecked = [(tree.nodes[0], node_hypothesis(root))]
+
+    def sat(leaf: TreeNode, model: Model, how: str) -> Answer:
+        # the answer keeps the input's names: the parser rejects "$"
+        leaf.status = SatLeaf(model, how)
+        own = Model(*(tuple(p for p in part if not p[0].startswith("$"))
+                      for part in (model.strings, model.ints)))
+        return Answer("sat", own, tree, spent, fragment)
+
     while True:
         for leaf, hyp in unchecked:
             if oa_mode == OA_FULL:
@@ -884,9 +954,7 @@ def solve_conjunction(conjuncts: Iterable[Formula], alphabet: Iterable[str],
             except _arith.CapExceeded as e:
                 ua, capped = UAResult("notbase"), e
             if ua.status == "sat":
-                leaf.status = SatLeaf(ua.model)
-                return Answer("sat", model=ua.model, tree=tree,
-                              unfoldings=spent, fragment=fragment)
+                return sat(leaf, ua.model, "base")
             if ua.status == "unsat":
                 leaf.status = ClosedUnsat(f"base: {ua.reason}")
                 continue
@@ -894,6 +962,10 @@ def solve_conjunction(conjuncts: Iterable[Formula], alphabet: Iterable[str],
                 if oa_unsat(leaf.formula, oa_mode, hyp):
                     leaf.status = ClosedUnsat("length abstraction unsat")
                     continue
+                if oa_mode == OA_FULL:
+                    model = length_probe(leaf.formula, hyp)
+                    if model is not None:
+                        return sat(leaf, model, "length probe")
                 ancestors = tree.ancestors(leaf.id)
                 linked = link_back(leaf.formula,
                                    [a.formula for a in ancestors], hyp)
@@ -948,7 +1020,8 @@ def export_tree(tree: UnfoldingTree) -> str:
             label += f"\\nclosed: {_dot_escape(n.status.reason)}"
         elif isinstance(n.status, SatLeaf):
             style = ', style=bold, color=darkgreen'
-            label += "\\nSAT"
+            label += "\\nSAT" + ("" if n.status.how == "base"
+                                 else f" by {n.status.how}")
         elif isinstance(n.status, GaveUp):
             style = ', style="filled,dashed", fillcolor=lightyellow'
             label += f"\\ngave up: {_dot_escape(n.status.reason)}"

@@ -23,7 +23,8 @@ from stringsat.terms import (AAdd, AInt, ALen, AMod, AScale, AVar, CChar,
                              RStar, RUnion, RWord, SPred, SVar, atom_eq,
                              atom_le,
                              vars_of_atoms,
-                             _free_index, atom_lt, eval_arith,
+                             _free_index, arith_len_vars, atom_lt,
+                             eval_arith,
                              eval_atom, length_components, length_expr,
                              normalized_to_formula, subterm_vars, word)
 
@@ -78,12 +79,14 @@ def test_init_pairs_variables_with_predicates():
 
 def test_every_node_reads_the_automaton_init_normalize_set(monkeypatch):
     # memberships on a variable and on a named term, and a regex two of
-    # them share; after init_normalize only the final model check (the
-    # reference evaluator) compiles anything
+    # them share; after init_normalize only the model checks (the
+    # reference evaluator) compile anything.  |x| >= 3 keeps the length
+    # probe's all-a words out of ROTATE_RE, so the search unfolds
     conj = [FEq((SVar("x"), SVar("y")), (SVar("y"), SVar("x"))),
             FIn((SVar("x"),), ROTATE_RE),
             FIn((SVar("y"), SVar("x")), ROTATE_RE),
-            FIn((SVar("y"),), RStar(RWord("ba")))]
+            FIn((SVar("y"),), RStar(RWord("ba"))),
+            FAtom(atom_le(AInt(3), ALen("x")))]
     phase, compiles = ["init"], []
     real_init, real_check = engine.init_normalize, engine._oracle.eval_formula
     real_compiled = engine._regexes.compiled
@@ -95,7 +98,10 @@ def test_every_node_reads_the_automaton_init_normalize_set(monkeypatch):
 
     def model_check(*args):
         phase[0] = "model check"
-        return real_check(*args)
+        try:
+            return real_check(*args)
+        finally:
+            phase[0] = "search"
 
     def compiled_(r, sigma):
         compiles.append(phase[0])
@@ -551,11 +557,14 @@ def test_lengths_only_trees_are_unchanged(monkeypatch):
 
 
 def test_a_capped_leaf_is_given_up_unless_closed_otherwise(monkeypatch):
+    # odd_b's models all contain b, so the length probe's all-a words
+    # cannot answer them
     x = SVar("x")
     odd_a = [FIn((x,), ROTATE_RE)]
-    clash = odd_a + [FIn((x,), RCat(RStar(RWord("ba")), RWord("b")))]
-    even = odd_a + [FAtom(atom_eq(AMod(ALen("x"), AInt(2)), AInt(0)))]
-    problems = [odd_a, clash, even]
+    odd_b = [FIn((x,), RCat(RStar(RWord("ba")), RWord("b")))]
+    clash = odd_b + odd_a
+    even = odd_b + [FAtom(atom_eq(AMod(ALen("x"), AInt(2)), AInt(0)))]
+    problems = [odd_b, clash, even]
     assert [solve_conjunction(c, "ab").verdict for c in problems] == \
         ["sat", "unsat", "unsat"]
     # every root below is base, and its 3-state automaton has more
@@ -571,6 +580,10 @@ def test_a_capped_leaf_is_given_up_unless_closed_otherwise(monkeypatch):
             in export_tree(ans.tree)
     assert capped[2].tree.nodes[0].status == \
         ClosedUnsat("length abstraction unsat")
+    # the probe answers a capped leaf too, by a model of its node lengths
+    ans = solve_conjunction(odd_a, "ab")
+    assert ans.verdict == "sat" and ans.model.string_map() == {"x": "a"}
+    assert ans.tree.nodes[0].status.how == "length probe"
 
 
 def _node_hypotheses(tree):
@@ -643,7 +656,7 @@ def test_under_approx_reads_the_node_model_first(monkeypatch):
     monkeypatch.setattr(engine._arith, "arith_sat", counting_sat)
     monkeypatch.setattr(engine, "under_approx_check", recording_ua)
     rng = random.Random(26)
-    problems = draw_one_cycle(rng, 60) + _acyclic_with_membership(rng, 60)
+    problems = draw_one_cycle(rng, 200) + _acyclic_with_membership(rng, 200)
     problems += [worked_example()]
     for conjs in problems:
         solve_conjunction(conjs, "ab")
@@ -655,7 +668,8 @@ def test_under_approx_reads_the_node_model_first(monkeypatch):
                                        f.alphabet), f
             solved += used_sat
             answered += not used_sat
-    # measured: 12 answered by the node model, 1 by arith_sat
+    # measured: 12 answered by the node model, none by arith_sat (the
+    # length probe answers most sat problems before a base leaf)
     assert answered >= 10, (answered, solved)
 
 
@@ -1071,8 +1085,8 @@ def test_every_live_length_is_stated_non_negative():
     # the length components drop the whole of N on the strength of this:
     # each node's arithmetic entails 0 <= n for every length it pairs
     rng = random.Random(61)
-    problems = [(c, engine.DEFAULT_BUDGET) for c in draw_one_cycle(rng, 100)
-                + _acyclic_with_membership(rng, 100)]
+    problems = [(c, engine.DEFAULT_BUDGET) for c in draw_one_cycle(rng, 200)
+                + _acyclic_with_membership(rng, 200)]
     problems += [(c, 40) for c in _head_clash_problems()]
     checked = 0
     for conjs, budget in problems:
@@ -1377,3 +1391,96 @@ def test_unfold_children_cover_parent_models():
                                      sigma, bound) is not None
             for k in kids)
         assert parent_sat == kid_sat, f
+
+
+def _conjunction_names(conjs):
+    """The string and integer variable names a conjunction mentions."""
+    names = set()
+    for c in conjs:
+        if isinstance(c, FAtom):
+            names |= vars_of_atoms([c.atom])
+            names |= {v for e in (c.atom.lhs, c.atom.rhs)
+                      for v in arith_len_vars(e)}
+        else:
+            terms = (c.lhs, c.rhs) if isinstance(c, FEq) else (c.term,)
+            names |= {a.name for t in terms for a in t
+                      if isinstance(a, SVar)}
+    return names
+
+
+def test_fixed_lengths_answer_sat_by_the_length_probe():
+    # the node model fixes |x|, and unifying x's positions along the
+    # equation gives x = a^400 at the root; unfolding one character a
+    # step took over 100 s to reach a base leaf
+    x = SVar("x")
+    conjs = [FEq(word("a") + (x,), (x,) + word("a")),
+             FAtom(atom_eq(ALen("x"), AInt(400)))]
+    ans = solve_conjunction(conjs, "ab")
+    assert ans.verdict == "sat"
+    assert ans.unfoldings <= 2, ans.unfoldings  # measured: 0
+    assert ans.model.string_map() == {"x": "a" * 400}
+    assert oracle.eval_formula(FAnd(tuple(conjs)), ans.model, "ab")
+
+
+def test_the_length_probe_only_turns_unknown_to_sat(monkeypatch):
+    # the probe answers sat or nothing: without it every verdict is the
+    # same, or unknown where the probe found a model; each probe model
+    # holds on the input conjunction
+    rng = random.Random(81)
+    problems = [(c, engine.DEFAULT_BUDGET) for c in
+                draw_one_cycle(rng, 300) + draw_acyclic(rng, 100)
+                + _acyclic_with_membership(rng, 200)]
+    problems += [(c, 40) for c in _head_clash_problems()]
+    probed = []
+    for conjs, budget in problems:
+        ans = solve_conjunction(conjs, "ab", budget=budget)
+        how = [n.status.how for n in ans.tree.nodes
+               if isinstance(n.status, engine.SatLeaf)]
+        if how == ["length probe"]:
+            assert oracle.eval_formula(FAnd(tuple(conjs)), ans.model,
+                                       "ab"), conjs
+        probed.append((ans.verdict, how))
+    monkeypatch.setattr(engine, "length_probe", lambda f, hyp: None)
+    for (conjs, budget), (verdict, how) in zip(problems, probed):
+        plain = solve_conjunction(conjs, "ab", budget=budget).verdict
+        assert plain == verdict or (plain, verdict) == ("unknown", "sat"), \
+            conjs
+    # measured: 62 probe models, 13 base ones
+    assert sum(how == ["length probe"] for _, how in probed) > 50, probed
+
+
+def test_a_sat_leaf_says_how_its_model_was_found():
+    x = SVar("x")
+    base = solve_conjunction([FIn((x,), RCat(RStar(RWord("ba")),
+                                             RWord("b")))], "ab")
+    probe = solve_conjunction([FEq(word("a") + (x,), (x,) + word("a")),
+                               FAtom(atom_eq(ALen("x"), AInt(3)))], "ab")
+    for ans, how, label in ((base, "base", "\\nSAT\""),
+                            (probe, "length probe",
+                             "\\nSAT by length probe\"")):
+        (leaf,) = [n for n in ans.tree.nodes
+                   if isinstance(n.status, engine.SatLeaf)]
+        assert leaf.status.how == how
+        assert label in export_tree(ans.tree)
+
+
+def test_sat_models_name_only_the_conjunction_variables():
+    # the normalizer's $u/$n/$m/$k names stay inside the engine; a
+    # membership on a term is named $m<i> there
+    rng = random.Random(82)
+    x, y = SVar("x"), SVar("y")
+    problems = draw_one_cycle(rng, 150) + _acyclic_with_membership(rng, 150)
+    problems += [worked_example(),
+                 [FEq((x, y), (y, x)), FIn((x, y), ROTATE_RE),
+                  FAtom(atom_le(AVar("k"), ALen("x")))]]
+    sat = 0
+    for conjs in problems:
+        ans = solve_conjunction(conjs, "ab")
+        if ans.verdict != "sat":
+            continue
+        names = [v for v, _ in ans.model.strings + ans.model.ints]
+        assert not [v for v in names if v.startswith("$")], names
+        assert set(names) <= _conjunction_names(conjs), names
+        assert oracle.eval_formula(FAnd(tuple(conjs)), ans.model, "ab")
+        sat += 1
+    assert sat > 20, sat

@@ -102,16 +102,19 @@ def test_trees_match_the_fixture():
 def test_full_mode_dot_exports_are_unchanged():
     # the fixture's problems, their trees' full DOT text in corpus order
     digest = hashlib.sha1()
-    nodes = sat = links = 0
+    nodes = sat = probed = links = 0
     for _, _, answers in _solved():
         for ans in answers:
             digest.update(engine.export_tree(ans.tree).encode())
             nodes += len(ans.tree.nodes)
             for n in ans.tree.nodes:
                 sat += isinstance(n.status, engine.SatLeaf)
+                probed += getattr(n.status, "how", None) == "length probe"
                 links += isinstance(n.status, engine.BackLinkedTo)
-    assert (nodes, sat, links) == (1352, 60, 5)
-    assert digest.hexdigest() == "f46a518401f069f2c0df7e4064761c3f46a11319"
+    # the length probe answers 52 of the 60 sat problems before a base
+    # leaf: 1,352 nodes fell to 716
+    assert (nodes, sat, probed, links) == (716, 60, 52, 5)
+    assert digest.hexdigest() == "ce9d25d4f9f11bdc4972e022b882b78eabe2778a"
 
 
 # Memberships problems whose base leaves have more tuples of boundary
