@@ -10,9 +10,15 @@ fraction-free integer tableau, so all arithmetic is on Python's unbounded
 ints; the only Fractions are the coordinates of the relaxation's point
 that branch and bound rounds and splits on.  No floats.
 
+Auxiliary variables are named ``$q<n>``, ``$r<n>``, ``$v<n>`` (lowering)
+and ``$s<n>`` (equality elimination), a namespace reserved for them:
+``lower``, which every atom passes before it reaches a linear system,
+raises ArithInternalError on an input atom naming a variable in it.
+
 A ``Hypothesis`` keeps one conjunction lowered and reduced for many
 queries, and ``extend`` derives the state of a larger conjunction from it
-by lowering and reducing only the added atoms.  The search keeps one per
+by lowering and reducing only the added atoms; a root is prepared the same
+way, on top of the empty conjunction.  The search keeps one per
 node of its unfolding tree, extended from the parent's, because a node's
 arithmetic is always its parent's plus the few atoms its unfolding added.
 Each also carries a witness, the model of its last satisfiable query,
@@ -108,19 +114,18 @@ def _check_cap(n: int) -> None:
         raise CapExceeded("case split explosion in lowering")
 
 
+_RESERVED = ("$q", "$r", "$s", "$v")  # the auxiliaries' namespace
+
+
 class _Fresh:
-    def __init__(self, taken: set):
-        self.n = 0
-        self.taken = taken
-        self.issued: set = set()
+    """Auxiliary names in the reserved namespace, on one counter."""
+
+    def __init__(self, n: int = 0) -> None:
+        self.n = n
 
     def __call__(self, prefix: str) -> str:
-        while True:
-            name = f"${prefix}{self.n}"
-            self.n += 1
-            if name not in self.taken:
-                self.issued.add(name)
-                return name
+        self.n += 1
+        return f"${prefix}{self.n - 1}"
 
 
 def _const_value(e: ArithExpr) -> Optional[int]:
@@ -206,21 +211,23 @@ def lower(atoms, fresh: Optional[_Fresh] = None,
 
     Calls that pass the same ``fresh`` and ``memo`` encode a subterm they
     share with the same auxiliary variables, so their systems may be
-    conjoined; the caller's ``fresh`` must then avoid every input variable.
+    conjoined.  An input atom naming a variable in the reserved namespace
+    raises ArithInternalError.
 
     An atom without mod/max/min is linear as it stands and is converted
     directly: it has one branch, issues no fresh name, and its subterms
     would only enter the memo with themselves as their encoding.
     """
-    if memo is None:
-        memo = {}
+    for v in vars_of_atoms(atoms):
+        if v.startswith(_RESERVED):
+            raise ArithInternalError(f"input variable {v} is reserved")
+    fresh = fresh or _Fresh()
+    memo = {} if memo is None else memo
     systems: List[tuple] = [()]
     for a in atoms:
         try:
             branches = [(_mk_linatom(a.kind, a.lhs, a.rhs),)]
         except ValueError:  # a mod/max/min (or a stray length) inside
-            if fresh is None:
-                fresh = _Fresh(vars_of_atoms(atoms))
             left = _lower_expr(a.lhs, fresh, memo)
             right = _lower_expr(a.rhs, fresh, memo)
             _check_cap(len(systems) * len(left) * len(right))
@@ -728,10 +735,10 @@ def _normalize(ineqs: List[Tuple[dict, int]], fresh: _Fresh):
 def solve_system(system: LinearSystem, base: _Reduced = _NOTHING,
                  fresh: Optional[_Fresh] = None) -> Optional[Dict[str, int]]:
     """Exact integer satisfiability for a conjunction of linear atoms,
-    conjoined with ``base`` when one is given; ``fresh`` must then avoid
-    every variable of both."""
+    conjoined with ``base`` when one is given; ``fresh`` is the name
+    source ``base`` was reduced with."""
     all_vars = {v for a in system.atoms + base.atoms for v, _ in a.coeffs}
-    fresh = fresh or _Fresh(set(all_vars))
+    fresh = fresh or _Fresh()
     reduced = _reduce(system.atoms, fresh, base)
     if reduced is None:
         return None
@@ -767,9 +774,7 @@ def quick_unsat(atoms) -> bool:
     conjunction definitely has no integer solution; False decides
     nothing.  Its only caller is under-approximation, which runs it on
     each candidate system before solving that system in full."""
-    # lowering and elimination draw names from one source that avoids
-    # the input's variables
-    fresh = _Fresh(vars_of_atoms(atoms))
+    fresh = _Fresh()  # lowering and elimination number from one counter
     try:
         systems = lower(atoms, fresh)
     except CapExceeded:
@@ -794,11 +799,10 @@ def arith_sat(atoms) -> Optional[Dict[str, int]]:
     """SAT with an integer witness, or None for UNSAT.  The witness covers
     every variable of the input atoms (auxiliary lowering variables are
     stripped)."""
-    wanted = vars_of_atoms(atoms)
     for system in lower(atoms):
         model = solve_system(system)
         if model is not None:
-            out = {v: model.get(v, 0) for v in wanted}
+            out = {v: model.get(v, 0) for v in vars_of_atoms(atoms)}
             for a in atoms:
                 if not eval_atom(a, out):
                     raise ArithInternalError(f"witness fails input atom {a}")
@@ -809,17 +813,20 @@ def arith_sat(atoms) -> Optional[Dict[str, int]]:
 class Hypothesis:
     """A conjunction prepared for repeated satisfiability queries.
 
-    Preparation is lazy and happens once: the first query lowers the atoms
-    and eliminates the equalities of each resulting linear system.  A
-    hypothesis made by ``extend`` instead prepares its parent and then
-    lowers and reduces only its own new atoms on top of each of the
-    parent's reduced systems, so a chain of extensions costs each link its
-    delta.  The lowering memo and fresh-name source are kept (an extension
-    works on copies of its parent's), so a later atom that mentions a
-    ``mod``/``max``/``min`` subterm already lowered reuses its auxiliary
-    variables (the same sharing ``lower`` does within one call), fresh
-    names avoid every atom seen so far, and two extensions of one parent
-    never see each other's names.
+    Preparation is lazy, happens once and takes one path: the first
+    query prepares each unprepared link of the ``extend`` chain top-down,
+    each lowering and reducing only its own atoms on top of each of its
+    parent's reduced systems (a root's parent is the empty conjunction,
+    ``_EMPTY``), so a chain costs each link its delta.  The lowering memo
+    and fresh-name counter are kept (an extension works on copies of its
+    parent's), so a later atom that mentions a ``mod``/``max``/``min``
+    subterm already lowered reuses its auxiliary variables (the same
+    sharing ``lower`` does within one call), and two extensions of one
+    parent never see each other's names.  ``lower`` refuses an atom
+    naming a variable in the reserved namespace (``$q``, ``$r``, ``$s``,
+    ``$v``) once the atom is lowered; a query that a carried witness
+    answers is only evaluated, and an evaluation that holds is a model
+    whatever the names mean.
 
     A hypothesis also keeps a witness: the integer model of its last
     satisfiable query, which binds every variable of its atoms.  The
@@ -835,9 +842,8 @@ class Hypothesis:
     """
 
     def __init__(self, atoms) -> None:
-        self.atoms = list(atoms)
+        self.atoms = self._delta = list(atoms)
         self._parent: Optional[Hypothesis] = None
-        self._delta: List[ArithAtom] = []
         self._fresh: Optional[_Fresh] = None
         self._memo: dict = {}
         self._lowered = 0
@@ -851,62 +857,27 @@ class Hypothesis:
     def extend(self, atoms) -> "Hypothesis":
         """The hypothesis for this conjunction and ``atoms``; nothing is
         lowered until it is queried."""
-        delta = list(atoms)
-        child = Hypothesis(self.atoms + delta)
-        child._parent, child._delta = self, delta
+        child = Hypothesis(atoms)
+        child.atoms, child._parent = self.atoms + child._delta, self
         return child
 
-    def _prepare(self, extra_vars: set) -> None:
-        """Make fresh names avoid ``extra_vars``, the variables of atoms
-        about to be conjoined.  The first call lowers and reduces the
-        hypothesis, on top of its parent's systems where it has a parent;
-        it, or a later call, starts from scratch when the new variables
-        include an auxiliary name already issued, since that name would
-        then mean two things."""
-        if self._fresh is not None:
-            if extra_vars & self._fresh.issued:
-                self._rebuild(extra_vars)
-            else:
-                self._fresh.taken |= extra_vars
-            return
-        chain = [self]  # with its unprepared ancestors, prepared top-down
-        while chain[-1]._parent is not None \
-                and chain[-1]._parent._fresh is None:
-            chain.append(chain[-1]._parent)
+    def _prepare(self) -> None:
+        """Lower and reduce each unprepared link from the top of the chain
+        down to this one, each its delta on top of its parent's systems."""
+        chain, hyp = [], self
+        while hyp is not None and hyp._fresh is None:
+            chain.append(hyp)
+            hyp = hyp._parent
         for hyp in reversed(chain):
-            new_vars = vars_of_atoms(hyp._delta)
-            if hyp is self:
-                new_vars |= extra_vars
-            parent = hyp._parent
-            if parent is not None and not new_vars & parent._fresh.issued:
-                hyp._grow(new_vars)
-            else:
-                hyp._rebuild(new_vars)
-
-    def _grow(self, new_vars: set) -> None:
-        # lower and reduce only the delta on top of the prepared parent
-        parent = self._parent
-        fresh = _Fresh(parent._fresh.taken | new_vars)
-        fresh.n, fresh.issued = parent._fresh.n, set(parent._fresh.issued)
-        memo = dict(parent._memo)
-        branches = lower(self._delta, fresh, memo)
-        _check_cap(parent._lowered * len(branches))
-        reduced = [_reduce(b.atoms, fresh, base)
-                   for base in parent._systems for b in branches]
-        self._fresh, self._memo = fresh, memo
-        self._lowered = parent._lowered * len(branches)
-        self._systems = [r for r in reduced if r is not None]
-
-    def _rebuild(self, extra_vars: set) -> None:
-        # lower and reduce every atom from scratch
-        taken = vars_of_atoms(self.atoms) | extra_vars
-        if self._fresh is not None:
-            taken |= self._fresh.taken
-        fresh, memo = _Fresh(taken), {}
-        systems = lower(self.atoms, fresh, memo)
-        reduced = [_reduce(s.atoms, fresh) for s in systems]
-        self._fresh, self._memo, self._lowered = fresh, memo, len(systems)
-        self._systems = [r for r in reduced if r is not None]
+            parent = hyp._parent or _EMPTY
+            fresh, memo = _Fresh(parent._fresh.n), dict(parent._memo)
+            branches = lower(hyp._delta, fresh, memo)
+            _check_cap(parent._lowered * len(branches))
+            reduced = [_reduce(b.atoms, fresh, base)
+                       for base in parent._systems for b in branches]
+            hyp._fresh, hyp._memo = fresh, memo
+            hyp._lowered = parent._lowered * len(branches)
+            hyp._systems = [r for r in reduced if r is not None]
 
     def _carried(self, atoms) -> Optional[dict]:
         """The nearest witness up the chain, extended through the
@@ -956,7 +927,7 @@ class Hypothesis:
         if env is not None:
             self._record(env)
             return True
-        self._prepare(vars_of_atoms(atoms))
+        self._prepare()
         branches = lower(atoms, self._fresh, self._memo)
         _check_cap(self._lowered * len(branches))
         for base in self._systems:
@@ -971,6 +942,10 @@ class Hypothesis:
                     self._record(env)
                     return True
         return False
+
+
+_EMPTY = Hypothesis(())  # every root's parent: one system, reduced to nothing
+_EMPTY._fresh, _EMPTY._lowered, _EMPTY._systems = _Fresh(), 1, [_NOTHING]
 
 
 def arith_implies(hyp, concl) -> bool:

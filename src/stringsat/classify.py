@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .terms import (AInt, AMod, AVar, ArithAtom, CChar, Equation,
-                    NormalizedFormula, SVar, atom_repr, equation_str,
-                    term_string_vars)
+                    NormalizedFormula, SPred, SVar, atom_repr,
+                    rename_atom_vars, term_str, term_string_vars)
 from .arith import _lin  # linear normalization shared with the backend
 
 
@@ -259,7 +259,17 @@ def _first_nonperiodic(atoms: Iterable[ArithAtom]) -> Optional[ArithAtom]:
 
 
 def classify_fragment(f: NormalizedFormula) -> Fragment:
-    """Classify a normalized formula; the witness explains any downgrade."""
+    """Classify a normalized formula; the witness explains any downgrade
+    in the input's names: a predicate by the variable its root definition
+    (``v = $u<i>``) names, and its length as ``|v|``."""
+    names = {d.term[0].name: d.var for d in f.subterms if len(d.term) == 1}
+    lengths = {n: f"|{names[u]}|" for u, n in f.lengths if u in names}
+
+    def named(eq: Equation) -> str:
+        return " = ".join(term_str(tuple(
+            SVar(names.get(a.var, a.var)) if isinstance(a, SPred) else a
+            for a in side)) for side in (eq.lhs, eq.rhs))
+
     sides = side_vars(f.equations)
     vars_in_eqs = sorted(set().union(*(lhs | rhs for lhs, rhs in sides)))
     graphs = {v: build_dep_graph(v, sides) for v in vars_in_eqs}
@@ -270,18 +280,20 @@ def classify_fragment(f: NormalizedFormula) -> Fragment:
         return Fragment(FragmentTag.ACYCLIC)
     reasons = []
     if nonlinear is not None:
-        reasons.append(f"non-linear equation: {equation_str(nonlinear[0])}")
+        reasons.append(f"non-linear equation: {named(nonlinear[0])}")
     worst = max(cycles.values(), default=0)
     if worst > 0:
         v = next(v for v in vars_in_eqs if cycles[v] == worst)
-        reasons.append(f"dependency graph of {v} has {worst} cycle(s)")
+        reasons.append(
+            f"dependency graph of {names.get(v, v)} has {worst} cycle(s)")
     thrice = _first_repeated(f.equations, 2)
     if thrice is not None:
-        reasons.append(f"{thrice[1]} occurs more than twice in "
-                       f"{equation_str(thrice[0])}")
+        reasons.append(f"{names.get(thrice[1], thrice[1])} occurs more "
+                       f"than twice in {named(thrice[0])}")
     bad_atom = _first_nonperiodic(f.arith)
     if worst <= 1 and thrice is None and bad_atom is None:
         return Fragment(FragmentTag.ONE_CYCLE, "; ".join(reasons))
     if bad_atom is not None:
-        reasons.append(f"non-periodic arithmetic: {atom_repr(bad_atom)}")
+        shown = atom_repr(rename_atom_vars(bad_atom, lengths))
+        reasons.append(f"non-periodic arithmetic: {shown}")
     return Fragment(FragmentTag.GENERAL, "; ".join(reasons))

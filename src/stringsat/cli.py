@@ -1,8 +1,8 @@
 """Command-line driver.
 
-Exit codes: 0 sat, 1 unsat, 2 unknown, 3 error.  The verdict goes to
-stdout so differential harnesses can diff it cleanly; everything else
-goes to stderr.
+Exit codes: 0 sat, 1 unsat, 2 unknown, 3 error, a usage error included
+(``--help`` exits 0).  The verdict goes to stdout so differential
+harnesses can diff it cleanly; everything else goes to stderr.
 """
 
 from __future__ import annotations
@@ -193,6 +193,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
         cfg = config_from_args(argv)
+    except SystemExit as e:  # argparse's: 0 after --help, 2 on a usage error
+        return 0 if e.code == 0 else EXIT_ERROR
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR

@@ -126,7 +126,9 @@ def init_normalize(conjuncts: Iterable[Formula],
 
     # Generated names carry a "$" prefix the parser never accepts, so they
     # cannot collide with user identifiers.  $u/$n names are numbered by
-    # variable, and every $m name's variable is among them.
+    # variable, and every $m name's variable is among them.  The engine's
+    # letters are $u, $n, $m, $k and $fp; $q, $r, $s and $v belong to the
+    # arithmetic backend's auxiliaries, and it refuses them in its input.
     return NormalizedFormula(
         equations=tuple(eqs),
         memberships=tuple(Membership(v, r, (pred_of[v],), dfa, f"$k{i}_")

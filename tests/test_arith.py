@@ -7,10 +7,10 @@ from fractions import Fraction
 import pytest
 
 from stringsat import arith
-from stringsat.arith import (CapExceeded, Hypothesis, LinAtom,
-                             LinearSystem, _Fresh, _lower_expr, _lp_feasible,
-                             _mk_linatom, arith_implies, arith_sat, lower,
-                             quick_unsat, solve_system)
+from stringsat.arith import (ArithInternalError, CapExceeded, Hypothesis,
+                             LinAtom, LinearSystem, _Fresh, _lower_expr,
+                             _lp_feasible, _mk_linatom, arith_implies,
+                             arith_sat, lower, quick_unsat, solve_system)
 from stringsat.terms import (AAdd, AInt, AMax, AMin, AMod, ANeg, AScale,
                              AVar, ArithAtom, NonConstantDivisorError,
                              atom_eq, atom_le, atom_lt, eval_atom,
@@ -131,13 +131,13 @@ def _naive_implies(hyp, concl) -> bool:
 def test_implies_matches_naive_reference():
     # one prepared Hypothesis answers several conclusions, as in link_back;
     # conclusions may restate hypothesis atoms, share its mod subterm, or
-    # name variables like the lowering's own ($q0, $r0)
+    # name variables the hypothesis does not
     rng = random.Random(41)
     seen = Counter()
     for _ in range(40):
         shared = AMod(AAdd(AVar("x"), AVar(rng.choice(["x", "y"]))),
                       AInt(rng.randint(2, 4)))
-        hyp = _random_atoms(rng, ["x", "y", "$r0"])
+        hyp = _random_atoms(rng, ["x", "y", "r0"])
         hyp.append(rng.choice([atom_eq(shared, AVar("y")),
                                atom_le(AInt(1), shared),
                                atom_le(shared, AVar("x"))]))
@@ -145,7 +145,7 @@ def test_implies_matches_naive_reference():
             seen["vacuous"] += 1
         prepared = Hypothesis(hyp)
         for _ in range(3):
-            concl = _random_atoms(rng, ["x", "y", "$q0", "$r0"])
+            concl = _random_atoms(rng, ["x", "y", "q0", "r0"])
             if rng.random() < 0.5:
                 concl.append(rng.choice([atom_le(shared, AInt(3)),
                                          atom_eq(shared, AVar("y")),
@@ -164,10 +164,11 @@ def test_implies_matches_naive_reference():
 def test_implies_keeps_conclusion_and_lowering_names_apart():
     m = AMod(AVar("x"), AInt(3))
     hyp = [atom_eq(AVar("y"), m)]  # lowered as x = 3*$q0 + $r1, y = $r1
-    stray = atom_le(AVar("x"), AAdd(AScale(3, AVar("$q0")), AInt(2)))
-    # a conclusion naming $q0 before the hypothesis is prepared
+    stray = atom_le(AVar("x"), AAdd(AScale(3, AVar("q0")), AInt(2)))
+    # q0 is a variable of its own, not the quotient of x by 3: before the
+    # hypothesis is prepared ...
     assert not arith_implies(hyp, [stray])
-    # ... and after: the prepared hypothesis has to be lowered again
+    # ... and after
     prepared = Hypothesis(hyp)
     assert arith_implies(prepared, [atom_le(AVar("y"), AInt(2))])
     assert not arith_implies(prepared, [stray])
@@ -247,9 +248,8 @@ def test_extend_agrees_with_arith_sat_on_every_prefix(monkeypatch):
             if rng.random() < 0.2:
                 delta.append(rng.choice(atoms))  # restated
             if rng.random() < 0.1:
-                # names the lowering's first quotient: a rebuild once the
-                # parent has issued it
-                delta.append(atom_le(AVar("$q0"), AVar(rng.choice(vars_))))
+                # a variable of no other atom
+                delta.append(atom_le(AVar("q0"), AVar(rng.choice(vars_))))
             if rng.random() < 0.6:
                 if rng.random() < 0.5:
                     delta = []  # a definition alone, as most unfoldings add
@@ -347,9 +347,9 @@ def test_extend_keeps_delta_and_lowering_names_apart():
     m = AMod(AVar("x"), AInt(3))
     root = Hypothesis([atom_eq(AVar("y"), m)])  # x = 3*$q0 + $r1, y = $r1
     assert root.consistent_with([])
-    # $q0 here is a variable of its own, not the quotient of x by 3
+    # q0 here is a variable of its own, not the quotient of x by 3
     stray = [atom_eq(AVar("x"), AInt(7)),
-             atom_eq(AVar("$q0"), AInt(5)), atom_eq(AVar("y"), AInt(1))]
+             atom_eq(AVar("q0"), AInt(5)), atom_eq(AVar("y"), AInt(1))]
     child = root.extend(stray)
     assert child.consistent_with([])
     assert arith_sat(root.atoms + stray) is not None
@@ -358,11 +358,40 @@ def test_extend_keeps_delta_and_lowering_names_apart():
     sibling = root.extend([atom_eq(AVar("x"), AInt(8))])
     assert sibling.consistent_with([atom_eq(AVar("y"), AInt(2))])
     assert not sibling.consistent_with([atom_eq(m, AInt(1))])
-    # a delta naming the next remainder before it is issued: the query's
-    # own mod must get another name
-    ahead = root.extend([atom_eq(AVar("$r3"), AInt(2))])
+    # a delta of its own variable, then a query with a mod of its own
+    ahead = root.extend([atom_eq(AVar("r3"), AInt(2))])
     assert ahead.consistent_with([atom_eq(AMod(AVar("z"), AInt(4)),
                                           AInt(1))])
+
+
+def test_reserved_names_are_refused():
+    # $q, $r, $v (lowering) and $s (equality elimination) name the
+    # backend's auxiliaries: lowering an input atom that names one is an
+    # internal error
+    m = AMod(AVar("x"), AInt(3))
+    hyp = [atom_eq(AVar("y"), m)]  # lowered as x = 3*$q0 + $r1, y = $r1
+    stray = atom_le(AVar("x"), AAdd(AScale(3, AVar("$q0")), AInt(2)))
+    with pytest.raises(ArithInternalError):  # a root's atoms
+        Hypothesis(hyp + [stray]).consistent_with([])
+    root = Hypothesis(hyp)
+    with pytest.raises(ArithInternalError):  # a delta, below a root
+        root.extend([atom_eq(AVar("$r3"), AInt(2))]).consistent_with([])
+    with pytest.raises(ArithInternalError):  # a query atom
+        root.consistent_with([atom_le(AVar("$v0"), AInt(-1))])
+    for prepared in (hyp, root):  # a conclusion, before and after
+        with pytest.raises(ArithInternalError):
+            arith_implies(prepared, [stray])
+    for atoms in ([atom_eq(AScale(2, AVar("$s0")), AVar("x"))],
+                  [atom_le(AMax(AVar("$v1"), AVar("x")), AInt(0))]):
+        with pytest.raises(ArithInternalError):
+            arith_sat(atoms)
+        with pytest.raises(ArithInternalError):
+            quick_unsat(atoms)
+    # the engine's own "$" names are inputs like any other
+    engine_names = [atom_le(AVar("$n0"), AVar("$fp1")),
+                    atom_eq(AMod(AVar("$k0_0"), AInt(2)), AVar("$m0"))]
+    assert arith_sat(engine_names) is not None
+    assert Hypothesis(engine_names).consistent_with([])
 
 
 def test_extend_leaves_the_parent_reduction_unchanged():
@@ -471,11 +500,10 @@ def test_branch_and_bound_takes_the_arm_toward_zero_first(monkeypatch, sign):
 
 
 def test_quick_unsat_never_refutes_a_satisfiable_system():
-    # bounded systems over inputs named like the "$s<n>" variables that
-    # equality elimination issues; equalities without a unit coefficient
-    # make it issue them, and its names must avoid the input's
+    # bounded systems; equalities without a unit coefficient make
+    # equality elimination issue its "$s<n>" variables
     rng = random.Random(53)
-    vars_ = ["x", "y", "$s0", "$s1"]
+    vars_ = ["x", "y", "s0", "s1"]
 
     def combination():
         return fold_balanced(AAdd, [
@@ -703,7 +731,7 @@ def _memo_path_lower(atoms, fresh=None, memo=None):
     """``lower`` as it was before linear atoms skipped the memo: every atom
     goes through ``_lower_expr``."""
     if fresh is None:
-        fresh = _Fresh(vars_of_atoms(atoms))
+        fresh = _Fresh()
     if memo is None:
         memo = {}
     systems = [()]
@@ -735,7 +763,7 @@ def _linear_atoms(rng: random.Random, vars_: list) -> list:
 def test_lower_fast_path_matches_memo_path():
     rng = random.Random(61)
     for _ in range(300):
-        vars_ = ["x", "y", "$q0", "$v1"][:rng.randint(1, 4)]
+        vars_ = ["x", "y", "q0", "v1"][:rng.randint(1, 4)]
         atoms = _linear_atoms(rng, vars_) + _random_atoms(rng, vars_)
         rng.shuffle(atoms)
         assert lower(atoms) == _memo_path_lower(atoms), atoms
@@ -766,14 +794,12 @@ def test_lower_with_caller_fresh_and_memo_matches_memo_path():
         rng.shuffle(hyp)
         concl = (_linear_atoms(rng, vars_) + _random_atoms(rng, vars_)
                  + [atom_eq(shared, AInt(1))])
-        taken = vars_of_atoms(hyp + concl)
-        got_fresh, want_fresh = _Fresh(set(taken)), _Fresh(set(taken))
+        got_fresh, want_fresh = _Fresh(), _Fresh()
         got_memo, want_memo = {}, {}
         for batch in [hyp] + [[a] for a in concl]:
             got = lower(batch, got_fresh, got_memo)
             want = _memo_path_lower(batch, want_fresh, want_memo)
             assert got == want, batch
-            assert got_fresh.issued == want_fresh.issued
             assert got_fresh.n == want_fresh.n
 
 

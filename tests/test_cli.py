@@ -1,4 +1,5 @@
 import io
+import os
 import random
 import time
 
@@ -18,6 +19,8 @@ WORKED = """
 (assert (str.in_re s (re.++ (re.* (str.to_re "ab")) (str.to_re "a"))))
 (assert (= (mod (str.len s) 2) 0))
 """
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 SAT_ONE = """
 (declare-str s)
@@ -98,6 +101,34 @@ def test_verdict_on_stdout_diagnostics_on_stderr(tmp_path):
     code, out, err = _run(tmp_path, WORKED, ["--fragment"])
     assert out == "unsat\n"
     assert "fragment: one-cycle" in err
+
+
+def test_fragment_witness_names_the_input_variables():
+    path = os.path.join(ROOT, "problems", "rotate.smt2")
+    out, err = io.StringIO(), io.StringIO()
+    code = run(config_from_args([path, "--fragment"]), out, err)
+    assert (code, out.getvalue()) == (EXIT_UNSAT, "unsat\n")
+    assert err.getvalue() == (
+        "fragment: one-cycle (non-linear equation: a.b.s = s.b.a;"
+        " dependency graph of s has 1 cycle(s))\n")
+
+
+@pytest.mark.parametrize("argv", [
+    [],                                         # no input file
+    ["problem.smt2", "--no-such-flag"],         # an unknown flag
+    ["problem.smt2", "--budget", "abc"],        # a malformed value
+])
+def test_usage_error_exits_3(capsys, argv):
+    # argparse's own exit code 2 would read as unknown
+    assert main(argv) == EXIT_ERROR
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "error:" in err
+
+
+def test_help_exits_0(capsys):
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: stringsat")
 
 
 def test_dot_export_written(tmp_path):
