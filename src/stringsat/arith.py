@@ -13,7 +13,9 @@ that branch and bound rounds and splits on.  No floats.
 Auxiliary variables are named ``$q<n>``, ``$r<n>``, ``$v<n>`` (lowering)
 and ``$s<n>`` (equality elimination), a namespace reserved for them:
 ``lower``, which every atom passes before it reaches a linear system,
-raises ArithInternalError on an input atom naming a variable in it.
+raises ArithInternalError on an input atom naming a variable in it.  The
+check is made during the walk that converts the atom, not in a pass of
+its own.
 
 A ``Hypothesis`` keeps one conjunction lowered and reduced for many
 queries, and ``extend`` derives the state of a larger conjunction from it
@@ -92,9 +94,16 @@ def _lin(e: ArithExpr) -> Tuple[Dict[str, int], int]:
     return coeffs, const
 
 
-def _mk_linatom(kind: str, lhs: ArithExpr, rhs: ArithExpr) -> LinAtom:
+def _mk_linatom(kind: str, lhs: ArithExpr, rhs: ArithExpr,
+                input_atom: bool = False) -> LinAtom:
+    """The linear atom ``lhs (kind) rhs``; ValueError when a side is not
+    linear.  For an ``input_atom`` every variable the sides name is
+    refused in the reserved namespace, read before terms that cancel are
+    dropped."""
     coeffs: Dict[str, int] = {}
     const = -_lin_into(lhs, 1, coeffs) - _lin_into(rhs, -1, coeffs)
+    if input_atom:
+        _refuse_reserved(coeffs)
     return LinAtom(kind, tuple(sorted((v, c) for v, c in coeffs.items()
                                       if c != 0)), const)
 
@@ -117,6 +126,12 @@ def _check_cap(n: int) -> None:
 _RESERVED = ("$q", "$r", "$s", "$v")  # the auxiliaries' namespace
 
 
+def _refuse_reserved(names) -> None:
+    for v in names:
+        if v.startswith(_RESERVED):
+            raise ArithInternalError(f"input variable {v} is reserved")
+
+
 class _Fresh:
     """Auxiliary names in the reserved namespace, on one counter."""
 
@@ -133,6 +148,7 @@ def _const_value(e: ArithExpr) -> Optional[int]:
         cs, k = _lin(e)
     except ValueError:
         return None
+    _refuse_reserved(cs)  # a mod divisor is input too
     return k if not cs else None
 
 
@@ -154,7 +170,10 @@ def _lower_expr(e: ArithExpr, fresh: _Fresh,
 
 def _lower_expr_raw(e: ArithExpr, fresh: _Fresh,
                     memo: dict) -> List[Tuple[ArithExpr, tuple]]:
-    if isinstance(e, (AInt, AVar)):
+    if isinstance(e, AVar):
+        _refuse_reserved((e.name,))  # only input expressions get here
+        return [(e, ())]
+    if isinstance(e, AInt):
         return [(e, ())]
     if isinstance(e, ALen):
         raise ValueError("length expression reached the arithmetic backend")
@@ -212,21 +231,22 @@ def lower(atoms, fresh: Optional[_Fresh] = None,
     Calls that pass the same ``fresh`` and ``memo`` encode a subterm they
     share with the same auxiliary variables, so their systems may be
     conjoined.  An input atom naming a variable in the reserved namespace
-    raises ArithInternalError.
+    raises ArithInternalError.  That check rides on the walk each input
+    atom gets anyway: the coefficients of a linear atom, read before
+    terms that cancel are dropped, and each variable (and mod divisor)
+    the encoding of a mod/max/min atom visits; the side atoms that name
+    lowering's own auxiliaries are not checked.
 
     An atom without mod/max/min is linear as it stands and is converted
     directly: it has one branch, issues no fresh name, and its subterms
     would only enter the memo with themselves as their encoding.
     """
-    for v in vars_of_atoms(atoms):
-        if v.startswith(_RESERVED):
-            raise ArithInternalError(f"input variable {v} is reserved")
     fresh = fresh or _Fresh()
     memo = {} if memo is None else memo
     systems: List[tuple] = [()]
     for a in atoms:
         try:
-            branches = [(_mk_linatom(a.kind, a.lhs, a.rhs),)]
+            branches = [(_mk_linatom(a.kind, a.lhs, a.rhs, input_atom=True),)]
         except ValueError:  # a mod/max/min (or a stray length) inside
             left = _lower_expr(a.lhs, fresh, memo)
             right = _lower_expr(a.rhs, fresh, memo)

@@ -262,14 +262,6 @@ def classify_fragment(f: NormalizedFormula) -> Fragment:
     """Classify a normalized formula; the witness explains any downgrade
     in the input's names: a predicate by the variable its root definition
     (``v = $u<i>``) names, and its length as ``|v|``."""
-    names = {d.term[0].name: d.var for d in f.subterms if len(d.term) == 1}
-    lengths = {n: f"|{names[u]}|" for u, n in f.lengths if u in names}
-
-    def named(eq: Equation) -> str:
-        return " = ".join(term_str(tuple(
-            SVar(names.get(a.var, a.var)) if isinstance(a, SPred) else a
-            for a in side)) for side in (eq.lhs, eq.rhs))
-
     sides = side_vars(f.equations)
     vars_in_eqs = sorted(set().union(*(lhs | rhs for lhs, rhs in sides)))
     graphs = {v: build_dep_graph(v, sides) for v in vars_in_eqs}
@@ -278,6 +270,16 @@ def classify_fragment(f: NormalizedFormula) -> Fragment:
     acyclic = all(c == 0 for c in cycles.values())
     if nonlinear is None and acyclic:
         return Fragment(FragmentTag.ACYCLIC)
+
+    # the input's names, for the witness only
+    names = {d.term[0].name: d.var for d in f.subterms if len(d.term) == 1}
+    lengths = {n: f"|{names[u]}|" for u, n in f.lengths if u in names}
+
+    def named(eq: Equation) -> str:
+        return " = ".join(term_str(tuple(
+            SVar(names.get(a.var, a.var)) if isinstance(a, SPred) else a
+            for a in side)) for side in (eq.lhs, eq.rhs))
+
     reasons = []
     if nonlinear is not None:
         reasons.append(f"non-linear equation: {named(nonlinear[0])}")

@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass
-from typing import List, Optional, TextIO, Tuple
+from typing import Iterator, List, Optional, TextIO, Tuple
 
 from . import engine, frontend, oracle, reduce as reduce_mod
 from .arith import ArithInternalError
@@ -84,15 +84,23 @@ def _apply_reduction(disjunct: tuple, alphabet: tuple) -> tuple:
     return (FEq(single.lhs, single.rhs),) + tuple(rest)
 
 
+def _solved_disjuncts(problem: frontend.Problem,
+                      cfg: RunConfig) -> Iterator[tuple]:
+    """The top-level disjuncts as the solver receives them: each folded
+    into one equation under ``--reduce-to-single``."""
+    sigma = problem.alphabet()
+    for disjunct in problem.disjuncts():
+        yield (_apply_reduction(disjunct, sigma) if cfg.reduce_to_single
+               else disjunct)
+
+
 def solve_problem(problem: frontend.Problem, cfg: RunConfig) -> Tuple[str, Optional[Model], List[engine.UnfoldingTree]]:
     """Solve each top-level disjunct in sequence; sat wins, unknown taints
     an otherwise-unsat outcome."""
     sigma = problem.alphabet()
     trees: List[engine.UnfoldingTree] = []
     saw_unknown = False
-    for disjunct in problem.disjuncts():
-        if cfg.reduce_to_single:
-            disjunct = _apply_reduction(disjunct, sigma)
+    for disjunct in _solved_disjuncts(problem, cfg):
         ans = engine.solve_conjunction(disjunct, sigma, budget=cfg.budget,
                                        oa_mode=cfg.oa_mode)
         trees.append(ans.tree)
@@ -128,20 +136,17 @@ def run(cfg: RunConfig, out: TextIO = sys.stdout,
         print(f"error: {cfg.path}:{e}", file=err)
         return EXIT_ERROR
 
-    if cfg.show_fragment:
-        sigma = problem.alphabet()
-        tags = []
-        for disjunct in problem.disjuncts():
-            nf = engine.init_normalize(disjunct, sigma)
-            frag = classify_fragment(nf)
-            tags.append(frag)
-        for frag in tags:
-            line = f"fragment: {frag.tag.value}"
-            if frag.witness:
-                line += f" ({frag.witness})"
-            print(line, file=err)
-
     try:
+        if cfg.show_fragment:
+            # what is solved: the reduced disjuncts under --reduce-to-single
+            sigma = problem.alphabet()
+            frags = [classify_fragment(engine.init_normalize(d, sigma))
+                     for d in _solved_disjuncts(problem, cfg)]
+            for frag in frags:
+                line = f"fragment: {frag.tag.value}"
+                if frag.witness:
+                    line += f" ({frag.witness})"
+                print(line, file=err)
         verdict, model, trees = solve_problem(problem, cfg)
     except (engine.EngineInternalError, ArithInternalError) as e:
         print(f"error: internal: {e}", file=err)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from . import arith as _arith
@@ -879,6 +880,12 @@ class UnfoldingTree:
     def __init__(self, root: NormalizedFormula):
         self.nodes: List[TreeNode] = [TreeNode(0, root, None, 0, "init")]
 
+    @cached_property
+    def fragment(self) -> Fragment:
+        """The root's fragment, classified on first read: by the search
+        at its first unfolding, or by ``Answer.fragment``."""
+        return classify_fragment(self.nodes[0].formula)
+
     def add_child(self, parent: int, rule: str,
                   f: NormalizedFormula) -> TreeNode:
         node = TreeNode(len(self.nodes), f, parent,
@@ -906,25 +913,29 @@ class Answer:
     model: Optional[Model] = None
     tree: Optional[UnfoldingTree] = None
     unfoldings: int = 0
-    fragment: Optional[Fragment] = None
+
+    @property
+    def fragment(self) -> Fragment:
+        """The classification of the tree's root, computed on first read
+        unless the search already needed it, and kept on the tree."""
+        return self.tree.fragment
 
 
 def solve_conjunction(conjuncts: Iterable[Formula], alphabet: Iterable[str],
                       budget: int = DEFAULT_BUDGET,
                       oa_mode: str = OA_FULL) -> Answer:
-    """Run the full search loop on one conjunction of parsed leaves."""
+    """Run the full search loop on one conjunction of parsed leaves.
+
+    The root is classified at the first unfolding, the only step that
+    reads its fragment (for the acyclic path bound), or when
+    ``Answer.fragment`` is first read; a conjunction decided at the root
+    is never classified during the search."""
     if budget < 0:
         raise ValueError("budget must be non-negative")
     root = init_normalize(conjuncts, alphabet)
-    fragment = classify_fragment(root)
     tree = UnfoldingTree(root)
     spent = 0
-
-    zero_sea_bound = None
-    if fragment.tag is FragmentTag.ACYCLIC and root.equations:
-        m = len(root.equations)
-        n = max(equation_size(eq) for eq in root.equations)
-        zero_sea_bound = 4 * (2 ** m) * max(n, 1)
+    zero_sea_bound = None  # set at the first unfolding
 
     # Open leaves with their node hypotheses, the deepest with the lowest
     # id on top.  Only the last expansion's children can be deeper than
@@ -940,7 +951,7 @@ def solve_conjunction(conjuncts: Iterable[Formula], alphabet: Iterable[str],
         leaf.status = SatLeaf(model, how)
         own = Model(*(tuple(p for p in part if not p[0].startswith("$"))
                       for part in (model.strings, model.ints)))
-        return Answer("sat", own, tree, spent, fragment)
+        return Answer("sat", own, tree, spent)
 
     while True:
         for leaf, hyp in unchecked:
@@ -984,11 +995,15 @@ def solve_conjunction(conjuncts: Iterable[Formula], alphabet: Iterable[str],
         if not stack:
             gave_up = any(isinstance(n.status, GaveUp) for n in tree.nodes)
             return Answer("unknown" if gave_up else "unsat", tree=tree,
-                          unfoldings=spent, fragment=fragment)
+                          unfoldings=spent)
         if spent >= budget:
-            return Answer("unknown", tree=tree, unfoldings=spent,
-                          fragment=fragment)
+            return Answer("unknown", tree=tree, unfoldings=spent)
 
+        if spent == 0 and tree.fragment.tag is FragmentTag.ACYCLIC \
+                and root.equations:
+            m = len(root.equations)
+            n = max(equation_size(eq) for eq in root.equations)
+            zero_sea_bound = 4 * (2 ** m) * max(n, 1)
         pick, pick_hyp = stack.pop()
         children = unfold(pick.formula)
         spent += 1

@@ -381,12 +381,23 @@ def test_reserved_names_are_refused():
     for prepared in (hyp, root):  # a conclusion, before and after
         with pytest.raises(ArithInternalError):
             arith_implies(prepared, [stray])
+    q0 = AVar("$q0")
     for atoms in ([atom_eq(AScale(2, AVar("$s0")), AVar("x"))],
-                  [atom_le(AMax(AVar("$v1"), AVar("x")), AInt(0))]):
+                  [atom_le(AMax(AVar("$v1"), AVar("x")), AInt(0))],
+                  # the check reads the names before terms that cancel
+                  # are dropped, and inside mod/max at any depth
+                  [atom_eq(AAdd(q0, ANeg(q0)), AInt(0))],
+                  [atom_eq(AMod(AAdd(AVar("x"), AVar("$r2")), AInt(3)),
+                           AInt(1))],
+                  [atom_le(AMax(AVar("x"), AScale(2, AVar("$s1"))),
+                           AInt(4))],
+                  [atom_eq(AMod(AVar("x"), AVar("$q1")), AInt(0))]):
         with pytest.raises(ArithInternalError):
             arith_sat(atoms)
         with pytest.raises(ArithInternalError):
             quick_unsat(atoms)
+        with pytest.raises(ArithInternalError):
+            Hypothesis(hyp).consistent_with(atoms)
     # the engine's own "$" names are inputs like any other
     engine_names = [atom_le(AVar("$n0"), AVar("$fp1")),
                     atom_eq(AMod(AVar("$k0_0"), AInt(2)), AVar("$m0"))]

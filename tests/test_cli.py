@@ -221,6 +221,21 @@ def test_reduce_to_single_on_one_letter_alphabet_is_an_error(tmp_path):
     assert code == EXIT_ERROR
     assert out == ""
     assert err.startswith("error:") and "two characters" in err
+    # --fragment reduces before it classifies, and fails the same way
+    assert _run(tmp_path, text, ["--reduce-to-single", "--fragment"]) == \
+        (code, out, err)
+
+
+@pytest.mark.parametrize("args, tag", [
+    ([], "one-cycle"),                  # x occurs twice in a.x = x.a
+    (["--reduce-to-single"], "general"),  # the pairing repeats x more
+])
+def test_fragment_classifies_the_disjunct_that_is_solved(args, tag):
+    path = os.path.join(ROOT, "problems", "system.smt2")
+    out, err = io.StringIO(), io.StringIO()
+    code = run(config_from_args([path, "--fragment", *args]), out, err)
+    assert (code, out.getvalue()) == (EXIT_SAT, "sat\n")
+    assert err.getvalue().startswith(f"fragment: {tag} ("), err.getvalue()
 
 
 def test_unwritable_dot_path_is_an_error(tmp_path):

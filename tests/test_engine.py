@@ -1,5 +1,7 @@
+import glob
 import hashlib
 import itertools
+import os
 import random
 
 import pytest
@@ -8,7 +10,8 @@ from corpus import (draw_acyclic, draw_one_cycle, gen_small_normalized,
                     rand_regex, rand_tame_regex)
 from stringsat import engine, frontend, oracle
 from stringsat.arith import Hypothesis, arith_implies, arith_sat
-from stringsat.classify import _first_repeated
+from stringsat.classify import (FragmentTag, _first_repeated,
+                                classify_fragment)
 from stringsat.engine import (BackLinkedTo, ClosedUnsat, EngineInternalError,
                               GaveUp, OA_FULL, OA_LENGTHS_ONLY, Open,
                               UnfoldChild, export_tree,
@@ -29,6 +32,7 @@ from stringsat.terms import (AAdd, AInt, ALen, AMod, AScale, AVar, CChar,
                              normalized_to_formula, subterm_vars, word)
 
 ROTATE_RE = RCat(RStar(RWord("ab")), RWord("a"))
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def resolve(f, var):
@@ -1193,6 +1197,56 @@ def test_solve_budget_zero_reports_unknown():
     ans = solve_conjunction(worked_example(), "ab", budget=0,
                             oa_mode=OA_LENGTHS_ONLY)
     assert ans.verdict == "unknown"
+
+
+def test_the_root_is_classified_at_the_first_unfolding(monkeypatch):
+    # only the acyclic path bound of the unfolding reads the fragment: a
+    # conjunction decided at the root never classifies, one that unfolds
+    # classifies once, and Answer.fragment classifies on its first read
+    calls = []
+    real = engine.classify_fragment
+    monkeypatch.setattr(engine, "classify_fragment",
+                        lambda f: calls.append(f) or real(f))
+    s = SVar("s")
+    root_decided = solve_conjunction([FEq(word("b") + (s,), (s,))], "ab")
+    assert (root_decided.verdict, root_decided.unfoldings) == ("unsat", 0)
+    assert calls == []
+    assert root_decided.fragment is root_decided.fragment
+    assert len(calls) == 1
+    assert root_decided.fragment.tag is FragmentTag.ONE_CYCLE  # s twice
+    calls.clear()
+    unfolded = solve_conjunction(worked_example(), "ab",
+                                 oa_mode=OA_LENGTHS_ONLY)
+    assert unfolded.unfoldings > 0 and len(calls) == 1
+    assert unfolded.fragment.tag is FragmentTag.ONE_CYCLE
+    assert len(calls) == 1
+
+
+def test_answer_fragment_classifies_the_input_disjunct():
+    rng = random.Random(91)
+    problems = [(c, "ab", engine.DEFAULT_BUDGET) for c in
+                draw_one_cycle(rng, 200) + draw_acyclic(rng, 100)]
+    problems += [(c, "ab", 40) for c in _head_clash_problems()]
+    for path in sorted(glob.glob(os.path.join(ROOT, "problems", "*.smt2"))):
+        with open(path, "rb") as fh:
+            problem = frontend.parse_problem(fh.read())
+        problems += [(d, problem.alphabet(), engine.DEFAULT_BUDGET)
+                     for d in problem.disjuncts()]
+    tags = set()
+    for conjs, sigma, budget in problems:
+        ans = solve_conjunction(conjs, sigma, budget=budget)
+        assert ans.fragment == classify_fragment(init_normalize(conjs, sigma))
+        tags.add(ans.fragment.tag)
+    assert tags == {FragmentTag.ACYCLIC, FragmentTag.ONE_CYCLE}, tags
+
+
+def test_the_acyclic_path_bound_still_stops_the_search(monkeypatch):
+    # x = a^12 unfolds one character a step under lengths-only; with every
+    # equation sized 0 the bound is 4 * 2^1 * 1 = 8, which depth 9 passes
+    monkeypatch.setattr(engine, "equation_size", lambda eq: 0)
+    with pytest.raises(EngineInternalError, match="9 > 8"):
+        solve_conjunction([FEq((SVar("x"),), word("a" * 12))], "ab",
+                          oa_mode=OA_LENGTHS_ONLY)
 
 
 def test_invariant_injection_on_fresh_lengths():
