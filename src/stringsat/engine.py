@@ -595,16 +595,30 @@ def length_probe(f: NormalizedFormula,
                  hyp: _arith.Hypothesis) -> Optional[Model]:
     """A model of an open leaf at its node model's lengths, or None.
 
-    Each character position of an open variable is a class, and so is
-    each letter; the equations merge the classes they align (union-find).
-    A class with two letters, or sides of unequal length, ends the probe,
-    and a class with none takes the alphabet's first letter.  Only a
-    model the evaluator accepts is kept (``_finish_model``), so the probe
-    never closes a leaf.  It declines when the lengths sum past
-    _MODEL_WORD_CAP."""
+    The open variables take the first-letter fill at those lengths
+    (``_first_letter_fill``).  Each membership's automaton then reads the
+    word its term spells, and the first to refuse ends the probe: the
+    leaf formula holds that membership, so the evaluator would refuse the
+    model too.  Only a model the evaluator accepts is kept
+    (``_finish_model``), so the probe never closes a leaf."""
     beta = hyp.model()
     if beta is None or not f.alphabet:
         return None
+    words = _first_letter_fill(f, beta)
+    if words is None or not _memberships_accept(f, words):
+        return None
+    return _finish_model(f, beta, words)
+
+
+def _first_letter_fill(f: NormalizedFormula,
+                       beta: Dict[str, int]) -> Optional[Dict[str, str]]:
+    """Each open variable's word at its length in beta, or None.
+
+    Each character position of an open variable is a class, and so is
+    each letter; the equations merge the classes they align (union-find).
+    A class with two letters, or sides of unequal length, gives None, and
+    a class with none takes the alphabet's first letter.  None too when
+    the lengths sum past _MODEL_WORD_CAP."""
     lens = f.length_map()
     want = {v: beta.get(lens[v], 0) for v in _open_vars(f)}
     if sum(want.values()) > _MODEL_WORD_CAP:
@@ -634,9 +648,17 @@ def length_probe(f: NormalizedFormula,
                     return None  # two letters in one class
                 up[a] = b
     fill = f.alphabet[0]
-    words = {v: "".join(r if isinstance(r := find((v, i)), str) else fill
-                        for i in range(n)) for v, n in want.items()}
-    return _finish_model(f, beta, words)
+    return {v: "".join(r if isinstance(r := find((v, i)), str) else fill
+                       for i in range(n)) for v, n in want.items()}
+
+
+def _memberships_accept(f: NormalizedFormula, words: Dict[str, str]) -> bool:
+    """Whether every membership's automaton accepts the word its term
+    spells with the open variables' ``words``.  A name with no word reads
+    as empty, as in ``_finish_model``."""
+    return all(_regexes.accepts(m.dfa, "".join(
+        a.char if isinstance(a, CChar) else words.get(a.var, "")
+        for a in m.term)) for m in f.memberships)
 
 
 # ---------------------------------------------------------------------------

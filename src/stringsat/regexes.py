@@ -100,14 +100,25 @@ def _reachable(alphabet: tuple, start, step: Callable,
 
 def _explore(alphabet: tuple, start, step: Callable, accept: Callable) -> Dfa:
     """The minimal automaton of ``_reachable``; every construction of this
-    module goes through here."""
-    return _minimize(_reachable(alphabet, start, step, accept))
+    module goes through here.  With one block per state the reachable
+    automaton is already minimal, and ``_reachable`` numbered it as
+    ``_renumber`` would, so it is returned as it is."""
+    d = _reachable(alphabet, start, step, accept)
+    block, count = _refine(d)
+    return d if count == d.n_states else _renumber(d, block)
 
 
 def _minimize(d: Dfa) -> Dfa:
-    """Hopcroft partition refinement, then the blocks reachable from the
-    start numbered as ``_reachable`` numbers: automata with the same
-    language come out equal."""
+    """The minimal automaton of any ``d``, its states numbered as
+    ``_reachable`` numbers: automata with the same language come out
+    equal."""
+    return _renumber(d, _refine(d)[0])
+
+
+def _refine(d: Dfa) -> tuple:
+    """Hopcroft partition refinement: each state's block number, and the
+    number of blocks.  States share a block exactly when the same words
+    lead from them to acceptance."""
     n = d.n_states
     trans = d.transitions
     acc = d.accepting
@@ -154,12 +165,19 @@ def _minimize(d: Dfa) -> Dfa:
                 w = nb if b in queued or len(part) <= len(blocks[b]) else b
                 waiting.append(w)
                 queued.add(w)
+    return block, len(blocks)
 
-    # Every state of a block steps into the same blocks, so any one
-    # represents it; unreachable blocks are never numbered.
+
+def _renumber(d: Dfa, block: list) -> Dfa:
+    """The automaton of d's blocks reachable from the block of its start,
+    numbered as ``_reachable`` numbers.  Every state of a block steps
+    into the same blocks, so any one represents it; unreachable blocks
+    are never numbered."""
+    trans = d.transitions
+    acc = d.accepting
     rep = {}
-    for q in range(n):
-        rep.setdefault(block[q], q)
+    for q, b in enumerate(block):
+        rep.setdefault(b, q)
     return _reachable(d.alphabet, block[d.start],
                       lambda b: [block[t] for t in trans[rep[b]]],
                       lambda b: rep[b] in acc)

@@ -252,6 +252,38 @@ def test_returned_automata_are_minimal_and_canonical():
     assert compile_regex(REps(), "").n_states == 1
 
 
+def test_explore_returns_the_minimized_reachable_automaton(cold_cache,
+                                                           monkeypatch):
+    # _explore returns the reachable automaton as it is when it is
+    # already minimal; either way, what it returns is _minimize's result
+    calls = []
+    real = regexes._explore
+
+    def spy(*args):
+        d = real(*args)
+        calls.append((args, d))
+        return d
+
+    monkeypatch.setattr(regexes, "_explore", spy)
+    rng = random.Random(62)
+    for _ in range(150):
+        sigma = ("a", "b", "c")[:rng.randint(1, 3)]
+        r1, r2 = rand_regex(rng, sigma, 3), rand_regex(rng, sigma, 3)
+        d1, d2 = compile_regex(r1, sigma), compile_regex(r2, sigma)
+        compile_regex(RCat(r1, r2), sigma)
+        compile_regex(RStar(r1), sigma)
+        product(d1, d2, lambda a, b: a != b)
+        joint_product([(d1, d1.start, rng.randrange(d1.n_states)),
+                       (d2, d2.start, rng.randrange(d2.n_states))])
+    kept = 0
+    for args, d in calls:
+        reachable = regexes._reachable(*args)
+        assert d == regexes._minimize(reachable), args
+        kept += d == reachable
+    # both ways are taken
+    assert 0 < kept < len(calls), (kept, len(calls))
+
+
 # --- residual state sets ----------------------------------------------------
 
 OPEN = SPred("x", "n")
