@@ -52,8 +52,9 @@ def init_normalize(conjuncts: Iterable[Formula],
     membership terms by a fresh predicate instance naming its length; the
     old name survives as a definition by the predicate's name and as the
     membership's variable.  Length expressions in the arithmetic are
-    reduced to the fresh length variables.  Each membership carries its
-    regex's automaton, which every node of the tree reads.
+    reduced to the fresh length variables, and each length is stated
+    non-negative, or 0 when the alphabet is empty.  Each membership
+    carries its regex's automaton, which every node of the tree reads.
     """
     sigma = tuple(sorted(set(alphabet)))
     raw_eqs: List[Equation] = []
@@ -106,7 +107,9 @@ def init_normalize(conjuncts: Iterable[Formula],
         pred_of[v] = SPred(u, n)
         subterms.append(Define(v, (SVar(u),)))
         lengths.append((u, n))
-        atoms.append(atom_le(AInt(0), AVar(n)))
+        # with no letters every word is empty
+        atoms.append(atom_le(AInt(0), AVar(n)) if sigma
+                     else atom_eq(AVar(n), AInt(0)))
 
     eqs = []
     for eq in raw_eqs:
@@ -128,8 +131,8 @@ def init_normalize(conjuncts: Iterable[Formula],
     # Generated names carry a "$" prefix the parser never accepts, so they
     # cannot collide with user identifiers.  $u/$n names are numbered by
     # variable, and every $m name's variable is among them.  The engine's
-    # letters are $u, $n, $m, $k and $fp; $q, $r, $s and $v belong to the
-    # arithmetic backend's auxiliaries, and it refuses them in its input.
+    # letters are $u, $n, $m, $k, $fp and $fq; $q, $r, $s and $v belong to
+    # the arithmetic backend's auxiliaries, and it refuses them in its input.
     return NormalizedFormula(
         equations=tuple(eqs),
         memberships=tuple(Membership(v, r, (pred_of[v],), dfa, f"$k{i}_")
@@ -410,12 +413,6 @@ def under_approx_check(f: NormalizedFormula,
         if lw != rw:
             return UAResult("unsat", reason=f"ground mismatch: {lw!r} != {rw!r}")
 
-    lens = f.length_map()
-    base_atoms = list(f.arith)
-    if not f.alphabet:
-        # no characters exist, so every open variable is the empty word
-        base_atoms += [atom_eq(AVar(lens[v]), AInt(0)) for v in _open_vars(f)]
-
     # fully determined members first, then each membership on its own
     for m in f.memberships:
         if all(isinstance(a, CChar) for a in m.term):
@@ -430,15 +427,16 @@ def under_approx_check(f: NormalizedFormula,
     # the node model answers a system only if it satisfies the shared part
     node_model = hyp.model() if hyp is not None else None
     if node_model is not None and \
-            not all(eval_atom(a, node_model) for a in base_atoms):
+            not all(eval_atom(a, node_model) for a in f.arith):
         node_model = None
+    lens = f.length_map()
     for joints in _boundary_choices(f):
         disjs = [length_components(AVar(lens[v]), _regexes.length_set(joint),
                                    f"$k_{v}_")
                  for v, joint in sorted(joints.items())]
         for chosen in itertools.product(*disjs):
             own = [a for grp in chosen for a in grp]
-            system = base_atoms + own
+            system = list(f.arith) + own
             if node_model is not None and \
                     all(eval_atom(a, node_model) for a in own):
                 beta = {v: node_model[v] for v in vars_of_atoms(system)}
@@ -602,7 +600,7 @@ def length_probe(f: NormalizedFormula,
     model too.  Only a model the evaluator accepts is kept
     (``_finish_model``), so the probe never closes a leaf."""
     beta = hyp.model()
-    if beta is None or not f.alphabet:
+    if beta is None:
         return None
     words = _first_letter_fill(f, beta)
     if words is None or not _memberships_accept(f, words):
@@ -647,9 +645,9 @@ def _first_letter_fill(f: NormalizedFormula,
                 if isinstance(a, str):
                     return None  # two letters in one class
                 up[a] = b
-    fill = f.alphabet[0]
-    return {v: "".join(r if isinstance(r := find((v, i)), str) else fill
-                       for i in range(n)) for v, n in want.items()}
+    return {v: "".join(r if isinstance(r := find((v, i)), str)
+                       else f.alphabet[0] for i in range(n))
+            for v, n in want.items()}
 
 
 def _memberships_accept(f: NormalizedFormula, words: Dict[str, str]) -> bool:
@@ -757,26 +755,6 @@ def _memberships_entailed(leaf: NormalizedFormula, anc: NormalizedFormula,
     return True
 
 
-def _refuted(w: dict, shrink: ArithAtom, full_imap: dict,
-             concl: tuple) -> bool:
-    """Whether the leaf model ``w`` (an unbound variable reads 0) shows a
-    candidate cannot link: the shrink fails under it, or an atom of the
-    ancestor's conclusion ``concl`` fails under its renaming
-    ``env[full_imap[v]] = w[v]``.  The renaming is injective on the leaf's
-    variables, so that assignment satisfies the renamed leaf arithmetic,
-    and a false conclusion atom refutes the entailment.  Where two leaf
-    variables would give one target different values the renaming is no
-    model and nothing is refuted."""
-    if not eval_atom(shrink, w):
-        return True
-    env: Dict[str, int] = defaultdict(int)
-    for v, target in full_imap.items():
-        if target in env and env[target] != w[v]:
-            return False
-        env[target] = w[v]
-    return not all(eval_atom(a, env) for a in concl)
-
-
 def link_back(leaf: NormalizedFormula, ancestors: List[NormalizedFormula],
               hyp: Optional[_arith.Hypothesis] = None):
     """First ancestor (nearest first) the leaf is an instance of, with the
@@ -798,14 +776,19 @@ def link_back(leaf: NormalizedFormula, ancestors: List[NormalizedFormula],
     can be chosen to give the ancestor a model.
 
     Counter-models come before proofs.  ``hyp`` is the leaf's node
-    hypothesis when the caller keeps one; its model (``Hypothesis.model``)
-    satisfies the leaf's arithmetic, and a candidate it refutes
-    (``_refuted``) is skipped unproved.  A witness only refutes: every
-    link is proved.  The shrink is proved on the leaf's arithmetic alone,
-    prepared on first need and shared by the candidates; the ancestor's
-    atoms on the renamed leaf arithmetic, prepared once per candidate.
-    Each query solves one small system per conclusion atom that the
-    hypothesis does not state literally.
+    hypothesis when the caller keeps one; its model ``w`` satisfies the
+    leaf's arithmetic, so, ``full_imap`` being injective,
+    ``env[full_imap[v]] = w[v]`` (an unbound name reads 0) satisfies the
+    renamed one.  A candidate whose shrink fails under ``w``, or one of
+    whose ancestor atoms fails under ``env``, is skipped unproved.  Every
+    link is proved, by one ``arith_implies`` on the leaf's arithmetic,
+    prepared on first need and shared by the candidates, of the shrink
+    and the ancestor's atoms renamed back by the inverse of ``full_imap``
+    (the same entailment, the renaming being injective).  An ancestor
+    name that is also a leaf name the renaming sends elsewhere is renamed
+    apart (``$fq<i>``), or the leaf's would capture it.  The query solves
+    one small system per conclusion atom the hypothesis does not state
+    literally.
     """
     if not leaf.equations:
         return None
@@ -841,14 +824,20 @@ def link_back(leaf: NormalizedFormula, ancestors: List[NormalizedFormula],
             else:
                 full_imap[v] = v
         concl = anc.projected_arith
-        if w is not None and _refuted(w, shrink, full_imap, concl):
-            continue
+        if w is not None:
+            if not eval_atom(shrink, w):
+                continue
+            env = defaultdict(int, {t: w[v] for v, t in full_imap.items()})
+            if not all(eval_atom(a, env) for a in concl):
+                continue
+        back = {t: v for v, t in full_imap.items()}
+        captured = (vars_of_atoms(concl) & full_imap.keys()) - back.keys()
+        for i, v in enumerate(sorted(captured)):
+            back[v] = f"$fq{i}"
         if leaf_hyp is None:
             leaf_hyp = _arith.Hypothesis(leaf.arith)
-        if not _arith.arith_implies(leaf_hyp, [shrink]):
-            continue
-        renamed = [rename_atom_vars(a, full_imap) for a in leaf.arith]
-        if _arith.arith_implies(renamed, list(concl)):
+        if _arith.arith_implies(leaf_hyp, [shrink] + [
+                rename_atom_vars(a, back) for a in concl]):
             theta = Theta(tuple(sorted(smap.items())),
                           tuple(sorted(cmap.items())),
                           tuple(sorted(full_imap.items())))

@@ -29,7 +29,8 @@ from stringsat.terms import (AAdd, AInt, ALen, AMod, AScale, AVar, CChar,
                              _free_index, arith_len_vars, atom_lt,
                              eval_arith,
                              eval_atom, length_components, length_expr,
-                             normalized_to_formula, subterm_vars, word)
+                             normalized_to_formula, rename_atom_vars,
+                             subterm_vars, word)
 
 ROTATE_RE = RCat(RStar(RWord("ab")), RWord("a"))
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -605,21 +606,21 @@ def test_node_hypotheses_give_the_from_scratch_answers(monkeypatch):
     # each node's Hypothesis extends its parent's by the atoms the
     # unfolding added; OA must answer on it as on the node's own length
     # abstraction prepared from scratch, and link_back, refuting
-    # candidates by its model first, as with no hypothesis at all
-    real_refuted = engine._refuted
-    refuted = []
+    # candidates by its model first, as with no hypothesis at all.  Each
+    # refuted candidate is a proof saved
+    proofs = []
 
-    def counting(*args):
-        refuted.append(real_refuted(*args))
-        return refuted[-1]
+    def counting(hyp, concl):
+        proofs.append(concl)
+        return arith_implies(hyp, concl)
 
-    monkeypatch.setattr(engine, "_refuted", counting)
+    monkeypatch.setattr(engine._arith, "arith_implies", counting)
     rng = random.Random(24)
     problems = [(c, 10000) for c in draw_one_cycle(rng, 30)]
     problems += [(c, 10000) for c in draw_acyclic(rng, 10)]
     problems += [(c, 10000) for c in draw_one_cycle(rng, 30)]
     problems += [(_hard_instance(), 100), (worked_example(), 10000)]
-    seen = {"pruned": 0, "linked": 0}
+    seen = {"pruned": 0, "linked": 0, "proved": 0, "unaided": 0}
     for conjs, budget in problems:
         tree = solve_conjunction(conjs, "ab", budget=budget).tree
         hyps = _node_hypotheses(tree)
@@ -632,12 +633,16 @@ def test_node_hypotheses_give_the_from_scratch_answers(monkeypatch):
             assert got == (not any(arith_sat(list(d)) is not None
                                    for d in over_approx(f, OA_FULL))), f
             ancestors = [a.formula for a in tree.ancestors(n.id)]
+            before = len(proofs)
             linked = link_back(f, ancestors, hyps[n.id])
+            aided = len(proofs)
             assert linked == link_back(f, ancestors), f
+            seen["proved"] += aided - before
+            seen["unaided"] += len(proofs) - aided
             seen["pruned"] += got
             seen["linked"] += linked is not None
     assert seen["pruned"] > 20 and seen["linked"] > 5, seen
-    assert sum(refuted) > 0, seen
+    assert seen["linked"] <= seen["proved"] < seen["unaided"], seen
 
 
 def test_under_approx_reads_the_node_model_first(monkeypatch):
@@ -742,7 +747,7 @@ def test_witness_refutes_through_the_renaming(monkeypatch):
     proofs = []
 
     def counting(hyp, concl):
-        proofs.append(concl)
+        proofs.append((hyp, concl))
         return arith_implies(hyp, concl)
 
     monkeypatch.setattr(engine._arith, "arith_implies", counting)
@@ -756,24 +761,62 @@ def test_witness_refutes_through_the_renaming(monkeypatch):
     assert hyp.consistent_with([])
     idx, theta = link_back(f22, [f12, f0], hyp)
     assert idx == 1 and theta.ints()["$n0"] == "$fp0"
-    assert len(proofs) == 2  # the real leaf still links by proof
+    # the real leaf still links by proof: one, on its own arithmetic,
+    # whose conclusion holds the shrink
+    shrink = atom_le(AAdd(f22.measure, AInt(1)), f0.measure)
+    ((proved_on, concl),) = proofs
+    assert isinstance(proved_on, Hypothesis) and shrink in concl
+    assert proved_on.atoms == list(f22.arith)
 
 
 def test_the_worked_example_links_by_proof(monkeypatch):
     # a link is never taken on a witness: node 4 links to the root
-    # through one proved shrink and one proved ancestor entailment
-    calls = {"shrink": [], "entailment": []}
+    # through one proof on its own arithmetic, whose conclusion holds the
+    # shrink and the root's atoms
+    calls = []
 
     def counting(hyp, concl):
-        got = arith_implies(hyp, concl)
-        kind = "shrink" if isinstance(hyp, Hypothesis) else "entailment"
-        calls[kind].append(got)
-        return got
+        calls.append((hyp, concl, arith_implies(hyp, concl)))
+        return calls[-1][2]
 
     monkeypatch.setattr(engine._arith, "arith_implies", counting)
     ans = solve_conjunction(worked_example(), "ab", oa_mode=OA_LENGTHS_ONLY)
     assert _links(ans.tree) == [(4, 0)]
-    assert True in calls["shrink"] and True in calls["entailment"], calls
+    leaf, root = ans.tree.nodes[4].formula, ans.tree.nodes[0].formula
+    shrink = atom_le(AAdd(leaf.measure, AInt(1)), root.measure)
+    ((hyp, concl),) = [(h, c) for h, c, got in calls if got]
+    assert isinstance(hyp, Hypothesis) and hyp.atoms == list(leaf.arith)
+    assert concl[0] == shrink
+    assert len(concl) == 1 + len(root.projected_arith)
+
+
+def test_the_proof_keeps_a_captured_ancestor_name_apart():
+    # the ancestor a.X = X.a over (x, $n1) keeps a dead $n0 inside a mod
+    # atom, so all of its arithmetic is read.  The leaf a.Y = Y.a over
+    # (y, $n0) sends its $n0 to $n1 and its $n1 to $fp0; read back in the
+    # leaf's names, the ancestor's $n0 is not the leaf's, whose parity
+    # says nothing about it.  Taken as the leaf's $n0 it would link
+    anc = NormalizedFormula(
+        equations=(Equation(word("a") + (SPred("x", "$n1"),),
+                            (SPred("x", "$n1"),) + word("a")),),
+        arith=(atom_le(AInt(0), AVar("$n1")),
+               atom_eq(AMod(AVar("$n0"), AInt(2)), AInt(1))),
+        lengths=(("x", "$n1"),), alphabet=("a",))
+    assert anc.projected_arith == anc.arith
+    leaf = NormalizedFormula(
+        equations=(Equation(word("a") + (SPred("y", "$n0"),),
+                            (SPred("y", "$n0"),) + word("a")),),
+        arith=(atom_le(AInt(0), AVar("$n1")), atom_le(AInt(0), AVar("$n0")),
+               atom_eq(AVar("$n0"), AAdd(AVar("$n1"), AInt(-1))),
+               atom_eq(AMod(AVar("$n0"), AInt(2)), AInt(1))),
+        subterms=(Define("x", (CChar("a"), SVar("y"))),),
+        lengths=(("y", "$n0"),), alphabet=("a",))
+    assert leaf.progress_steps > anc.progress_steps
+    assert link_back(leaf, [anc]) is None
+    # the shrink holds, so only the ancestor's parity refuses the link
+    shrink = atom_le(AAdd(leaf.measure, AInt(1)), anc.measure)
+    assert arith_implies(list(leaf.arith), [shrink])
+    assert link_back(leaf, [anc.with_(arith=anc.arith[:1])]) is not None
 
 
 def _links(tree):
@@ -1109,12 +1152,12 @@ def test_head_clash_closes_by_proved_back_links(monkeypatch):
     # b.z.x = x.a is unsat: by lengths z is empty, and b.x = x.a has one
     # b more on the left.  It ran out of any budget while back-links read
     # the lengths of the already defined x; with those projected out, a
-    # leaf links once the shrink and the entailment are proved
+    # leaf links once one query proves the shrink and the entailment
     calls = []
 
     def counting(hyp, concl):
-        calls.append((isinstance(hyp, Hypothesis), arith_implies(hyp, concl)))
-        return calls[-1][1]
+        calls.append((hyp, concl, arith_implies(hyp, concl)))
+        return calls[-1][2]
 
     monkeypatch.setattr(engine._arith, "arith_implies", counting)
     x, z = SVar("x"), SVar("z")
@@ -1122,11 +1165,40 @@ def test_head_clash_closes_by_proved_back_links(monkeypatch):
     ans = solve_conjunction([clash], "ab", budget=10)
     links = _links(ans.tree)
     assert ans.verdict == "unsat" and links
-    # a proved entailment ends the search for its leaf, and a link needs
-    # one, after a proved shrink
-    assert calls.count((False, True)) == len(links)
-    assert calls.count((True, True)) >= len(links)
+    # each candidate is one proof on the leaf's prepared arithmetic whose
+    # conclusion starts with the shrink; a proved one links its leaf
+    assert all(isinstance(hyp, Hypothesis) for hyp, _, _ in calls)
+    proved = [concl[0] for _, concl, got in calls if got]
+    nodes = ans.tree.nodes
+    assert sorted(map(str, proved)) == sorted(
+        str(atom_le(AAdd(nodes[i].formula.measure, AInt(1)),
+                    nodes[t].formula.measure)) for i, t in links)
     assert oracle.brute_force_solve(clash, "ab", oracle.Bound(6)) is None
+
+
+def test_every_link_satisfies_the_two_entailments_on_fresh_systems():
+    # what a link states, checked from scratch on plain atom lists: the
+    # leaf's arithmetic entails the shrink, and renamed by the link's
+    # integer map it entails the ancestor's projected arithmetic
+    rng = random.Random(28)
+    problems = [(c, engine.DEFAULT_BUDGET)
+                for c in draw_one_cycle(rng, 300) + draw_acyclic(rng, 100)]
+    problems += [(c, 40) for c in _head_clash_problems()]
+    problems += [(_hard_instance(), 100)]
+    checked = 0
+    for conjs, budget in problems:
+        for mode in (OA_LENGTHS_ONLY, OA_FULL):
+            tree = solve_conjunction(conjs, "ab", budget=budget,
+                                     oa_mode=mode).tree
+            for i, t in _links(tree):
+                leaf, anc = tree.nodes[i].formula, tree.nodes[t].formula
+                ints = tree.nodes[i].status.theta.ints()
+                renamed = [rename_atom_vars(a, ints) for a in leaf.arith]
+                assert arith_implies(renamed, list(anc.projected_arith)), i
+                shrink = atom_le(AAdd(leaf.measure, AInt(1)), anc.measure)
+                assert arith_implies(list(leaf.arith), [shrink]), i
+                checked += 1
+    assert checked > 50, checked
 
 
 def test_membership_terms_are_the_resolved_words():
