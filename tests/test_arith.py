@@ -822,6 +822,12 @@ PARITY_N = atom_eq(AMod(N, AInt(2)), AInt(0))
     # unit equalities, one after the other: n >= 2
     [atom_eq(D1, AAdd(N, AInt(-1))), atom_eq(D2, AAdd(D1, AInt(-1))),
      atom_le(AInt(0), D2)],
+    # an equality giving the dead variable coefficient -1: n - 3 <= m
+    [atom_eq(AAdd(N, AScale(-1, D)), AInt(3)), atom_le(D, M)],
+    # substitution into a non-unit equality keeps it: 2n = m
+    [atom_eq(D, N), atom_eq(AScale(2, D), M)],
+    # what holds outright after substitution goes: n <= n + 1
+    [atom_eq(D, AAdd(N, AInt(1))), atom_le(N, D)],
     # an atom without a dead variable stays as it is, mod and all
     [PARITY_N, atom_eq(D, AAdd(N, AInt(1))), atom_le(D, AInt(4))],
 ])
