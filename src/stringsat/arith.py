@@ -991,12 +991,17 @@ def project(atoms, dead: set) -> Optional[tuple]:
 
     Atoms without a dead variable come back as they are, in order; the
     others must be linear (a dead variable inside mod/max/min gives None),
-    and what is left of them follows.  Each dead variable is substituted
-    away through an equality where its coefficient is ±1, one at a time.
-    None when a dead variable has no such equality left.  Every unfolding
-    rule defines the length it adds by one (``n = 0``, ``n' = n - 1``,
-    ``n1 = n2``, ``n' = n_long - n_short``), which is what eliminates the
-    dead lengths of the formulas the search builds."""
+    and what is left of them follows.  Variables are eliminated one at a
+    time, each time by the first of these rules that applies to some dead
+    variable, as in Pugh's Omega test: substitute it from an equality where
+    its coefficient is ±1; drop its rows when all of them bound it on one
+    side; combine each lower with each upper bound (Fourier–Motzkin) when
+    every lower or every upper coefficient is ±1, where the real shadow is
+    the integer one.  None when no rule applies: a dead variable with only
+    non-unit equalities, or with non-unit bounds on both sides.  The
+    lengths unfolding adds go by the first rule; the bound rules serve
+    variables dead at the root, such as an integer that only bounds a
+    length."""
     kept, rows = [], []
     for a in atoms:
         if dead.isdisjoint(vars_of_atoms((a,))):
@@ -1026,9 +1031,9 @@ def project(atoms, dead: set) -> Optional[tuple]:
 
 
 def _eliminate_one(rows: list, candidates: list) -> Optional[list]:
-    """``rows`` (kind, coeffs, const) with the first candidate variable
-    that some equality gives coefficient ±1 substituted away through the
-    first such equality, or None when no candidate has one."""
+    """``rows`` (kind, coeffs, const) with one of the candidate variables
+    eliminated exactly by the first rule of ``project`` that applies to
+    any of them, or None."""
     for v in candidates:
         for kind, cs, k in rows:
             if kind == "eq" and abs(cs.get(v, 0)) == 1:
@@ -1037,4 +1042,26 @@ def _eliminate_one(rows: list, candidates: list) -> Optional[list]:
                 # the equality itself becomes 0 = 0
                 return [(kind2, *_subst_into(cs2, k2, v, expr))
                         for kind2, cs2, k2 in rows]
+    bounds = {}
+    for v in candidates:
+        occ = [r for r in rows if v in r[1]]
+        if all(kind == "le" for kind, _, _ in occ):
+            bounds[v] = ([r for r in occ if r[1][v] < 0],
+                         [r for r in occ if r[1][v] > 0])
+    for v, (lower, upper) in bounds.items():
+        if not lower or not upper:
+            return [r for r in rows if v not in r[1]]
+    for v, (lower, upper) in bounds.items():
+        if all(cs[v] == -1 for _, cs, _ in lower) or \
+                all(cs[v] == 1 for _, cs, _ in upper):
+            out = [r for r in rows if v not in r[1]]
+            for _, lc, lk in lower:
+                for _, uc, uk in upper:
+                    # b.v >= lower part and a.v <= upper part
+                    a, b = uc[v], -lc[v]
+                    cs = {u: b * uc.get(u, 0) + a * lc.get(u, 0)
+                          for u in lc.keys() | uc.keys() if u != v}
+                    out.append(("le", {u: c for u, c in cs.items() if c},
+                                b * uk + a * lk))
+            return out
     return None

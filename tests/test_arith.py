@@ -822,14 +822,20 @@ PARITY_N = atom_eq(AMod(N, AInt(2)), AInt(0))
     # unit equalities, one after the other: n >= 2
     [atom_eq(D1, AAdd(N, AInt(-1))), atom_eq(D2, AAdd(D1, AInt(-1))),
      atom_le(AInt(0), D2)],
+    # bounded below only: no constraint is left
+    [atom_le(N, D), atom_le(AInt(3), D)],
+    # Fourier-Motzkin with every lower coefficient 1: 2n <= m
+    [atom_le(AScale(2, N), D), atom_le(D, M)],
+    # and with every upper coefficient 1: n <= 2m
+    [atom_le(N, AScale(2, D)), atom_le(D, M)],
+    # an atom without a dead variable stays as it is, mod and all
+    [PARITY_N, atom_eq(D, AAdd(N, AInt(1))), atom_le(D, AInt(4))],
     # an equality giving the dead variable coefficient -1: n - 3 <= m
     [atom_eq(AAdd(N, AScale(-1, D)), AInt(3)), atom_le(D, M)],
     # substitution into a non-unit equality keeps it: 2n = m
     [atom_eq(D, N), atom_eq(AScale(2, D), M)],
     # what holds outright after substitution goes: n <= n + 1
     [atom_eq(D, AAdd(N, AInt(1))), atom_le(N, D)],
-    # an atom without a dead variable stays as it is, mod and all
-    [PARITY_N, atom_eq(D, AAdd(N, AInt(1))), atom_le(D, AInt(4))],
 ])
 def test_project_is_exists_dead(atoms):
     dead = {"d", "d1", "d2"}
@@ -854,13 +860,6 @@ def test_project_is_exists_dead(atoms):
     [atom_eq(AScale(2, D), N)],
     # non-unit bounds on both sides: n <= 2d <= m is not n <= m
     [atom_le(N, AScale(2, D)), atom_le(AScale(2, D), M)],
-    # bounds alone, however simple, have no unit equality to substitute
-    # through: bounded below only
-    [atom_le(N, D), atom_le(AInt(3), D)],
-    # every lower coefficient 1
-    [atom_le(AScale(2, N), D), atom_le(D, M)],
-    # every upper coefficient 1
-    [atom_le(N, AScale(2, D)), atom_le(D, M)],
 ])
 def test_project_refuses_what_it_cannot_eliminate_exactly(atoms):
     assert arith.project(atoms, {"d"}) is None

@@ -270,6 +270,31 @@ def test_many_variable_occurrences_are_solved(tmp_path, prefix, suffix,
     assert (got, out) == (code, verdict + "\n"), err
 
 
+CYCLE = '(declare-str x)(assert (= (str.++ "a" x) (str.++ x "b")))'
+
+
+@pytest.mark.parametrize("text,oa", [
+    (CYCLE + "(declare-int i)(assert (<= i (str.len x)))", "full"),
+    (CYCLE + "(declare-int i)(assert (<= 0 i))(assert (<= i (str.len x)))",
+     "full"),
+    (CYCLE + "(declare-str z)(assert (<= (str.len z) (str.len x)))", "full"),
+    (WORKED + "(declare-int i)(assert (<= i (str.len s)))", "lengths-only"),
+], ids=["int-bounded-on-one-side", "int-bounded-on-both-sides",
+        "string-only-in-arithmetic", "worked-example-with-an-int"])
+def test_a_variable_dead_at_the_root_does_not_block_the_back_link(
+        tmp_path, text, oa):
+    # the leaf links to the root only once the root's arithmetic is read
+    # with i (or |z|) projected out.  No unit equality defines that
+    # variable, so projection takes the bound rule (or Fourier-Motzkin);
+    # with all of the root's arithmetic the leaf would have to imply
+    # i <= |x| in the root's names, and no link would ever close
+    dot = tmp_path / "tree.dot"
+    code, out, err = _run(tmp_path, text,
+                          ["--budget", "200", "--oa", oa, "--dot", str(dot)])
+    assert (code, out) == (EXIT_UNSAT, "unsat\n"), err
+    assert dot.read_text().count('label="back"') == 1
+
+
 def test_nested_max_stops_at_the_case_split_cap(tmp_path):
     # the lowering cap decides nothing: the leaf is given up, not an error
     term = "k"

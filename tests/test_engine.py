@@ -592,6 +592,27 @@ def test_a_capped_leaf_is_given_up_unless_closed_otherwise(monkeypatch):
     assert ans.tree.nodes[0].status.how == "length probe"
 
 
+@pytest.mark.parametrize("bound,verdict,how", [
+    ("", "sat", ["length probe"]),
+    ("(assert (>= (str.len x) 1))", "unsat", []),
+], ids=["every-word-empty", "a-word-must-not-be"])
+def test_an_empty_alphabet_is_decided_at_the_root(bound, verdict, how):
+    # with no letters the root states every length 0: its node model is
+    # the all-empty one, which the length probe turns into the model at
+    # the root, and a length that must be positive closes the root
+    text = ("(declare-str x)(declare-str y)"
+            "(assert (= (str.++ x y) (str.++ y x)))" + bound)
+    problem = frontend.parse_problem(text)
+    (conjs,) = problem.disjuncts()
+    assert problem.alphabet() == ()
+    ans = solve_conjunction(conjs, problem.alphabet())
+    assert (ans.verdict, len(ans.tree.nodes)) == (verdict, 1)
+    assert [n.status.how for n in ans.tree.nodes
+            if isinstance(n.status, engine.SatLeaf)] == how
+    if verdict == "sat":
+        assert set(ans.model.string_map().values()) == {""}
+
+
 def _node_hypotheses(tree):
     """Every node's hypothesis, built as the search builds it."""
     hyps = {0: node_hypothesis(tree.nodes[0].formula)}
