@@ -27,9 +27,9 @@ from . import regexes as _regexes
 from .classify import Fragment, FragmentTag, classify_fragment
 from .terms import (AAdd, AInt, AScale, AVar, ArithAtom, CChar, Define,
                     EngineInternalError, Equation, FAtom, FEq, FIn, FNot,
-                    Formula, Membership, Model, NormalizedFormula, SPred,
-                    SVar, arith_len_vars, atom_eq, atom_le, atom_lt,
-                    equation_size, eval_atom, formula_summary,
+                    Formula, Membership, Model, NormalizedFormula, RE,
+                    RInter, SPred, SVar, arith_len_vars, atom_eq, atom_le,
+                    atom_lt, equation_size, eval_atom, formula_summary,
                     length_components, normalized_to_formula,
                     rename_atom_vars, subst_len, subterm_str, subterm_vars,
                     term_subst, vars_of_atoms)
@@ -53,12 +53,17 @@ def init_normalize(conjuncts: Iterable[Formula],
     old name survives as a definition by the predicate's name and as the
     membership's variable.  Length expressions in the arithmetic are
     reduced to the fresh length variables, and each length is stated
-    non-negative, or 0 when the alphabet is empty.  Each membership
-    carries its regex's automaton, which every node of the tree reads.
+    non-negative, or 0 when the alphabet is empty.  A variable has one
+    membership, in first-occurrence order: the intersection of its
+    regexes, folded left in assertion order, so the residual and length
+    checks read the intersection and not each regex alone.  A membership
+    on a compound term names the term and stays separate.  Each
+    membership carries its regex's automaton, which every node of the
+    tree reads.
     """
     sigma = tuple(sorted(set(alphabet)))
     raw_eqs: List[Equation] = []
-    memberships: List[tuple] = []  # (variable, regex, automaton)
+    memberships: Dict[str, RE] = {}  # variable -> its regexes' intersection
     atoms: List[ArithAtom] = []
     aux = 0
     for leaf in conjuncts:
@@ -73,8 +78,9 @@ def init_normalize(conjuncts: Iterable[Formula],
                 name = f"$m{aux}"
                 aux += 1
                 raw_eqs.append(Equation((SVar(name),), t))
-            memberships.append(
-                (name, leaf.regex, _regexes.compiled(leaf.regex, sigma)))
+            prior = memberships.get(name)
+            memberships[name] = (leaf.regex if prior is None
+                                 else RInter(prior, leaf.regex))
         elif isinstance(leaf, FAtom):
             atoms.append(leaf.atom)
         elif isinstance(leaf, FNot):
@@ -93,7 +99,7 @@ def init_normalize(conjuncts: Iterable[Formula],
         for a in eq.lhs + eq.rhs:
             if isinstance(a, SVar):
                 note(a.name)
-    for name, _, _ in memberships:
+    for name in memberships:
         note(name)
     for a in atoms:
         for v in sorted(arith_len_vars(a.lhs) | arith_len_vars(a.rhs)):
@@ -135,8 +141,10 @@ def init_normalize(conjuncts: Iterable[Formula],
     # the arithmetic backend's auxiliaries, and it refuses them in its input.
     return NormalizedFormula(
         equations=tuple(eqs),
-        memberships=tuple(Membership(v, r, (pred_of[v],), dfa, f"$k{i}_")
-                          for i, (v, r, dfa) in enumerate(memberships)),
+        memberships=tuple(
+            Membership(v, r, (pred_of[v],), _regexes.compiled(r, sigma),
+                       f"$k{i}_")
+            for i, (v, r) in enumerate(memberships.items())),
         arith=tuple(fixed_atoms), subterms=tuple(subterms),
         lengths=tuple(lengths), alphabet=sigma, next_index=len(ordered))
 

@@ -19,11 +19,13 @@ from stringsat.engine import (BackLinkedTo, ClosedUnsat, EngineInternalError,
                               oa_unsat,
                               over_approx, residual_empty, solve_conjunction,
                               under_approx_check, unfold)
-from stringsat.regexes import compiled, length_set, lengths_reachable
+from stringsat.regexes import (compiled, length_set, lengths_reachable,
+                               product)
 from stringsat.terms import (AAdd, AInt, ALen, AMod, AScale, AVar, CChar,
                              Define, Equation, FAnd, FAtom, FEq, FIn,
                              Membership, Model, NormalizedFormula, RCat,
-                             RStar, RUnion, RWord, SPred, SVar, atom_eq,
+                             RComp, RInter, RLit, RStar, RUnion, RWord,
+                             SPred, SVar, atom_eq,
                              atom_le,
                              vars_of_atoms,
                              _free_index, arith_len_vars, atom_lt,
@@ -80,6 +82,57 @@ def test_init_pairs_variables_with_predicates():
     # the length constraint now speaks about the fresh length variable
     assert atom_eq(AMod(AVar("$n0"), AInt(2)), AInt(0)) in f0.arith
     assert atom_le(AInt(0), AVar("$n0")) in f0.arith
+
+
+def test_init_gives_each_variable_one_membership_of_its_regexes():
+    # x's three regexes become one membership, their left fold in
+    # assertion order, whose automaton is the product of theirs; a
+    # membership on a compound term keeps its own $m name, even when the
+    # same term is asserted twice
+    x, y = SVar("x"), SVar("y")
+    r1, r2, r3 = ROTATE_RE, RStar(RWord("aba")), RComp(RWord("ab"))
+    conj = [FIn((x,), r1), FIn((y, x), r2), FIn((x,), r2),
+            FIn((y,), r3), FIn((y, x), r3), FIn((x,), r3)]
+    f0 = init_normalize(conj, "ab")
+    assert [m.var for m in f0.memberships] == ["x", "$m0", "y", "$m1"]
+    assert [m.regex for m in f0.memberships] == \
+        [RInter(RInter(r1, r2), r3), r2, r3, r3]
+    preds = {v: p for v, p in zip(["$m0", "y", "x", "$m1"],
+                                  [SPred(f"$u{i}", f"$n{i}")
+                                   for i in range(4)])}
+    assert f0.equations == tuple(
+        Equation((preds[m],), (preds["y"], preds["x"]))
+        for m in ("$m0", "$m1"))
+    sigma = ("a", "b")
+    d1, d2, d3 = (compiled(r, sigma) for r in (r1, r2, r3))
+    both = product(product(d1, d2, lambda a, b: a and b), d3,
+                   lambda a, b: a and b)
+    assert f0.memberships[0].dfa == both
+    assert f0.memberships[0].dfa == compiled(RInter(RInter(r1, r2), r3),
+                                             sigma)
+    assert [m.dfa for m in f0.memberships[1:]] == [d2, d3, d3]
+
+
+@pytest.mark.parametrize("conj,reason", [
+    ([FEq((CChar("a"), SVar("x")), (SVar("x"), CChar("a"))),
+      FIn((SVar("x"),), RStar(RLit("a"))),
+      FIn((SVar("x"),), RCat(RLit("b"), RStar(RLit("a"))))],
+     "membership residual empty: x"),
+    ([FEq((CChar("a"), SVar("x")), (SVar("y"), CChar("a"))),
+      FIn((SVar("x"),), RUnion(RStar(RWord("aa")), RLit("b"))),
+      FIn((SVar("x"),), RUnion(RStar(RWord("aaa")), RWord("bb"))),
+      FAtom(atom_eq(ALen("x"), AInt(2)))],
+     "length abstraction unsat"),
+], ids=["empty-intersection", "intersection-lengths"])
+def test_an_intersection_closes_what_separate_memberships_unfold(conj,
+                                                                 reason):
+    # a* and b.a* are each non-empty, and their intersection is empty;
+    # the lengths of (aa)*|b and of (aaa)*|bb both hold 2, and those of
+    # their intersection, (a^6)*, do not.  With one membership per regex
+    # the search took 3 and 11 nodes to close these
+    ans = solve_conjunction(conj, "ab")
+    assert ans.verdict == "unsat"
+    assert [n.status for n in ans.tree.nodes] == [ClosedUnsat(reason)]
 
 
 def test_every_node_reads_the_automaton_init_normalize_set(monkeypatch):
@@ -516,6 +569,52 @@ def _acyclic_with_membership(rng, count, regex=rand_tame_regex):
     return out
 
 
+def _regex_or_complement(rng, sigma, depth):
+    r = rand_regex(rng, sigma, depth)
+    return RComp(r) if rng.random() < 0.5 else r
+
+
+def _with_two_memberships(rng, problems, regex=_regex_or_complement):
+    """Each problem with memberships added on one of its variables, drawn
+    by ``regex``, until that variable has two."""
+    out = []
+    for conjs in problems:
+        names = sorted({a.name for c in conjs if isinstance(c, FEq)
+                        for a in c.lhs + c.rhs if isinstance(a, SVar)})
+        if names:
+            v = rng.choice(names)
+            have = sum(c.term == (SVar(v),) for c in conjs
+                       if isinstance(c, FIn))
+            conjs = conjs + [FIn((SVar(v),), regex(rng, "ab", 2))
+                             for _ in range(2 - have)]
+        out.append(conjs)
+    return out
+
+
+def test_a_variable_with_two_memberships_is_solved_soundly():
+    # the two regexes are one membership, their intersection: each sat
+    # model must pass the evaluator against both, and no unsat problem may
+    # have a small model.  Most draws are unsat before any membership is
+    # added, so every sat draw is kept and 100 of the others
+    rng = random.Random(61)
+    sat, other = [], []
+    for conjs in draw_one_cycle(rng, 300) + draw_acyclic(rng, 300):
+        (sat if solve_conjunction(conjs, "ab").verdict == "sat"
+         else other).append(conjs)
+    verdicts = []
+    for conjs in _with_two_memberships(rng, sat + other[:100]):
+        ans = solve_conjunction(conjs, "ab")
+        verdicts.append(ans.verdict)
+        f = FAnd(tuple(conjs))
+        if ans.verdict == "sat":
+            assert oracle.eval_formula(f, ans.model, "ab"), conjs
+        elif ans.verdict == "unsat":
+            assert oracle.brute_force_solve(f, "ab",
+                                            oracle.Bound(4, 8)) is None, f
+    assert verdicts.count("sat") > 30 and verdicts.count("unsat") > 100, \
+        verdicts
+
+
 def test_residual_closed_nodes_have_no_oracle_model():
     # the residual check reads memberships and subterms only, so each node
     # it closes must lack a model even with its arithmetic dropped
@@ -574,18 +673,21 @@ def test_a_capped_leaf_is_given_up_unless_closed_otherwise(monkeypatch):
     assert [solve_conjunction(c, "ab").verdict for c in problems] == \
         ["sat", "unsat", "unsat"]
     # every root below is base, and its 3-state automaton has more
-    # boundary choices than the cap allows
+    # boundary choices than the cap allows.  clash's two regexes are one
+    # membership, whose intersection is empty, so its root closes before
+    # the cap is reached
     monkeypatch.setattr(engine, "_UA_COMBO_CAP", 1)
     capped = [solve_conjunction(c, "ab") for c in problems]
-    assert [a.verdict for a in capped] == ["unknown", "unknown", "unsat"]
-    for ans in capped[:2]:
-        assert not [n for n in ans.tree.nodes
-                    if not n.children and isinstance(n.status, Open)]
-        assert isinstance(ans.tree.nodes[0].status, GaveUp)
-        assert "gave up: membership state space over _UA_COMBO_CAP = 1" \
-            in export_tree(ans.tree)
-    assert capped[2].tree.nodes[0].status == \
-        ClosedUnsat("length abstraction unsat")
+    assert [a.verdict for a in capped] == ["unknown", "unsat", "unsat"]
+    ans = capped[0]
+    assert not [n for n in ans.tree.nodes
+                if not n.children and isinstance(n.status, Open)]
+    assert isinstance(ans.tree.nodes[0].status, GaveUp)
+    assert "gave up: membership state space over _UA_COMBO_CAP = 1" \
+        in export_tree(ans.tree)
+    assert [a.tree.nodes[0].status for a in capped[1:]] == [
+        ClosedUnsat("membership residual empty: x"),
+        ClosedUnsat("length abstraction unsat")]
     # the probe answers a capped leaf too, by a model of its node lengths
     ans = solve_conjunction(odd_a, "ab")
     assert ans.verdict == "sat" and ans.model.string_map() == {"x": "a"}
