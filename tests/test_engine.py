@@ -97,20 +97,14 @@ def test_init_gives_each_variable_one_membership_of_its_regexes():
     assert [m.var for m in f0.memberships] == ["x", "$m0", "y", "$m1"]
     assert [m.regex for m in f0.memberships] == \
         [RInter(RInter(r1, r2), r3), r2, r3, r3]
-    preds = {v: p for v, p in zip(["$m0", "y", "x", "$m1"],
-                                  [SPred(f"$u{i}", f"$n{i}")
-                                   for i in range(4)])}
-    assert f0.equations == tuple(
-        Equation((preds[m],), (preds["y"], preds["x"]))
-        for m in ("$m0", "$m1"))
-    sigma = ("a", "b")
-    d1, d2, d3 = (compiled(r, sigma) for r in (r1, r2, r3))
+    # variables are numbered in first-occurrence order: $m0, y, x, $m1
+    m0, p_y, p_x, m1 = (SPred(f"$u{i}", f"$n{i}") for i in range(4))
+    assert f0.equations == (Equation((m0,), (p_y, p_x)),
+                            Equation((m1,), (p_y, p_x)))
+    d1, d2, d3 = (compiled(r, ("a", "b")) for r in (r1, r2, r3))
     both = product(product(d1, d2, lambda a, b: a and b), d3,
                    lambda a, b: a and b)
-    assert f0.memberships[0].dfa == both
-    assert f0.memberships[0].dfa == compiled(RInter(RInter(r1, r2), r3),
-                                             sigma)
-    assert [m.dfa for m in f0.memberships[1:]] == [d2, d3, d3]
+    assert [m.dfa for m in f0.memberships] == [both, d2, d3, d3]
 
 
 @pytest.mark.parametrize("conj,reason", [
@@ -574,9 +568,9 @@ def _regex_or_complement(rng, sigma, depth):
     return RComp(r) if rng.random() < 0.5 else r
 
 
-def _with_two_memberships(rng, problems, regex=_regex_or_complement):
+def _with_two_memberships(rng, problems):
     """Each problem with memberships added on one of its variables, drawn
-    by ``regex``, until that variable has two."""
+    by ``_regex_or_complement``, until that variable has two."""
     out = []
     for conjs in problems:
         names = sorted({a.name for c in conjs if isinstance(c, FEq)
@@ -585,8 +579,9 @@ def _with_two_memberships(rng, problems, regex=_regex_or_complement):
             v = rng.choice(names)
             have = sum(c.term == (SVar(v),) for c in conjs
                        if isinstance(c, FIn))
-            conjs = conjs + [FIn((SVar(v),), regex(rng, "ab", 2))
-                             for _ in range(2 - have)]
+            conjs = conjs + [
+                FIn((SVar(v),), _regex_or_complement(rng, "ab", 2))
+                for _ in range(2 - have)]
         out.append(conjs)
     return out
 
