@@ -1,5 +1,6 @@
 """Fragment classification: linearity, per-variable dependency graphs,
-cycle counting, and syntactic recognition of periodic length arithmetic.
+a three-way cycle test, and syntactic recognition of periodic length
+arithmetic.
 
 The solver is a decision procedure on two nested fragments:
 
@@ -9,6 +10,12 @@ The solver is a decision procedure on two nested fragments:
 
 Everything else is classified general; the solver still runs on it but
 only as a semi-decision procedure.
+
+So a graph's cycles matter only as none, one or more: ``cycle_count``
+returns 0, 1 or 2, where 2 means "more than one", and enumerates none.
+Once the vertices no cycle passes through are stripped, a graph has
+exactly one cycle when every vertex left has one out-edge and they form
+a single ring; any other graph left has two or more.
 """
 
 from __future__ import annotations
@@ -151,13 +158,21 @@ def build_dep_graph(var: str, equations: List[Sides]) -> DepGraph:
 
 
 def cycle_count(g: DepGraph) -> int:
-    """Number of distinct simple cycles; parallel edges multiply."""
-    mult = Counter(g.edges)
+    """0 if the graph has no cycle, 1 if it has exactly one, 2 if it has
+    more than one; parallel edges make distinct cycles.
+
+    The fragments only ask "none, one or more", so no cycle is counted.
+    After the strip, every vertex left has an edge in and an edge out
+    among the others.  A vertex with two out-edges then lies on two
+    distinct cycles or leads into two; if each has exactly one, the
+    vertices left are disjoint rings, one cycle each.
+    """
+    edges = g.edges
     # Strip the vertices no cycle passes through (Kahn): those without an
     # edge in or without an edge out among the vertices left.
     succ: Dict[str, set] = {}
     pred: Dict[str, set] = {}
-    for s, d in mult:
+    for s, d in edges:
         succ.setdefault(s, set()).add(d)
         pred.setdefault(d, set()).add(s)
     live = succ.keys() & pred.keys()
@@ -176,41 +191,15 @@ def cycle_count(g: DepGraph) -> int:
                 todo.append(s)
     if not live:
         return 0
-    adj: dict = {}
-    radj: dict = {}
-    for (s, d), k in mult.items():
-        if s in live and d in live:
-            adj.setdefault(s, []).append((d, k))
-            radj.setdefault(d, []).append(s)
-    total = 0
-    for start in sorted(live):
-        # count simple cycles whose smallest vertex is `start`.  Only the
-        # vertices above it that reach it through vertices above it can
-        # lie on one; walk the simple paths through them depth first, one
-        # frame per path vertex with the weight so far and the vertex's
-        # edges not yet tried
-        back = {start}
-        todo = [start]
-        while todo:
-            for s in radj.get(todo.pop(), ()):
-                if s > start and s not in back:
-                    back.add(s)
-                    todo.append(s)
-        on_path = {start}
-        stack = [(start, 1, iter(adj.get(start, ())))]
-        while stack:
-            v, weight, edges = stack[-1]
-            for d, k in edges:
-                if d == start:
-                    total += weight * k
-                elif d in back and d not in on_path:
-                    on_path.add(d)
-                    stack.append((d, weight * k, iter(adj.get(d, ()))))
-                    break
-            else:
-                stack.pop()
-                on_path.discard(v)
-    return total
+    ring = [(s, d) for s, d in edges if s in live and d in live]
+    if len(ring) > len(live):
+        return 2
+    nxt = dict(ring)
+    start = next(iter(live))
+    v, size = nxt[start], 1
+    while v != start:
+        v, size = nxt[v], size + 1
+    return 1 if size == len(live) else 2
 
 
 _PERIODIC_COEFFS = (-1, 0, 1)
@@ -286,8 +275,8 @@ def classify_fragment(f: NormalizedFormula) -> Fragment:
     worst = max(cycles.values(), default=0)
     if worst > 0:
         v = next(v for v in vars_in_eqs if cycles[v] == worst)
-        reasons.append(
-            f"dependency graph of {names.get(v, v)} has {worst} cycle(s)")
+        count = "1 cycle(s)" if worst == 1 else "more than one cycle"
+        reasons.append(f"dependency graph of {names.get(v, v)} has {count}")
     thrice = _first_repeated(f.equations, 2)
     if thrice is not None:
         reasons.append(f"{names.get(thrice[1], thrice[1])} occurs more "

@@ -35,10 +35,6 @@ class Bound:
             raise ValueError("bounds must be non-negative")
 
 
-def _dfa(regex, alphabet: tuple) -> regexes.Dfa:
-    return regexes.compiled(regex, alphabet)
-
-
 def _word_of(term: Term, strings: dict, side: list) -> str:
     """Concrete word denoted by a term; records the length conditions of
     any string-predicate atoms it contains."""
@@ -106,7 +102,7 @@ def eval_formula(f: Formula, m: Model, alphabet: Iterable[str]) -> bool:
             w = _word_of(f.term, strings, side)
             if not all(_len_ok(v, n) for v, n in side):
                 return False
-            return regexes.accepts(_dfa(f.regex, sigma), w)
+            return regexes.accepts(regexes.compiled(f.regex, sigma), w)
         if isinstance(f, FAtom):
             a = f.atom
             l = _eval_arith(a.lhs, strings, ints)
@@ -164,7 +160,7 @@ def _length_filters(disjunct: tuple, sigma: tuple):
         if isinstance(leaf, FEq):
             checks.append(("eq", _term_len(leaf.lhs), _term_len(leaf.rhs)))
         elif isinstance(leaf, FIn):
-            ls = regexes.length_set(_dfa(leaf.regex, sigma))
+            ls = regexes.length_set(regexes.compiled(leaf.regex, sigma))
             checks.append(("in", _term_len(leaf.term), ls))
     return checks
 

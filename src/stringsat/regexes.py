@@ -108,13 +108,6 @@ def _explore(alphabet: tuple, start, step: Callable, accept: Callable) -> Dfa:
     return d if count == d.n_states else _renumber(d, block)
 
 
-def _minimize(d: Dfa) -> Dfa:
-    """The minimal automaton of any ``d``, its states numbered as
-    ``_reachable`` numbers: automata with the same language come out
-    equal."""
-    return _renumber(d, _refine(d)[0])
-
-
 def _refine(d: Dfa) -> tuple:
     """Hopcroft partition refinement: each state's block number, and the
     number of blocks.  States share a block exactly when the same words

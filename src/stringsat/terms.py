@@ -625,8 +625,6 @@ class FNot:
 
 Formula = Union[FEq, FIn, FAtom, FAnd, FOr, FNot]
 
-TRUE = FAnd(())
-
 
 def conj(items: Iterable) -> Formula:
     items = tuple(items)

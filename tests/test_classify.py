@@ -118,7 +118,7 @@ def test_cycle_count_matches_the_recursive_walk():
         edges = [(rng.choice(names), rng.choice(names))
                  for _ in range(rng.randint(0, 12))]
         g = DepGraph(root=names[0], vertices=set(names), edges=edges)
-        assert cycle_count(g) == _recursive_cycle_count(g), edges
+        assert cycle_count(g) == min(_recursive_cycle_count(g), 2), edges
 
 
 def test_cycle_count_on_long_paths_and_cycles():
@@ -172,7 +172,8 @@ def test_dep_graph_matches_the_pool_scan():
             want = _scanned_dep_graph(var, sides)
             assert (g.vertices, g.leaves, sorted(g.edges)) == \
                 (want.vertices, want.leaves, sorted(want.edges)), (var, sides)
-            assert cycle_count(g) == _recursive_cycle_count(g), (var, sides)
+            assert cycle_count(g) == min(_recursive_cycle_count(g), 2), \
+                (var, sides)
             cyclic += cycle_count(g) > 0
     assert cyclic > 100
 
@@ -188,6 +189,25 @@ def test_long_chain_classifies_quickly():
     start = time.perf_counter()
     assert classify_fragment(f).tag is FragmentTag.ACYCLIC
     assert time.perf_counter() - start < 4.0
+
+
+def _complete_system(n):
+    # x_i.ab = ba.(the other variables in index order), asserted in
+    # sorted-name order: the graph of x0 is complete
+    xs = [SVar(f"x{i}") for i in range(n)]
+    return [FEq((x,) + word("ab"), word("ba") + tuple(y for y in xs if y != x))
+            for x in sorted(xs, key=lambda x: x.name)]
+
+
+def test_dense_graphs_classify_without_counting_cycles():
+    # the complete graph on 11 vertices has more than 10^7 simple cycles,
+    # far too many to enumerate in a second
+    f = engine.init_normalize(_complete_system(11), "ab")
+    start = time.perf_counter()
+    frag = classify_fragment(f)
+    assert time.perf_counter() - start < 1.0
+    assert frag.tag is FragmentTag.GENERAL
+    assert "has more than one cycle" in frag.witness
 
 
 def test_is_periodic_arith():

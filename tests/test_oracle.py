@@ -7,8 +7,9 @@ from stringsat.oracle import (Bound, UnassignedVariableError,
                               brute_force_solve, eval_formula)
 from stringsat.terms import (AInt, ALen, AMod, FAnd, FAtom, FEq, FIn,
                              FNot, FOr, Model, RCat, RStar, RWord, SVar,
-                             TRUE, atom_eq, atom_le, conj, word)
+                             atom_eq, atom_le, conj, word)
 
+TRUE = FAnd(())
 ROTATION = FEq(word("ab") + (SVar("s"),), (SVar("s"),) + word("ba"))
 MEMBER = FIn((SVar("s"),), RCat(RStar(RWord("ab")), RWord("a")))
 PARITY = FAtom(atom_eq(AMod(ALen("s"), AInt(2)), AInt(0)))
