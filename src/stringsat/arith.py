@@ -816,18 +816,14 @@ def quick_unsat(atoms) -> bool:
 
 
 def arith_sat(atoms) -> Optional[Dict[str, int]]:
-    """SAT with an integer witness, or None for UNSAT.  The witness covers
-    every variable of the input atoms (auxiliary lowering variables are
-    stripped)."""
-    for system in lower(atoms):
-        model = solve_system(system)
-        if model is not None:
-            out = {v: model.get(v, 0) for v in vars_of_atoms(atoms)}
-            for a in atoms:
-                if not eval_atom(a, out):
-                    raise ArithInternalError(f"witness fails input atom {a}")
-            return out
-    return None
+    """SAT with an integer witness, or None for UNSAT: the checked model
+    of ``Hypothesis(atoms)``, restricted to every variable of the input
+    atoms (auxiliary lowering variables are stripped)."""
+    hyp = Hypothesis(atoms)
+    if not hyp.consistent_with(()):
+        return None
+    model = hyp.model()
+    return {v: model[v] for v in vars_of_atoms(hyp.atoms)}
 
 
 class Hypothesis:

@@ -44,43 +44,6 @@ class Fragment:
     witness: str = ""
 
 
-class DepGraph:
-    """Directed dependency multigraph for one string variable, kept as
-    each vertex's out-edges: ``out[v]`` lists v's targets, once per
-    parallel edge."""
-
-    def __init__(self, root: str, vertices: Iterable[str] = (),
-                 edges: Iterable[Tuple[str, str]] = ()) -> None:
-        self.root = root
-        self.vertices = set(vertices)
-        self.leaves: set = set()
-        self.edges = edges
-
-    @property
-    def edges(self) -> List[Tuple[str, str]]:
-        return [(s, d) for s, ds in self.out.items() for d in ds]
-
-    @edges.setter
-    def edges(self, pairs: Iterable[Tuple[str, str]]) -> None:
-        self.out: Dict[str, List[str]] = {}
-        for s, d in pairs:
-            self.add_edge(s, d)
-
-    def add_vertex(self, v: str) -> None:
-        self.vertices.add(v)
-
-    def add_edge(self, src: str, dst: str) -> None:
-        self.out.setdefault(src, []).append(dst)
-
-    def mark_leaf(self, v: str) -> None:
-        self.vertices.add(v)
-        self.leaves.add(v)
-        self.out.pop(v, None)
-
-    def out_degree(self, v: str) -> int:
-        return len(self.out.get(v, ()))
-
-
 def _first_repeated(equations: Iterable[Equation],
                     times: int) -> Optional[Tuple[Equation, str]]:
     """The first equation with a string variable occurring more than
@@ -104,9 +67,11 @@ def side_vars(equations: Iterable[Equation]) -> List[Sides]:
             for eq in equations]
 
 
-def build_dep_graph(var: str, equations: List[Sides]) -> DepGraph:
-    """Worklist construction over the equations, given as their
-    ``side_vars``.
+def build_dep_graph(var: str, equations: List[Sides]) -> Dict[str, List[str]]:
+    """The dependency multigraph of ``var`` as its out-edge map: ``out[v]``
+    lists v's targets, once per parallel edge, and a vertex without
+    out-edges has no key.  Worklist construction over the equations,
+    given as their ``side_vars``.
 
     Each dequeue consumes at most one equation: the first one not yet
     consumed that mentions the variable, as the variables of the side
@@ -117,8 +82,13 @@ def build_dep_graph(var: str, equations: List[Sides]) -> DepGraph:
     survive (marking it a leaf would erase the self-loop the fragment
     check exists to find).
     """
-    g = DepGraph(root=var)
-    g.add_vertex(var)
+    out: Dict[str, List[str]] = {}
+    leaves: set = set()
+
+    def mark_leaf(v: str) -> None:
+        leaves.add(v)
+        out.pop(v, None)
+
     # per variable, the indices of the equations mentioning it, in order
     mentions: Dict[str, List[int]] = {}
     for i, (lhs, rhs) in enumerate(equations):
@@ -131,7 +101,7 @@ def build_dep_graph(var: str, equations: List[Sides]) -> DepGraph:
     wl = deque([var])
     while wl:
         cur = wl.popleft()
-        if cur in g.leaves:
+        if cur in leaves:
             continue
         queue = mentions.get(cur, ())
         k = mark.get(cur, 0)
@@ -139,27 +109,27 @@ def build_dep_graph(var: str, equations: List[Sides]) -> DepGraph:
             k += 1
         mark[cur] = k
         if k == len(queue):
-            if g.out_degree(cur) == 0:
-                g.mark_leaf(cur)
+            if cur not in out:
+                leaves.add(cur)
             continue
         consumed.add(queue[k])
         lhs, rhs = equations[queue[k]]
         tr_i, tr_d = (lhs, rhs) if cur in lhs else (rhs, lhs)
         if not tr_d:
             for v in sorted(tr_i):
-                g.mark_leaf(v)
+                mark_leaf(v)
         else:
             for v in sorted(tr_d):
-                g.add_vertex(v)
-                g.add_edge(cur, v)
-                if v not in g.leaves:
+                out.setdefault(cur, []).append(v)
+                if v not in leaves:
                     wl.append(v)
-    return g
+    return out
 
 
-def cycle_count(g: DepGraph) -> int:
-    """0 if the graph has no cycle, 1 if it has exactly one, 2 if it has
-    more than one; parallel edges make distinct cycles.
+def cycle_count(out: Dict[str, List[str]]) -> int:
+    """0 if the graph with out-edge map ``out`` has no cycle, 1 if it has
+    exactly one, 2 if it has more than one; parallel edges make distinct
+    cycles.
 
     The fragments only ask "none, one or more", so no cycle is counted.
     After the strip, every vertex left has an edge in and an edge out
@@ -167,14 +137,13 @@ def cycle_count(g: DepGraph) -> int:
     distinct cycles or leads into two; if each has exactly one, the
     vertices left are disjoint rings, one cycle each.
     """
-    edges = g.edges
     # Strip the vertices no cycle passes through (Kahn): those without an
     # edge in or without an edge out among the vertices left.
-    succ: Dict[str, set] = {}
+    succ = {s: set(ds) for s, ds in out.items()}
     pred: Dict[str, set] = {}
-    for s, d in edges:
-        succ.setdefault(s, set()).add(d)
-        pred.setdefault(d, set()).add(s)
+    for s, ds in out.items():
+        for d in ds:
+            pred.setdefault(d, set()).add(s)
     live = succ.keys() & pred.keys()
     todo = list((succ.keys() | pred.keys()) - live)
     while todo:
@@ -191,10 +160,12 @@ def cycle_count(g: DepGraph) -> int:
                 todo.append(s)
     if not live:
         return 0
-    ring = [(s, d) for s, d in edges if s in live and d in live]
-    if len(ring) > len(live):
-        return 2
-    nxt = dict(ring)
+    nxt = {}
+    for s in live:
+        ring = [d for d in out[s] if d in live]
+        if len(ring) > 1:
+            return 2
+        nxt[s] = ring[0]
     start = next(iter(live))
     v, size = nxt[start], 1
     while v != start:

@@ -30,7 +30,7 @@ from .terms import (AAdd, AInt, AScale, AVar, ArithAtom, CChar, Define,
                     Formula, Membership, Model, NormalizedFormula, RE,
                     RInter, SPred, SVar, arith_len_vars, atom_eq, atom_le,
                     atom_lt, equation_size, eval_atom, formula_summary,
-                    length_components, normalized_to_formula,
+                    length_components, length_expr, normalized_to_formula,
                     rename_atom_vars, subst_len, subterm_str, subterm_vars,
                     term_subst, vars_of_atoms)
 
@@ -58,8 +58,10 @@ def init_normalize(conjuncts: Iterable[Formula],
     regexes, folded left in assertion order, so the residual and length
     checks read the intersection and not each regex alone.  A membership
     on a compound term names the term and stays separate.  Each
-    membership carries its regex's automaton, which every node of the
-    tree reads.
+    membership carries its regex's automaton and its length components
+    (``terms.length_components`` over the root term's length, multipliers
+    named ``$k<i>_<j>`` by position), built here once for the whole tree:
+    every node reads the same objects (see ``Membership``).
     """
     sigma = tuple(sorted(set(alphabet)))
     raw_eqs: List[Equation] = []
@@ -139,12 +141,14 @@ def init_normalize(conjuncts: Iterable[Formula],
     # variable, and every $m name's variable is among them.  The engine's
     # letters are $u, $n, $m, $k, $fp and $fq; $q, $r, $s and $v belong to
     # the arithmetic backend's auxiliaries, and it refuses them in its input.
+    members = []
+    for i, (v, r) in enumerate(memberships.items()):
+        dfa = _regexes.compiled(r, sigma)
+        term = (pred_of[v],)
+        members.append(Membership(v, r, term, dfa, length_components(
+            length_expr(term), dfa.lengths, f"$k{i}_")))
     return NormalizedFormula(
-        equations=tuple(eqs),
-        memberships=tuple(
-            Membership(v, r, (pred_of[v],), _regexes.compiled(r, sigma),
-                       f"$k{i}_")
-            for i, (v, r) in enumerate(memberships.items())),
+        equations=tuple(eqs), memberships=tuple(members),
         arith=tuple(fixed_atoms), subterms=tuple(subterms),
         lengths=tuple(lengths), alphabet=sigma, next_index=len(ordered))
 
@@ -163,7 +167,8 @@ def _define(f: NormalizedFormula, p: SPred, rhs: tuple,
             atoms: tuple) -> NormalizedFormula:
     """The child in which the predicate ``p`` is the word ``rhs``.
 
-    ``p`` is replaced by ``rhs`` in every equation and membership term,
+    ``p`` is replaced by ``rhs`` in every equation and membership term
+    (a rewritten membership keeps its automaton and length components),
     and ``rhs``, its predicates written as names, is appended to the
     subterms as ``p.var``'s definition, so no earlier one changes and a
     name means one word in every node below.  ``atoms`` go after the

@@ -23,7 +23,7 @@ from .terms import (AAdd, AInt, ALen, AMax, AMin, AMod, ANeg, AScale, AVar,
                     FOr, Formula, Model, RCat, RComp, RE, REps, RInter,
                     RStar, RUnion, RWord, SVar, Term, arith_len_vars,
                     atom_le, collect_vars, eval_arith, fold_balanced,
-                    formula_chars, negate, to_dnf, word)
+                    formula_chars, to_dnf, word)
 
 
 class ParseError(Exception):
@@ -61,7 +61,7 @@ class Problem:
     def disjuncts(self) -> tuple:
         """Split the asserted conjunction into independent sub-problems,
         one per disjunct of its disjunctive normal form."""
-        return to_dnf(_expand_negations(self.formula()))
+        return to_dnf(self.formula())
 
 
 # ---------------------------------------------------------------------------
@@ -432,20 +432,6 @@ def _divisor(n: tuple, ctx: _Ctx) -> AInt:
         raise ParseError(f"mod divisor must be positive, got {value}",
                          *ctx.pos(n))
     return AInt(value)
-
-
-# ---------------------------------------------------------------------------
-# Negation expansion (only arithmetic atoms may sit under a not)
-# ---------------------------------------------------------------------------
-
-def _expand_negations(f: Formula) -> Formula:
-    if isinstance(f, FNot):
-        return FOr(tuple(map(FAtom, negate(f.inner.atom))))
-    if isinstance(f, FAnd):
-        return FAnd(tuple(_expand_negations(x) for x in f.items))
-    if isinstance(f, FOr):
-        return FOr(tuple(_expand_negations(x) for x in f.items))
-    return f
 
 
 # ---------------------------------------------------------------------------

@@ -381,20 +381,15 @@ class Membership:
     # only the term, so every node reads the same object.  Equality,
     # hashing and repr ignore it.
     dfa: object = field(default=None, compare=False, repr=False)
-    # The prefix of the fresh multipliers ``components`` names, one per
-    # membership of a formula (``engine.init_normalize`` numbers it by
-    # position).  Equality, hashing and repr ignore it.
-    fresh: str = field(default="$k_", compare=False, repr=False)
-
-    @cached_property
-    def components(self) -> tuple:
-        """The length abstraction's choices for this membership: one
-        tuple of atoms per component of the automaton's length set,
-        putting the term's length in it (``length_components``).  Built
-        on first use and kept on the object, so a child reads its
-        parent's for every membership its unfolding does not rewrite."""
-        return length_components(length_expr(self.term), self.dfa.lengths,
-                                 self.fresh)
+    # The length abstraction's choices for this membership: one tuple of
+    # atoms per component of the automaton's length set, putting the root
+    # term's length in it (``length_components``).  Built once per tree by
+    # ``engine.init_normalize`` and carried unchanged by every unfolding:
+    # each rule that rewrites the term adds the atom defining its new
+    # length, so under every node's arithmetic the rewritten term has the
+    # root term's length.  Equality, hashing and repr ignore it.
+    components: Optional[tuple] = field(default=None, compare=False,
+                                        repr=False)
 
 
 @dataclass(frozen=True)
@@ -634,10 +629,13 @@ def conj(items: Iterable) -> Formula:
 def to_dnf(f: Formula) -> tuple:
     """Disjunctive normal form: a tuple of conjunctions (tuples of leaves).
 
-    Leaves are FEq / FIn / FAtom / FNot(FAtom); negation over anything else
-    is rejected upstream by the parser.
+    Leaves are FEq / FIn / FAtom.  A negated arithmetic atom becomes one
+    disjunct per atom of its ``negate``; negation over anything else is
+    rejected upstream by the parser.
     """
-    if isinstance(f, (FEq, FIn, FAtom, FNot)):
+    if isinstance(f, FNot):
+        return tuple((FAtom(a),) for a in negate(f.inner.atom))
+    if isinstance(f, (FEq, FIn, FAtom)):
         return ((f,),)
     if isinstance(f, FOr):
         out: list = []

@@ -6,7 +6,7 @@ import time
 import pytest
 
 from corpus import draw_acyclic, draw_one_cycle, rand_regex
-from stringsat import engine, terms
+from stringsat import arith, engine, terms
 from stringsat.cli import (EXIT_ERROR, EXIT_SAT, EXIT_UNKNOWN, EXIT_UNSAT,
                            RunConfig, config_from_args, main, run)
 from stringsat.frontend import MAX_NESTING, Problem, render_problem
@@ -462,31 +462,31 @@ def test_unfolding_rebuilds_only_the_memberships_it_rewrites(tmp_path,
     assert seen["rest"] > 0 and seen["no rest"] > 0, seen
 
 
-def test_unfolding_shares_the_length_components_it_does_not_rewrite(
+def test_unfolding_keeps_the_root_length_components_of_every_membership(
         tmp_path, monkeypatch):
-    # a membership keeps its length-abstraction components once built: a
-    # child reads its parent's object for every membership the unfolding
-    # leaves alone, and builds new ones for each it rewrites
-    real, seen = engine._define, {"shared": 0, "rebuilt": 0}
+    # a membership's length-abstraction components are built once, at the
+    # root: a child reads its parent's object for every membership, and a
+    # rewritten term keeps the old term's length under the child's
+    # arithmetic, so the components still place the right length
+    real, seen = engine._define, {"shared": 0, "rewritten": 0}
 
     def checking(f, p, rhs, atoms):
         child = real(f, p, rhs, atoms)
-        for i, (old, new) in enumerate(zip(f.memberships,
-                                           child.memberships)):
+        for old, new in zip(f.memberships, child.memberships):
+            assert new.components is old.components
             if p in old.term:
-                assert new.components is not old.components
-                assert new.components == terms.length_components(
-                    terms.length_expr(new.term), new.dfa.lengths, f"$k{i}_")
-                seen["rebuilt"] += 1
+                assert arith.arith_implies(child.arith, [terms.atom_eq(
+                    terms.length_expr(new.term),
+                    terms.length_expr(old.term))])
+                seen["rewritten"] += 1
             else:
-                assert new.components is old.components
                 seen["shared"] += 1
         return child
 
     monkeypatch.setattr(engine, "_define", checking)
     code, out, err = _run(tmp_path, CAPPED, ["--budget", "100"])
     assert (code, out) == (EXIT_UNKNOWN, "unknown\n"), err
-    assert seen["rebuilt"] > 100 and seen["shared"] > 0, seen
+    assert seen["rewritten"] > 100 and seen["shared"] > 0, seen
 
 
 # --- fixed-seed fuzz: every input ends in a documented exit code -----------

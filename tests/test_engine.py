@@ -59,12 +59,15 @@ def resolve(f, var):
 
 
 def with_members(f, *pairs, sigma=("a", "b")):
-    """f with a membership per (variable, regex), each carrying its
-    automaton and fresh prefix as init_normalize builds them and its term
-    as resolved in f."""
-    return f.with_(memberships=tuple(
-        Membership(v, r, resolve(f, v), compiled(r, sigma), f"$k{i}_")
-        for i, (v, r) in enumerate(pairs)))
+    """f with a membership per (variable, regex), each with its term as
+    resolved in f, its automaton, and its length components over that
+    term, multipliers named by position as init_normalize names them."""
+    members = []
+    for i, (v, r) in enumerate(pairs):
+        term, dfa = resolve(f, v), compiled(r, sigma)
+        members.append(Membership(v, r, term, dfa, length_components(
+            length_expr(term), dfa.lengths, f"$k{i}_")))
+    return f.with_(memberships=tuple(members))
 
 
 def worked_example():
@@ -133,7 +136,8 @@ def test_every_node_reads_the_automaton_init_normalize_set(monkeypatch):
     # memberships on a variable and on a named term, and a regex two of
     # them share; after init_normalize only the model checks (the
     # reference evaluator) compile anything.  |x| >= 3 keeps the length
-    # probe's all-a words out of ROTATE_RE, so the search unfolds
+    # probe's all-a words out of ROTATE_RE, so the search unfolds.  Every
+    # node reads the length components init_normalize built as well
     conj = [FEq((SVar("x"), SVar("y")), (SVar("y"), SVar("x"))),
             FIn((SVar("x"),), ROTATE_RE),
             FIn((SVar("y"), SVar("x")), ROTATE_RE),
@@ -167,11 +171,14 @@ def test_every_node_reads_the_automaton_init_normalize_set(monkeypatch):
     root = ans.tree.nodes[0].formula
     assert compiles.count("init") == len(root.memberships) == 3
     assert "search" not in compiles
-    for m in root.memberships:
+    for i, m in enumerate(root.memberships):
         assert m.dfa == real_compiled(m.regex, ("a", "b"))
+        assert m.components == length_components(
+            length_expr(m.term), m.dfa.lengths, f"$k{i}_")
     for node in ans.tree.nodes:
         for m, at_root in zip(node.formula.memberships, root.memberships):
             assert m.dfa is at_root.dfa
+            assert m.components is at_root.components
 
 
 def test_init_on_variable_free_formula():

@@ -2,9 +2,11 @@ import random
 
 from hypothesis import given, strategies as st
 
-from stringsat.terms import (AAdd, AInt, CChar, Define, Equation,
-                             NormalizedFormula, SPred, SVar, equation_size,
-                             formula_summary, length_expr, term_subst, word)
+from stringsat.terms import (AAdd, AInt, AVar, CChar, Define, Equation,
+                             FAnd, FAtom, FNot, FOr, NormalizedFormula, SPred,
+                             SVar, atom_eq, atom_le, equation_size,
+                             formula_summary, length_expr, negate, term_subst,
+                             to_dnf, word)
 from stringsat.arith import _lin
 
 
@@ -111,3 +113,13 @@ def test_substitute_idempotent_without_reintroduction(atoms):
 def test_flatten_is_stable(atoms):
     t = tuple(atoms)
     assert term_subst(t, SVar("zzz"), ()) == t
+
+
+def test_to_dnf_expands_each_negated_atom_into_its_negate_disjuncts():
+    n = AVar("n")
+    eq, le = atom_eq(n, AInt(1)), atom_le(n, AInt(4))
+    below, above = negate(eq)
+    (over,) = negate(le)
+    f = FAnd((FAtom(le), FOr((FNot(FAtom(eq)), FNot(FAtom(le))))))
+    assert to_dnf(f) == ((FAtom(le), FAtom(below)), (FAtom(le), FAtom(above)),
+                         (FAtom(le), FAtom(over)))
